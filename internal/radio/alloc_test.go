@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -59,6 +60,78 @@ func TestDeliveryAllocsNilRecorder(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() { deliverOne(disabled, f) })
 	if got > base {
 		t.Errorf("delivery with nil recorder allocates %.1f objects per frame, baseline %.1f", got, base)
+	}
+}
+
+// TestCollidingDeliveryAllocs extends the allocation pin to frames that
+// collide: on the hidden-terminal chain 0–1–2 both senders' frames
+// overlap at node 1, so every round fills a jammed list and trips a
+// carrier stamp. Warm records reuse their lists, so this path must
+// allocate no more than a clean delivery.
+func TestCollidingDeliveryAllocs(t *testing.T) {
+	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
+	a, b := dataFrame(0, 1), dataFrame(2, 1)
+	round := func() {
+		h.medium.Transmit(0, a)
+		h.medium.Transmit(2, b)
+		h.sched.Run(h.sched.Now() + 2*time.Millisecond)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	avg := testing.AllocsPerRun(200, round)
+	const maxAllocs = 2
+	if avg > maxAllocs {
+		t.Errorf("colliding delivery allocates %.1f objects per round, want <= %d", avg, maxAllocs)
+	}
+	if oks := h.nodes[1].oks; len(oks) == 0 || oks[len(oks)-1] {
+		t.Fatal("hidden-terminal frames were not corrupted at node 1")
+	}
+}
+
+// BenchmarkTransmitInFlight measures one clean frame exchange while k
+// other frames are on the air far away. Interference marking consults
+// only the transmitter's neighborhood, so ns/op should not grow with k.
+func BenchmarkTransmitInFlight(b *testing.B) {
+	for _, k := range []int{0, 16, 256, 1024} {
+		b.Run(fmt.Sprintf("inflight=%d", k), func(b *testing.B) {
+			// A two-node probe link at the origin, then k isolated
+			// transmitters 1 km apart, out of range of everything.
+			pos := []geom.Point{{X: 0}, {X: 100}}
+			for i := 0; i < k; i++ {
+				pos = append(pos, geom.Point{X: float64(1+i%32) * 1000, Y: float64(1+i/32) * 1000})
+			}
+			topo, err := topology.New(pos, topology.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched := sim.NewScheduler()
+			m := NewMedium(sched, topo, DefaultParams(), sim.NewRand(1))
+			rx := &recorder{}
+			for _, id := range topo.Nodes() {
+				if id == 1 {
+					m.Register(id, rx)
+				} else {
+					m.Register(id, &recorder{})
+				}
+			}
+			// Broadcasts of 2^36 bytes stay on the air for days of
+			// simulated time, far beyond any benchmark's horizon.
+			for i := 0; i < k; i++ {
+				src := topology.NodeID(2 + i)
+				m.Transmit(src, &Frame{Kind: FrameBroadcast, To: Broadcast, LinkFrom: src, LinkTo: src, ControlBytes: 1 << 36})
+			}
+			f := dataFrame(0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Transmit(0, f)
+				sched.Run(sched.Now() + 2*time.Millisecond)
+				if i%1024 == 0 {
+					rx.frames, rx.oks = rx.frames[:0], rx.oks[:0]
+				}
+			}
+		})
 	}
 }
 

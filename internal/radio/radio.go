@@ -11,8 +11,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -216,11 +218,22 @@ type Stats struct {
 
 // Medium is the shared broadcast channel.
 //
-// The per-frame hot path is allocation-free in steady state: propagation
-// and carrier sensing iterate the topology's precomputed neighbor lists
-// (O(degree) instead of O(N) node scans), per-link state lives in dense
-// slices keyed by the topology's link index, frame airtimes are memoized
-// per (kind, size), and transmission records are pooled across frames.
+// The per-frame hot path is allocation-free in steady state, and its
+// work is O(degree) of the transmitter, independent of how many other
+// frames are on the air: propagation, carrier sensing and interference
+// marking all iterate the transmitter's precomputed neighbor lists
+// against per-node counters and stamps, never the set of in-flight
+// transmissions. Per-link state lives in dense slices keyed by the
+// topology's link index, frame airtimes are memoized per (kind, size),
+// and transmission records are pooled across frames.
+//
+// Interference marking. A reception of frame t at receiver n fails when
+// some other carrier reaches n (n lies in its carrier-sense range, or n
+// is its transmitter) at any instant while t is on the air. Such a
+// carrier either was already present when t started — then busy[n] > 0
+// or n is on the air, checked once in Transmit — or started later, and
+// then it stamped lastHit[n] with a sequence number above t's, checked
+// once in finish.
 type Medium struct {
 	sched    *sim.Scheduler
 	topo     *topology.Topology
@@ -228,10 +241,17 @@ type Medium struct {
 	rng      *rand.Rand
 	stations []Station
 
-	active       []*transmission
-	busy         []int // per node: count of foreign carriers sensed
-	transmitting []bool
-	frameSeq     int64
+	// onAir holds each node's in-flight transmission, nil while the node
+	// is silent: a node never has two frames on the air at once.
+	onAir    []*transmission
+	busy     []int // per node: count of foreign carriers sensed
+	frameSeq int64
+	// lastHit[n] is the sequence number of the latest transmission whose
+	// carrier reached node n. jamMark is finish's scratch: jamMark[n]
+	// equals the finishing transmission's sequence number exactly when
+	// its reception at n is corrupted.
+	lastHit []int64
+	jamMark []int64
 
 	// Fault-injection state (see internal/faults). down nodes neither
 	// transmit nor receive; linkLoss/nodeLoss add per-link and
@@ -258,10 +278,9 @@ type Medium struct {
 	dataAir                map[int]time.Duration
 	bcastAir               map[int]time.Duration
 
-	// txFree recycles transmission records (and their corruption
-	// bitsets, corrWords words each) across frames.
-	corrWords int
-	txFree    []*transmission
+	// txFree recycles transmission records (and their jammed lists)
+	// across frames.
+	txFree []*transmission
 
 	idleScratch []topology.NodeID // reused by finish
 	busyBefore  []bool            // scratch for Begin/EndTopologyChange
@@ -281,23 +300,24 @@ type Medium struct {
 // afterwards with Register, one per node, before any transmission.
 func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng *rand.Rand) *Medium {
 	return &Medium{
-		sched:        sched,
-		topo:         topo,
-		params:       params,
-		rng:          rng,
-		stations:     make([]Station, topo.NumNodes()),
-		busy:         make([]int, topo.NumNodes()),
-		transmitting: make([]bool, topo.NumNodes()),
-		down:         make([]bool, topo.NumNodes()),
-		nodeLoss:     make([]float64, topo.NumNodes()),
-		linkLoss:     make([]float64, topo.NumLinks()),
-		occupancy:    make([]time.Duration, topo.NumLinks()),
-		rtsAir:       params.Airtime(FrameRTS, 0),
-		ctsAir:       params.Airtime(FrameCTS, 0),
-		ackAir:       params.Airtime(FrameAck, 0),
-		dataAir:      make(map[int]time.Duration),
-		bcastAir:     make(map[int]time.Duration),
-		corrWords:    (topo.NumNodes() + 63) / 64,
+		sched:     sched,
+		topo:      topo,
+		params:    params,
+		rng:       rng,
+		stations:  make([]Station, topo.NumNodes()),
+		onAir:     make([]*transmission, topo.NumNodes()),
+		busy:      make([]int, topo.NumNodes()),
+		lastHit:   make([]int64, topo.NumNodes()),
+		jamMark:   make([]int64, topo.NumNodes()),
+		down:      make([]bool, topo.NumNodes()),
+		nodeLoss:  make([]float64, topo.NumNodes()),
+		linkLoss:  make([]float64, topo.NumLinks()),
+		occupancy: make([]time.Duration, topo.NumLinks()),
+		rtsAir:    params.Airtime(FrameRTS, 0),
+		ctsAir:    params.Airtime(FrameCTS, 0),
+		ackAir:    params.Airtime(FrameAck, 0),
+		dataAir:   make(map[int]time.Duration),
+		bcastAir:  make(map[int]time.Duration),
 	}
 }
 
@@ -384,7 +404,7 @@ func (m *Medium) memoAirtime(cache map[int]time.Duration, kind FrameKind, bytes 
 func (m *Medium) BusyAt(n topology.NodeID) bool { return m.busy[n] > 0 }
 
 // Transmitting reports whether node n is currently on the air.
-func (m *Medium) Transmitting(n topology.NodeID) bool { return m.transmitting[n] }
+func (m *Medium) Transmitting(n topology.NodeID) bool { return m.onAir[n] != nil }
 
 // Stats returns a snapshot of the channel counters. Safe to call from
 // any goroutine: the counters are read atomically.
@@ -499,6 +519,11 @@ func (m *Medium) TakeOccupancy() map[topology.Link]time.Duration {
 // in-flight transmission started; this unwinds them (and snapshots each
 // node's sensed state) so EndTopologyChange can re-raise them against
 // the new lists.
+//
+// It also freezes each in-flight frame's corruption so far: receivers in
+// the old neighbor list that a later carrier reached join the frame's
+// jammed list, and only carriers starting after the change count
+// against the new neighbor list.
 func (m *Medium) BeginTopologyChange() {
 	if m.busyBefore == nil {
 		m.busyBefore = make([]bool, len(m.busy))
@@ -506,11 +531,29 @@ func (m *Medium) BeginTopologyChange() {
 	for n := range m.busy {
 		m.busyBefore[n] = m.busy[n] > 0
 	}
-	for _, tx := range m.active {
+	for _, tx := range m.inFlight() {
+		for _, n := range m.topo.Neighbors(tx.src) {
+			if m.lastHit[n] > tx.since {
+				tx.jammed = append(tx.jammed, n)
+			}
+		}
+		tx.since = m.frameSeq
 		for _, n := range m.topo.CSNeighbors(tx.src) {
 			m.busy[n]--
 		}
 	}
+}
+
+// inFlight returns the transmissions on the air in start order.
+func (m *Medium) inFlight() []*transmission {
+	var flight []*transmission
+	for _, tx := range m.onAir {
+		if tx != nil {
+			flight = append(flight, tx)
+		}
+	}
+	slices.SortFunc(flight, func(a, b *transmission) int { return cmp.Compare(a.seq, b.seq) })
+	return flight
 }
 
 // EndTopologyChange completes a topology change opened with
@@ -570,7 +613,7 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 	}
 	m.linkLoss, m.linkLossCount, m.occupancy = newLoss, count, newOcc
 
-	for _, tx := range m.active {
+	for _, tx := range m.inFlight() {
 		for _, n := range m.topo.CSNeighbors(tx.src) {
 			m.busy[n]++
 			if m.busy[n] == 1 && m.spans != nil {
@@ -587,7 +630,7 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 	}
 	for n := range m.busy {
 		nowBusy := m.busy[n] > 0
-		if nowBusy == m.busyBefore[n] || m.transmitting[n] {
+		if nowBusy == m.busyBefore[n] || m.onAir[n] != nil {
 			continue
 		}
 		if st := m.stations[n]; st != nil {
@@ -603,48 +646,41 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 type transmission struct {
 	src   topology.NodeID
 	frame *Frame
-	start time.Duration
+	seq   int64 // the medium's frame sequence number, also Frame.ID
 	end   time.Duration
-	// corrupted is a per-node bitset, allocated lazily and recycled with
-	// the transmission record.
-	corrupted []uint64
+	// since is the sequence number above which a carrier reaching one of
+	// src's receivers corrupts this frame there: seq when the frame goes
+	// on the air, raised at each topology change during its flight.
+	since int64
+	// jammed lists receivers at which the frame is known corrupted before
+	// lastHit is consulted: those already under another carrier when it
+	// went on the air, and those a later carrier reached before a
+	// topology change. Its backing array is recycled with the record.
+	jammed []topology.NodeID
 	// finishFn is bound once per record so scheduling the end-of-air
 	// event does not allocate a fresh closure per frame.
 	finishFn func()
 }
 
-func (m *Medium) newTransmission(src topology.NodeID, f *Frame, start, end time.Duration) *transmission {
+func (m *Medium) newTransmission(src topology.NodeID, f *Frame, seq int64, end time.Duration) *transmission {
 	if n := len(m.txFree); n > 0 {
 		tx := m.txFree[n-1]
 		m.txFree[n-1] = nil
 		m.txFree = m.txFree[:n-1]
-		tx.src, tx.frame, tx.start, tx.end = src, f, start, end
+		tx.src, tx.frame, tx.seq, tx.since, tx.end = src, f, seq, seq, end
 		return tx
 	}
-	tx := &transmission{src: src, frame: f, start: start, end: end}
+	tx := &transmission{src: src, frame: f, seq: seq, since: seq, end: end}
 	tx.finishFn = func() { m.finish(tx) }
 	return tx
 }
 
-// releaseTransmission returns a finished record to the pool, clearing
-// its corruption bitset for reuse.
+// releaseTransmission returns a finished record to the pool, keeping its
+// jammed list's backing array for reuse.
 func (m *Medium) releaseTransmission(tx *transmission) {
 	tx.frame = nil
-	for i := range tx.corrupted {
-		tx.corrupted[i] = 0
-	}
+	tx.jammed = tx.jammed[:0]
 	m.txFree = append(m.txFree, tx)
-}
-
-func (m *Medium) corrupt(t *transmission, n topology.NodeID) {
-	if t.corrupted == nil {
-		t.corrupted = make([]uint64, m.corrWords)
-	}
-	t.corrupted[n>>6] |= 1 << (uint(n) & 63)
-}
-
-func (t *transmission) isCorrupted(n topology.NodeID) bool {
-	return t.corrupted != nil && t.corrupted[n>>6]&(1<<(uint(n)&63)) != 0
 }
 
 // Transmit puts frame f on the air from node src, immediately. The caller
@@ -652,7 +688,7 @@ func (t *transmission) isCorrupted(n topology.NodeID) bool {
 // propagation, carrier sensing, and collisions. The frame's ID field is
 // assigned by the medium.
 func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
-	if m.transmitting[src] {
+	if m.onAir[src] != nil {
 		panic(fmt.Sprintf("radio: node %d transmit while already transmitting", src))
 	}
 	if m.stations[src] == nil {
@@ -662,11 +698,12 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 		panic(fmt.Sprintf("radio: crashed node %d transmits (MAC not halted?)", src))
 	}
 	m.frameSeq++
-	f.ID = m.frameSeq
+	seq := m.frameSeq
+	f.ID = seq
 	f.From = src
 	dur := m.Airtime(f)
 	now := m.sched.Now()
-	tx := m.newTransmission(src, f, now, now+dur)
+	tx := m.newTransmission(src, f, seq, now+dur)
 	atomic.AddInt64(&m.stats.Transmissions, 1)
 	if f.Kind == FrameBroadcast {
 		atomic.AddInt64(&m.stats.ControlFrames, 1)
@@ -687,30 +724,29 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 		m.spans.DataAirtime(f.Data, src, f.To, now, now+dur)
 	}
 
-	// Mark mutual corruption with every in-flight transmission. All
-	// entries of m.active overlap tx in time by construction.
-	for _, other := range m.active {
-		m.markInterference(tx, other)
-		m.markInterference(other, tx)
-	}
-	// A node that starts transmitting corrupts every in-flight reception
-	// at itself (half duplex).
-	for _, other := range m.active {
-		if m.topo.InTxRange(other.src, src) {
-			m.corrupt(other, src)
+	// A receiver already under another carrier — one it senses, or its
+	// own transmission — cannot decode this frame.
+	for _, n := range m.topo.Neighbors(src) {
+		if m.busy[n] > 0 || m.onAir[n] != nil {
+			tx.jammed = append(tx.jammed, n)
 		}
 	}
-	m.active = append(m.active, tx)
-	m.transmitting[src] = true
+	m.onAir[src] = tx
 
-	// Carrier sensing: raise busy at every foreign node within CS range.
+	// This carrier in turn corrupts every reception in flight at the
+	// nodes it reaches, src itself included (half duplex): stamp them for
+	// those receptions' finish. The max keeps a later frame's stamp
+	// should a station callback below start one.
+	m.lastHit[src] = seq
 	for _, n := range m.topo.CSNeighbors(src) {
+		m.lastHit[n] = max(m.lastHit[n], seq)
+		// Carrier sensing: raise busy at every foreign node within CS range.
 		m.busy[n]++
 		if m.busy[n] == 1 {
 			if m.spans != nil {
 				m.spans.NodeBusy(n, src)
 			}
-			if !m.transmitting[n] {
+			if m.onAir[n] == nil {
 				m.stations[n].OnBusy()
 			}
 		}
@@ -719,26 +755,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 	m.sched.At(tx.end, tx.finishFn)
 }
 
-// markInterference marks victim's frame corrupted at every potential
-// receiver of victim that lies within interference range of source's
-// transmitter.
-func (m *Medium) markInterference(victim, source *transmission) {
-	for _, n := range m.topo.Neighbors(victim.src) {
-		if n == source.src || m.topo.InCSRange(source.src, n) {
-			m.corrupt(victim, n)
-		}
-	}
-}
-
 func (m *Medium) finish(tx *transmission) {
-	// Remove from the active list.
-	for i, t := range m.active {
-		if t == tx {
-			m.active = append(m.active[:i], m.active[i+1:]...)
-			break
-		}
-	}
-	m.transmitting[tx.src] = false
+	m.onAir[tx.src] = nil
 
 	// Lower carrier-sense busy counts first so receivers observe an idle
 	// medium when deciding SIFS responses, but defer OnIdle until after
@@ -757,15 +775,27 @@ func (m *Medium) finish(tx *transmission) {
 		}
 	}
 
+	// Settle corruption before any station callback can put a new frame
+	// on the air: only carriers that overlapped this frame count.
+	nbrs := m.topo.Neighbors(tx.src)
+	for _, n := range tx.jammed {
+		m.jamMark[n] = tx.seq
+	}
+	for _, n := range nbrs {
+		if m.lastHit[n] > tx.since {
+			m.jamMark[n] = tx.seq
+		}
+	}
+
 	// Deliver to every node in transmission range (receiver + overhearers).
-	for _, n := range m.topo.Neighbors(tx.src) {
+	for _, n := range nbrs {
 		if m.down[n] {
 			// Crashed receivers hear nothing at all.
 			atomic.AddInt64(&m.stats.DownSkipped, 1)
 			continue
 		}
-		ok := !tx.isCorrupted(n)
-		if ok && m.transmitting[n] {
+		ok := m.jamMark[n] != tx.seq
+		if ok && m.onAir[n] != nil {
 			// Receiver is on the air itself at delivery time.
 			ok = false
 		}

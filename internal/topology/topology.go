@@ -7,8 +7,8 @@
 // transmission-range and carrier-sense-range neighbor lists, bitset
 // adjacency matrices for O(1) InTxRange/InCSRange lookups, and a dense
 // integer index over every directed link. The simulator's per-frame hot
-// path (internal/radio) iterates neighbor lists and tests bitsets
-// instead of scanning all nodes with Euclidean distance recomputation.
+// path (internal/radio) iterates neighbor lists instead of scanning all
+// nodes with Euclidean distance recomputation.
 package topology
 
 import (
