@@ -1,0 +1,34 @@
+package gmp
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestSessionAllocsPerFrame pins the simulator's allocation rate end to
+// end: a 100 s Figure 4 GMP session allocates at most 0.5 objects per
+// frame put on the air, set-up included. The frame exchange itself
+// allocates nothing (the AllocsPerRun pins in internal/radio and
+// internal/mac); what remains is the packet each source generates and
+// the per-period measurement and rate-control work.
+func TestSessionAllocsPerFrame(t *testing.T) {
+	cfg := Config{Scenario: Fig4Scenario(), Protocol: ProtocolGMP, Duration: 100 * time.Second, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := res.Channel.Transmissions
+	if frames == 0 {
+		t.Fatal("session put no frames on the air")
+	}
+	perFrame := float64(after.Mallocs-before.Mallocs) / float64(frames)
+	t.Logf("%d mallocs over %d frames: %.3f per frame", after.Mallocs-before.Mallocs, frames, perFrame)
+	const maxPerFrame = 0.5
+	if perFrame > maxPerFrame {
+		t.Errorf("session allocates %.3f objects per frame, want <= %v", perFrame, maxPerFrame)
+	}
+}

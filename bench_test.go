@@ -210,27 +210,43 @@ func BenchmarkLossResilience(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: simulated
-// seconds per wall-clock second on the busiest paper scenario, so
-// regressions in the event loop show up. Unlike the table benchmarks it
-// uses a short session and reports ns per simulated exchange.
+// BenchmarkSimulatorThroughput measures raw simulator speed on the
+// busiest paper scenario, so regressions in the event loop show up: one
+// short session per op under each protocol family (plain 802.11, central
+// GMP, and the distributed GMP runtime with in-band link-state
+// broadcasts), reported as frames put on the air per wall-clock second
+// with allocations per op.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := Config{
-		Scenario: Fig4Scenario(),
-		Protocol: Protocol80211,
-		Duration: 20 * time.Second,
-		Warmup:   10 * time.Second,
+	for _, arm := range []struct {
+		name   string
+		proto  Protocol
+		inBand bool
+	}{
+		{"80211", Protocol80211, false},
+		{"gmp", ProtocolGMP, false},
+		{"gmp-dist", ProtocolGMPDistributed, true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := Config{
+				Scenario:      Fig4Scenario(),
+				Protocol:      arm.proto,
+				InBandControl: arm.inBand,
+				Duration:      20 * time.Second,
+				Warmup:        10 * time.Second,
+			}
+			var tx int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i + 1)
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tx += res.Channel.Transmissions
+			}
+			b.ReportMetric(float64(tx)/b.Elapsed().Seconds(), "frames/s")
+		})
 	}
-	var tx int64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tx += res.Channel.Transmissions
-	}
-	b.ReportMetric(float64(tx)/b.Elapsed().Seconds(), "frames/s")
 }
 
 // BenchmarkChurnOverhead measures what the churn engine and admission

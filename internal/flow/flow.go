@@ -111,6 +111,9 @@ type Source struct {
 	qid         packet.QueueID
 	generateFn  func()
 	queueOpenFn func()
+	// spare is the packet the local queue last refused; the next attempt
+	// reuses it instead of allocating another.
+	spare *packet.Packet
 
 	// spans, when non-nil, receives causal-trace events for sampled
 	// packets (source backpressure). Purely observational.
@@ -258,7 +261,12 @@ func (s *Source) generate() {
 	if s.stopped || s.halted {
 		return
 	}
-	p := &packet.Packet{
+	p := s.spare
+	if p == nil {
+		p = new(packet.Packet)
+	}
+	s.spare = nil
+	*p = packet.Packet{
 		Flow:      s.spec.ID,
 		Src:       s.spec.Src,
 		Dst:       s.spec.Dst,
@@ -271,10 +279,11 @@ func (s *Source) generate() {
 	}
 	if !s.node.Enqueue(p) {
 		// Local queue full: the source slows down (§2.2). Resume when the
-		// queue opens; the unsent packet is regenerated then.
+		// queue opens; the unsent packet is regenerated then, in place.
 		if s.spans != nil {
 			s.spans.SourceBlocked(p)
 		}
+		s.spare = p
 		s.waiting = true
 		s.node.NotifyQueueOpen(s.qid, s.queueOpenFn)
 		return

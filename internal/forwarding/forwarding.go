@@ -200,8 +200,11 @@ type queue struct {
 	id   packet.QueueID
 	fair bool
 
-	// Plain mode.
+	// Plain mode: the FIFO is pkts[head:]. Pops advance head instead of
+	// re-slicing, so the backing array is kept and its consumed prefix is
+	// reclaimed (by pushFront, or by compaction when a push finds it full).
 	pkts []*packet.Packet
+	head int
 
 	// Fair-aggregation mode.
 	subs    map[topology.NodeID][]*packet.Packet
@@ -222,11 +225,16 @@ func (q *queue) length() int {
 	if q.fair {
 		return q.total
 	}
-	return len(q.pkts)
+	return len(q.pkts) - q.head
 }
 
 func (q *queue) push(p *packet.Packet, origin topology.NodeID) {
 	if !q.fair {
+		if q.head > 0 && len(q.pkts) == cap(q.pkts) {
+			n := copy(q.pkts, q.pkts[q.head:])
+			clear(q.pkts[n:])
+			q.pkts, q.head = q.pkts[:n], 0
+		}
 		q.pkts = append(q.pkts, p)
 		return
 	}
@@ -257,10 +265,10 @@ func (q *queue) headOrigin() (topology.NodeID, bool) {
 
 func (q *queue) peek() *packet.Packet {
 	if !q.fair {
-		if len(q.pkts) == 0 {
+		if q.head == len(q.pkts) {
 			return nil
 		}
-		return q.pkts[0]
+		return q.pkts[q.head]
 	}
 	origin, ok := q.headOrigin()
 	if !ok {
@@ -271,8 +279,12 @@ func (q *queue) peek() *packet.Packet {
 
 func (q *queue) pop() (*packet.Packet, topology.NodeID) {
 	if !q.fair {
-		p := q.pkts[0]
-		q.pkts = q.pkts[1:]
+		p := q.pkts[q.head]
+		q.pkts[q.head] = nil
+		q.head++
+		if q.head == len(q.pkts) {
+			q.pkts, q.head = q.pkts[:0], 0
+		}
 		return p, p.Src // origin unused in plain mode
 	}
 	origin, ok := q.headOrigin()
@@ -296,7 +308,13 @@ func (q *queue) pop() (*packet.Packet, topology.NodeID) {
 // retry-exhaustion requeue).
 func (q *queue) pushFront(p *packet.Packet, origin topology.NodeID) {
 	if !q.fair {
-		q.pkts = append([]*packet.Packet{p}, q.pkts...)
+		if q.head == 0 {
+			q.pkts = append(q.pkts, nil)
+			copy(q.pkts[1:], q.pkts)
+		} else {
+			q.head--
+		}
+		q.pkts[q.head] = p
 		return
 	}
 	if q.subs == nil {
@@ -327,11 +345,18 @@ type Node struct {
 	nbrState map[topology.NodeID]map[packet.QueueID]nbrEntry
 
 	kickTimer sim.Timer
+	kickFn    func() // scheduleKick's callback, bound once
+
+	// out is the record NextOutgoing hands the MAC; see mac.Client.
+	out mac.Outgoing
 
 	meters   map[VLinkKey]*VLinkMeter
 	received map[VLinkKey]*VLinkMeter
 
 	openWaiters map[packet.QueueID][]func()
+	// waiterFree recycles emptied waiter lists: touchFullState swaps one
+	// in before firing the old list, so wake-ups allocate no new list.
+	waiterFree [][]func()
 
 	broadcastHandler func(from topology.NodeID, payload any)
 
@@ -366,7 +391,7 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 	if drop == nil {
 		drop = func(*packet.Packet, DropReason) {}
 	}
-	return &Node{
+	n := &Node{
 		id:       id,
 		sched:    sched,
 		cfg:      cfg,
@@ -380,6 +405,12 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 
 		openWaiters: make(map[packet.QueueID][]func()),
 	}
+	n.kickFn = func() {
+		if n.mac != nil {
+			n.mac.Kick()
+		}
+	}
+	return n
 }
 
 // SetMAC attaches the MAC station (resolves the construction cycle between
@@ -561,10 +592,19 @@ func (n *Node) touchFullState(q *queue) {
 	q.localWasFull = localFull
 	if wasFull && !localFull {
 		if waiters := n.openWaiters[q.id]; len(waiters) > 0 {
-			delete(n.openWaiters, q.id)
+			// A waiter may register again, even through a nested touch,
+			// so it must find an empty list, not the one being fired.
+			var next []func()
+			if k := len(n.waiterFree); k > 0 {
+				next = n.waiterFree[k-1]
+				n.waiterFree = n.waiterFree[:k-1]
+			}
+			n.openWaiters[q.id] = next
 			for _, fn := range waiters {
 				fn()
 			}
+			clear(waiters)
+			n.waiterFree = append(n.waiterFree, waiters[:0])
 		}
 		q.localWasFull = n.fullFor(q, n.id)
 	}
@@ -665,7 +705,8 @@ func (n *Node) NextOutgoing() *mac.Outgoing {
 		pkt, origin := q.pop()
 		n.touchFullState(q)
 		n.rrOffset = (n.rrOffset + k + 1) % len(n.order)
-		return &mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: qid, Origin: origin}
+		n.out = mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: qid, Origin: origin}
+		return &n.out
 	}
 	if earliestRetry >= 0 {
 		n.scheduleKick(earliestRetry)
@@ -677,15 +718,13 @@ func (n *Node) scheduleKick(at time.Duration) {
 	if n.kickTimer.Pending() {
 		return
 	}
-	n.kickTimer = n.sched.At(at, func() {
-		if n.mac != nil {
-			n.mac.Kick()
-		}
-	})
+	n.kickTimer = n.sched.At(at, n.kickFn)
 }
 
-// OnSendComplete implements mac.Client.
-func (n *Node) OnSendComplete(out *mac.Outgoing, ok bool) {
+// OnSendComplete implements mac.Client. It works on a copy of *out, which
+// may be this node's own record: a Kick below can refill it.
+func (n *Node) OnSendComplete(o *mac.Outgoing, ok bool) {
+	out := *o
 	if !ok {
 		if n.cfg.RequeueOnFailure {
 			// The in-flight packet logically kept its buffer slot, so the
@@ -806,14 +845,13 @@ func (n *Node) AcceptQueue(id packet.QueueID, from topology.NodeID) bool {
 	return !n.fullFor(q, from)
 }
 
-// Piggyback implements mac.Client: advertise one free/full bit per owned
-// queue (§2.2).
-func (n *Node) Piggyback() []packet.QueueState {
-	states := make([]packet.QueueState, 0, len(n.order))
+// AppendPiggyback implements mac.Client: advertise one free/full bit per
+// owned queue (§2.2).
+func (n *Node) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
 	for _, qid := range n.order {
-		states = append(states, packet.QueueState{Queue: qid, Free: !n.full(n.queues[qid])})
+		dst = append(dst, packet.QueueState{Queue: qid, Free: !n.full(n.queues[qid])})
 	}
-	return states
+	return dst
 }
 
 // OnOverhear implements mac.Client: cache a neighbor's advertised buffer

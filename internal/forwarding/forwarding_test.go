@@ -1,6 +1,8 @@
 package forwarding
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +118,38 @@ func TestNotifyQueueOpen(t *testing.T) {
 	}
 }
 
+// TestQueueOpenWaiterRegistersAgain pins the wake-up rule the recycled
+// waiter lists must keep: every waiter registered when a queue opens
+// fires once, and one that registers again from inside its callback
+// (its refill found the slot taken) waits for the next opening.
+func TestQueueOpenWaiterRegistersAgain(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueSlots = 1
+	n, _, _ := testNode(t, 1, cfg)
+	qid := packet.QueueForDest(4)
+	n.Enqueue(pk(0, 1, 4, 0))
+	var fired []string
+	first := func() {
+		fired = append(fired, "first")
+		n.Enqueue(pk(0, 1, 4, 1))
+	}
+	var second func()
+	second = func() {
+		fired = append(fired, "second")
+		if !n.Enqueue(pk(1, 1, 4, 0)) {
+			n.NotifyQueueOpen(qid, second)
+		}
+	}
+	n.NotifyQueueOpen(qid, first)
+	n.NotifyQueueOpen(qid, second)
+	for i, want := range []string{"first second", "first second second", "first second second"} {
+		n.NextOutgoing() // the queue opens
+		if got := strings.Join(fired, " "); got != want {
+			t.Fatalf("after opening %d: fired %q, want %q", i+1, got, want)
+		}
+	}
+}
+
 func TestRoundRobinAcrossDestinations(t *testing.T) {
 	n, _, _ := testNode(t, 1, DefaultConfig())
 	// Two destinations, two packets each.
@@ -188,10 +222,11 @@ func TestSharedFIFOTailOverwrite(t *testing.T) {
 	if len(drops.pkts) != 1 || drops.pkts[0].Seq != 1 || drops.reasons[0] != DropTail {
 		t.Fatalf("drops = %v %v", drops.pkts, drops.reasons)
 	}
-	first := n.NextOutgoing()
-	second := n.NextOutgoing()
-	if first.Pkt.Seq != 0 || second.Pkt.Seq != 2 {
-		t.Errorf("queue order %d,%d; want 0,2", first.Pkt.Seq, second.Pkt.Seq)
+	// Each NextOutgoing record is valid only until the next call.
+	first := n.NextOutgoing().Pkt
+	second := n.NextOutgoing().Pkt
+	if first.Seq != 0 || second.Seq != 2 {
+		t.Errorf("queue order %d,%d; want 0,2", first.Seq, second.Seq)
 	}
 }
 
@@ -253,6 +288,71 @@ func TestRequeueOnFailurePreservesOrder(t *testing.T) {
 	again := n.NextOutgoing()
 	if again.Pkt.Seq != 0 {
 		t.Errorf("requeued packet not at head: seq %d", again.Pkt.Seq)
+	}
+}
+
+// TestPlainFIFOMatchesSlice drives the plain FIFO's head index through
+// pushes (some compacting the consumed prefix), pops, and requeues of a
+// packet popped some steps earlier (into the freed head slot, or in
+// front of index 0), checking length and order against a reference
+// slice after every step. Once warm, a bounded push/pop cycle reuses
+// the backing array and allocates nothing.
+func TestPlainFIFOMatchesSlice(t *testing.T) {
+	q := &queue{fullSince: -1}
+	var ref []*packet.Packet
+	var held *packet.Packet // popped, awaiting the MAC's verdict
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		switch op := rng.Intn(5); {
+		case op < 2 && len(ref) < 12:
+			p := pk(0, 1, 4, int64(i))
+			q.push(p, 1)
+			ref = append(ref, p)
+		case op == 2 && len(ref) > 0:
+			p, _ := q.pop()
+			if p != ref[0] {
+				t.Fatalf("step %d: popped seq %d, want %d", i, p.Seq, ref[0].Seq)
+			}
+			ref = ref[1:]
+			if held == nil {
+				held = p
+			}
+		case op == 3 && held != nil:
+			q.pushFront(held, 1)
+			ref = append([]*packet.Packet{held}, ref...)
+			held = nil
+		}
+		if q.length() != len(ref) {
+			t.Fatalf("step %d: length %d, want %d", i, q.length(), len(ref))
+		}
+		for k, p := range ref {
+			if got := q.pkts[q.head+k]; got != p {
+				t.Fatalf("step %d: position %d holds seq %d, want %d", i, k, got.Seq, p.Seq)
+			}
+		}
+	}
+
+	p := pk(0, 1, 4, 0)
+	cycle := func() {
+		for k := 0; k < 64; k++ {
+			q.push(p, 1)
+			q.push(p, 1)
+			q.pop()
+			q.pop()
+		}
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Errorf("bounded push/pop cycle allocates %.1f objects, want 0", avg)
+	}
+	// A queue that never drains reclaims its consumed prefix instead of
+	// growing the array.
+	q.push(p, 1)
+	for k := 0; k < 10000; k++ {
+		q.push(p, 1)
+		q.pop()
+	}
+	if c := cap(q.pkts); c > 64 {
+		t.Errorf("queue of %d packets grew its array to %d slots", q.length(), c)
 	}
 }
 
@@ -405,7 +505,7 @@ func TestPiggybackReflectsQueueState(t *testing.T) {
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.Enqueue(pk(1, 1, 3, 0))
 	n.NextOutgoing() // drains one of them (dest 4 first)
-	states := n.Piggyback()
+	states := n.AppendPiggyback(nil)
 	if len(states) != 2 {
 		t.Fatalf("states = %v", states)
 	}
@@ -505,17 +605,17 @@ func TestFairAggregationRoundRobin(t *testing.T) {
 	}
 	n.OnReceive(pk(1, 0, 4, 0), 0)
 	// Service must alternate origins: local, upstream, local, ...
-	first := n.NextOutgoing()
-	second := n.NextOutgoing()
-	third := n.NextOutgoing()
-	if first.Pkt.Flow != 0 {
-		t.Fatalf("first packet from flow %d", first.Pkt.Flow)
+	first := n.NextOutgoing().Pkt
+	second := n.NextOutgoing().Pkt
+	third := n.NextOutgoing().Pkt
+	if first.Flow != 0 {
+		t.Fatalf("first packet from flow %d", first.Flow)
 	}
-	if second.Pkt.Flow != 1 {
-		t.Fatalf("relayed packet not served second (flow %d)", second.Pkt.Flow)
+	if second.Flow != 1 {
+		t.Fatalf("relayed packet not served second (flow %d)", second.Flow)
 	}
-	if third.Pkt.Flow != 0 {
-		t.Fatalf("third packet from flow %d", third.Pkt.Flow)
+	if third.Flow != 0 {
+		t.Fatalf("third packet from flow %d", third.Flow)
 	}
 }
 
@@ -682,7 +782,7 @@ func TestReleaseQueueIfIdle(t *testing.T) {
 		t.Fatal("queue survives release")
 	}
 	// The departed flow's waiter is gone: no advertisement, no callback.
-	for _, st := range n.Piggyback() {
+	for _, st := range n.AppendPiggyback(nil) {
 		if st.Queue == qid {
 			t.Fatal("released queue still advertised")
 		}

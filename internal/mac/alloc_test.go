@@ -1,0 +1,117 @@
+package mac
+
+import (
+	"testing"
+	"time"
+
+	"gmp/internal/geom"
+	"gmp/internal/packet"
+	"gmp/internal/radio"
+	"gmp/internal/sim"
+	"gmp/internal/topology"
+)
+
+// loopClient is an allocation-free upper layer. Each time ready is set it
+// offers one packet, reusing a single Outgoing record and packet whose
+// sequence number rises so the receiver's duplicate filter passes it up;
+// everything it is handed it only counts.
+type loopClient struct {
+	out        Outgoing
+	ready      bool
+	acked      int
+	received   int
+	broadcasts int
+	states     []packet.QueueState
+}
+
+func (c *loopClient) NextOutgoing() *Outgoing {
+	if !c.ready {
+		return nil
+	}
+	c.ready = false
+	c.out.Pkt.Seq++
+	return &c.out
+}
+
+func (c *loopClient) OnSendComplete(_ *Outgoing, ok bool) {
+	if ok {
+		c.acked++
+	}
+}
+
+func (c *loopClient) OnReceive(*packet.Packet, topology.NodeID) { c.received++ }
+
+func (c *loopClient) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
+	return append(dst, c.states...)
+}
+
+func (c *loopClient) OnOverhear(topology.NodeID, []packet.QueueState) {}
+
+func (c *loopClient) AcceptQueue(packet.QueueID, topology.NodeID) bool { return true }
+
+func (c *loopClient) OnBroadcast(topology.NodeID, any) { c.broadcasts++ }
+
+// linkState stands in for a link-state record: a pointer payload, so
+// handing it to QueueBroadcast as an interface allocates nothing.
+type linkState struct{ seq int }
+
+// TestExchangeAllocs pins the MAC's steady state at zero allocations: a
+// warm two-station RTS/CTS/DATA/ACK exchange and a control broadcast draw
+// their frames from the medium's pool, their SIFS responses from the
+// station's response records, and their timers from the scheduler's
+// event pool.
+func TestExchangeAllocs(t *testing.T) {
+	topo, err := topology.New([]geom.Point{{X: 0}, {X: 200}}, topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	medium := radio.NewMedium(sched, topo, radio.DefaultParams(), sim.NewRand(1))
+	var clients [2]*loopClient
+	var stations [2]*Station
+	for i := range clients {
+		id := topology.NodeID(i)
+		clients[i] = &loopClient{states: []packet.QueueState{{Queue: packet.QueueForDest(1 - id), Free: true}}}
+		stations[i] = NewStation(id, sched, medium, DefaultConfig(), sim.NewRand(int64(i+2)), clients[i])
+	}
+	tx, rx := clients[0], clients[1]
+	tx.out = Outgoing{
+		Pkt:     &packet.Packet{Src: 0, Dst: 1, SizeBytes: 1024, Weight: 1},
+		NextHop: 1,
+		Queue:   packet.QueueForDest(1),
+		Origin:  0,
+	}
+	payload := &linkState{seq: 1}
+
+	exchange := func() {
+		tx.ready = true
+		stations[0].Kick()
+		sched.Run(sched.Now() + 10*time.Millisecond)
+	}
+	broadcast := func() {
+		stations[0].QueueBroadcast(payload, 64)
+		sched.Run(sched.Now() + 10*time.Millisecond)
+	}
+	for i := 0; i < 16; i++ {
+		exchange()
+		broadcast()
+	}
+
+	if avg := testing.AllocsPerRun(200, exchange); avg != 0 {
+		t.Errorf("RTS/CTS/DATA/ACK exchange allocates %.1f objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, broadcast); avg != 0 {
+		t.Errorf("control broadcast allocates %.1f objects, want 0", avg)
+	}
+	// 16 warm-up rounds plus AllocsPerRun's own warm-up call and 200 runs.
+	const want = 16 + 1 + 200
+	if tx.acked != want || rx.received != want {
+		t.Errorf("acked %d, received %d, want %d each", tx.acked, rx.received, want)
+	}
+	if rx.broadcasts != want {
+		t.Errorf("broadcasts received %d, want %d", rx.broadcasts, want)
+	}
+	if st := stations[0].Stats(); st.Retries != 0 {
+		t.Errorf("clean link retried: %+v", st)
+	}
+}

@@ -36,24 +36,31 @@ type Outgoing struct {
 	Origin topology.NodeID
 }
 
-// Client is the upper layer attached to a MAC station.
+// Client is the upper layer attached to a MAC station. The MAC pulls at
+// most one packet at a time and never holds two Outgoing records at once.
 type Client interface {
 	// NextOutgoing returns the next packet eligible for transmission, or
-	// nil if none. Ownership transfers to the MAC until OnSendComplete.
+	// nil if none. The packet belongs to the MAC until OnSendComplete.
+	// The record itself may be reused: it is valid only until the next
+	// NextOutgoing call.
 	NextOutgoing() *Outgoing
 	// OnSendComplete reports the fate of a previously pulled packet:
 	// ok=true when the next hop acknowledged it, ok=false when the retry
-	// limit was exhausted and the packet was dropped.
+	// limit was exhausted and the packet was dropped. An implementation
+	// that reuses its records copies *out before anything that can Kick
+	// the MAC, since a Kick may re-enter NextOutgoing.
 	OnSendComplete(out *Outgoing, ok bool)
 	// OnReceive delivers a data packet addressed to this node (either to
 	// forward or, at the destination, to consume). Duplicates from ACK
 	// loss are filtered by the MAC before this call.
 	OnReceive(pkt *packet.Packet, from topology.NodeID)
-	// Piggyback returns the node's current buffer-state advertisement to
-	// attach to an outgoing frame (§2.2).
-	Piggyback() []packet.QueueState
+	// AppendPiggyback appends the node's current buffer-state
+	// advertisement (§2.2) to dst and returns the result; the MAC passes
+	// a recycled frame's empty States so the call allocates nothing.
+	AppendPiggyback(dst []packet.QueueState) []packet.QueueState
 	// OnOverhear processes a buffer-state advertisement overheard from a
-	// neighbor's frame.
+	// neighbor's frame. states belongs to the frame: it must not be kept
+	// after the call returns.
 	OnOverhear(from topology.NodeID, states []packet.QueueState)
 	// AcceptQueue reports whether queue q can admit one more packet from
 	// the given sender. A receiver withholds CTS when it cannot
@@ -171,6 +178,9 @@ type Station struct {
 	onBroadcastAiredFn  func()
 	onCTSSIFSDoneFn     func()
 	onResponseAiredFn   func()
+
+	// respFree recycles SIFS response records; see respond.
+	respFree []*response
 
 	lastSeq map[packet.FlowID]int64
 
@@ -296,14 +306,12 @@ func (s *Station) QueueBroadcast(payload any, payloadBytes int) {
 	if s.ph == phaseDown {
 		return // crashed nodes broadcast nothing
 	}
-	s.ctrl = append(s.ctrl, &radio.Frame{
-		Kind:         radio.FrameBroadcast,
-		To:           radio.Broadcast,
-		LinkFrom:     s.id,
-		LinkTo:       s.id,
-		Control:      payload,
-		ControlBytes: payloadBytes,
-	})
+	f := s.medium.NewFrame()
+	f.Kind = radio.FrameBroadcast
+	f.To = radio.Broadcast
+	f.LinkFrom, f.LinkTo = s.id, s.id
+	f.Control, f.ControlBytes = payload, payloadBytes
+	s.ctrl = append(s.ctrl, f)
 	s.Kick()
 }
 
@@ -452,8 +460,11 @@ func (s *Station) onBackoffDone() {
 // forget, no handshake, no retry (group-addressed 802.11 semantics).
 func (s *Station) sendBroadcast() {
 	f := s.ctrl[0]
-	s.ctrl = s.ctrl[1:]
-	f.States = s.client.Piggyback()
+	// Shift rather than re-slice, so the queue keeps its backing array.
+	n := copy(s.ctrl, s.ctrl[1:])
+	s.ctrl[n] = nil
+	s.ctrl = s.ctrl[:n]
+	f.States = s.client.AppendPiggyback(f.States)
 	s.ph = phaseTxData
 	air := s.medium.Airtime(f)
 	s.stats.Broadcasts++
@@ -477,17 +488,21 @@ func (s *Station) exchangeNAV() time.Duration {
 	return 3*s.par.SIFS + s.ctsAir + dataAir + s.ackAir
 }
 
+// newFrame takes a frame from the medium's pool, addressed to `to` and
+// serving the data link linkFrom→linkTo, with the client's piggybacked
+// buffer states attached.
+func (s *Station) newFrame(kind radio.FrameKind, to, linkFrom, linkTo topology.NodeID) *radio.Frame {
+	f := s.medium.NewFrame()
+	f.Kind, f.To, f.LinkFrom, f.LinkTo = kind, to, linkFrom, linkTo
+	f.States = s.client.AppendPiggyback(f.States)
+	return f
+}
+
 func (s *Station) sendRTS() {
 	s.ph = phaseTxRTS
-	f := &radio.Frame{
-		Kind:     radio.FrameRTS,
-		To:       s.cur.NextHop,
-		LinkFrom: s.id,
-		LinkTo:   s.cur.NextHop,
-		NAV:      s.exchangeNAV(),
-		States:   s.client.Piggyback(),
-		Queue:    s.cur.Queue,
-	}
+	f := s.newFrame(radio.FrameRTS, s.cur.NextHop, s.id, s.cur.NextHop)
+	f.NAV = s.exchangeNAV()
+	f.Queue = s.cur.Queue
 	s.stats.RTSSent++
 	air := s.medium.Airtime(f)
 	s.medium.Transmit(s.id, f)
@@ -516,21 +531,7 @@ func (s *Station) onDataAired() {
 
 func (s *Station) sendData() {
 	s.ph = phaseTxData
-	dataAir := s.medium.DataAirtime(s.cur.Pkt.SizeBytes)
-	ackAir := s.ackAir
-	f := &radio.Frame{
-		Kind:     radio.FrameData,
-		To:       s.cur.NextHop,
-		LinkFrom: s.id,
-		LinkTo:   s.cur.NextHop,
-		NAV:      s.par.SIFS + ackAir,
-		Data:     s.cur.Pkt,
-		States:   s.client.Piggyback(),
-		Queue:    s.cur.Queue,
-	}
-	s.stats.DataSent++
-	s.medium.Transmit(s.id, f)
-	s.sched.After(dataAir, s.onDataAiredFn)
+	s.transmitData()
 }
 
 // onExchangeTimeout fires when an expected CTS or ACK did not arrive.
@@ -631,17 +632,8 @@ func (s *Station) handleRTS(f *radio.Frame) {
 		return
 	}
 	s.freeze()
-	cts := &radio.Frame{
-		Kind:     radio.FrameCTS,
-		To:       f.From,
-		LinkFrom: f.LinkFrom,
-		LinkTo:   f.LinkTo,
-		NAV:      f.NAV - s.par.SIFS - s.ctsAir,
-		States:   s.client.Piggyback(),
-	}
-	if cts.NAV < 0 {
-		cts.NAV = 0
-	}
+	cts := s.newFrame(radio.FrameCTS, f.From, f.LinkFrom, f.LinkTo)
+	cts.NAV = max(f.NAV-s.par.SIFS-s.ctsAir, 0)
 	s.respond(cts)
 }
 
@@ -659,35 +651,24 @@ func (s *Station) onCTSSIFSDone() {
 	if s.ph != phaseTxData {
 		return
 	}
-	s.transmitDataAfterCTS()
+	s.transmitData()
 }
 
-func (s *Station) transmitDataAfterCTS() {
+// transmitData puts s.cur's data frame on the air (phase already
+// phaseTxData): directly after backoff, or one SIFS after the CTS.
+func (s *Station) transmitData() {
 	dataAir := s.medium.DataAirtime(s.cur.Pkt.SizeBytes)
-	ackAir := s.ackAir
-	f := &radio.Frame{
-		Kind:     radio.FrameData,
-		To:       s.cur.NextHop,
-		LinkFrom: s.id,
-		LinkTo:   s.cur.NextHop,
-		NAV:      s.par.SIFS + ackAir,
-		Data:     s.cur.Pkt,
-		States:   s.client.Piggyback(),
-		Queue:    s.cur.Queue,
-	}
+	f := s.newFrame(radio.FrameData, s.cur.NextHop, s.id, s.cur.NextHop)
+	f.NAV = s.par.SIFS + s.ackAir
+	f.Data = s.cur.Pkt
+	f.Queue = s.cur.Queue
 	s.stats.DataSent++
 	s.medium.Transmit(s.id, f)
 	s.sched.After(dataAir, s.onDataAiredFn)
 }
 
 func (s *Station) handleData(f *radio.Frame) {
-	ack := &radio.Frame{
-		Kind:     radio.FrameAck,
-		To:       f.From,
-		LinkFrom: f.LinkFrom,
-		LinkTo:   f.LinkTo,
-		States:   s.client.Piggyback(),
-	}
+	ack := s.newFrame(radio.FrameAck, f.From, f.LinkFrom, f.LinkTo)
 	s.freeze()
 	s.respond(ack)
 
@@ -722,19 +703,46 @@ func (s *Station) handleAck(f *radio.Frame) {
 	}
 }
 
+// response is a CTS or ACK waiting out its SIFS. Records are pooled per
+// station and their callback is bound once, so a response allocates
+// nothing; a node can owe more than one response at a time, hence a pool
+// rather than a single record.
+type response struct {
+	s      *Station
+	frame  *radio.Frame
+	sendFn func()
+}
+
 // respond transmits a SIFS-scheduled control response (CTS or ACK).
 func (s *Station) respond(f *radio.Frame) {
 	s.responding = true
-	s.respTimer = s.sched.After(s.par.SIFS, func() {
-		if s.medium.Transmitting(s.id) {
-			// Should not happen: SIFS responses never overlap own tx.
-			s.responding = false
-			return
-		}
-		air := s.medium.Airtime(f)
-		s.medium.Transmit(s.id, f)
-		s.sched.After(air, s.onResponseAiredFn)
-	})
+	var r *response
+	if n := len(s.respFree); n > 0 {
+		r = s.respFree[n-1]
+		s.respFree[n-1] = nil
+		s.respFree = s.respFree[:n-1]
+	} else {
+		r = &response{s: s}
+		r.sendFn = r.send
+	}
+	r.frame = f
+	s.respTimer = s.sched.After(s.par.SIFS, r.sendFn)
+}
+
+// send fires at the end of the response's SIFS. A record whose timer a
+// crash cancelled never comes back to the pool.
+func (r *response) send() {
+	s, f := r.s, r.frame
+	r.frame = nil
+	s.respFree = append(s.respFree, r)
+	if s.medium.Transmitting(s.id) {
+		// Should not happen: SIFS responses never overlap own tx.
+		s.responding = false
+		return
+	}
+	air := s.medium.Airtime(f)
+	s.medium.Transmit(s.id, f)
+	s.sched.After(air, s.onResponseAiredFn)
 }
 
 // onResponseAired clears the SIFS-response guard once the CTS/ACK is off

@@ -44,11 +44,14 @@ func (c *fakeClient) OnReceive(p *packet.Packet, _ topology.NodeID) {
 	c.received = append(c.received, p)
 }
 
-func (c *fakeClient) Piggyback() []packet.QueueState { return c.states }
+func (c *fakeClient) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
+	return append(dst, c.states...)
+}
 
 func (c *fakeClient) OnOverhear(from topology.NodeID, states []packet.QueueState) {
 	if len(states) > 0 {
-		c.overheard[from] = states
+		// states belongs to the frame, which the medium recycles.
+		c.overheard[from] = append([]packet.QueueState(nil), states...)
 	}
 }
 

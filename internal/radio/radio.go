@@ -91,6 +91,10 @@ type Frame struct {
 	ControlBytes int
 	// ID is unique per transmission, usable for duplicate detection.
 	ID int64
+
+	// pooled marks a frame handed out by Medium.NewFrame; only those
+	// return to the medium's pool after delivery.
+	pooled bool
 }
 
 // Station is the per-node MAC entity's view of the channel. The medium
@@ -108,6 +112,10 @@ type Station interface {
 	// overlap, or injected loss). Frames not addressed to the node are
 	// still delivered (overhearing) so it can set its NAV and read
 	// piggybacked state.
+	//
+	// OnFrame must not keep f or f.States after it returns: a frame from
+	// NewFrame is recycled once every receiver has seen it. Copy what
+	// outlives the call; f.Data and f.Control may be kept.
 	OnFrame(f *Frame, ok bool)
 }
 
@@ -225,7 +233,7 @@ type Stats struct {
 // against per-node counters and stamps, never the set of in-flight
 // transmissions. Per-link state lives in dense slices keyed by the
 // topology's link index, frame airtimes are memoized per (kind, size),
-// and transmission records are pooled across frames.
+// and transmission records and frames are pooled across frames.
 //
 // Interference marking. A reception of frame t at receiver n fails when
 // some other carrier reaches n (n lies in its carrier-sense range, or n
@@ -279,8 +287,10 @@ type Medium struct {
 	bcastAir               map[int]time.Duration
 
 	// txFree recycles transmission records (and their jammed lists)
-	// across frames.
-	txFree []*transmission
+	// across frames; frameFree recycles NewFrame's frames (and their
+	// States arrays).
+	txFree    []*transmission
+	frameFree []*Frame
 
 	idleScratch []topology.NodeID // reused by finish
 	busyBefore  []bool            // scratch for Begin/EndTopologyChange
@@ -676,17 +686,39 @@ func (m *Medium) newTransmission(src topology.NodeID, f *Frame, seq int64, end t
 }
 
 // releaseTransmission returns a finished record to the pool, keeping its
-// jammed list's backing array for reuse.
+// jammed list's backing array for reuse. A frame from NewFrame goes back
+// to the frame pool with it; a frame the caller built stays the caller's.
 func (m *Medium) releaseTransmission(tx *transmission) {
+	if f := tx.frame; f.pooled {
+		*f = Frame{States: f.States[:0], pooled: true}
+		m.frameFree = append(m.frameFree, f)
+	}
 	tx.frame = nil
 	tx.jammed = tx.jammed[:0]
 	m.txFree = append(m.txFree, tx)
 }
 
+// NewFrame returns a zeroed frame from the medium's pool. Its States is
+// empty but may keep an earlier frame's capacity, so fill it by
+// appending. The medium takes the frame back once the transmission that
+// carries it has been delivered to every receiver: the caller must not
+// touch it after its end of air, and a frame never transmitted is simply
+// dropped.
+func (m *Medium) NewFrame() *Frame {
+	if n := len(m.frameFree); n > 0 {
+		f := m.frameFree[n-1]
+		m.frameFree[n-1] = nil
+		m.frameFree = m.frameFree[:n-1]
+		return f
+	}
+	return &Frame{pooled: true}
+}
+
 // Transmit puts frame f on the air from node src, immediately. The caller
 // (MAC) is responsible for channel access rules; the medium only models
 // propagation, carrier sensing, and collisions. The frame's ID field is
-// assigned by the medium.
+// assigned by the medium. A frame from NewFrame returns to the pool after
+// its delivery; one the caller built may be transmitted again.
 func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 	if m.onAir[src] != nil {
 		panic(fmt.Sprintf("radio: node %d transmit while already transmitting", src))
