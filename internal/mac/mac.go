@@ -167,8 +167,9 @@ type Station struct {
 	responding bool
 	pulling    bool // reentrancy guard: inside client.NextOutgoing
 
-	// Prebound timer callbacks: method values allocate a closure per
-	// use, so the recurring ones are bound once at construction.
+	// Prebound timer and end-of-air callbacks: method values allocate a
+	// closure per use, so the recurring ones are bound once at
+	// construction.
 	onDIFSDoneFn        func()
 	onBackoffDoneFn     func()
 	onExchangeTimeoutFn func()
@@ -466,10 +467,8 @@ func (s *Station) sendBroadcast() {
 	s.ctrl = s.ctrl[:n]
 	f.States = s.client.AppendPiggyback(f.States)
 	s.ph = phaseTxData
-	air := s.medium.Airtime(f)
 	s.stats.Broadcasts++
-	s.medium.Transmit(s.id, f)
-	s.sched.After(air, s.onBroadcastAiredFn)
+	s.medium.Transmit(s.id, f, s.onBroadcastAiredFn)
 }
 
 // onBroadcastAired completes a control broadcast once it leaves the air.
@@ -504,9 +503,7 @@ func (s *Station) sendRTS() {
 	f.NAV = s.exchangeNAV()
 	f.Queue = s.cur.Queue
 	s.stats.RTSSent++
-	air := s.medium.Airtime(f)
-	s.medium.Transmit(s.id, f)
-	s.sched.After(air, s.onRTSAiredFn)
+	s.medium.Transmit(s.id, f, s.onRTSAiredFn)
 }
 
 // onRTSAired arms the CTS timeout once the RTS leaves the air.
@@ -657,14 +654,12 @@ func (s *Station) onCTSSIFSDone() {
 // transmitData puts s.cur's data frame on the air (phase already
 // phaseTxData): directly after backoff, or one SIFS after the CTS.
 func (s *Station) transmitData() {
-	dataAir := s.medium.DataAirtime(s.cur.Pkt.SizeBytes)
 	f := s.newFrame(radio.FrameData, s.cur.NextHop, s.id, s.cur.NextHop)
 	f.NAV = s.par.SIFS + s.ackAir
 	f.Data = s.cur.Pkt
 	f.Queue = s.cur.Queue
 	s.stats.DataSent++
-	s.medium.Transmit(s.id, f)
-	s.sched.After(dataAir, s.onDataAiredFn)
+	s.medium.Transmit(s.id, f, s.onDataAiredFn)
 }
 
 func (s *Station) handleData(f *radio.Frame) {
@@ -740,9 +735,7 @@ func (r *response) send() {
 		s.responding = false
 		return
 	}
-	air := s.medium.Airtime(f)
-	s.medium.Transmit(s.id, f)
-	s.sched.After(air, s.onResponseAiredFn)
+	s.medium.Transmit(s.id, f, s.onResponseAiredFn)
 }
 
 // onResponseAired clears the SIFS-response guard once the CTS/ACK is off

@@ -15,7 +15,7 @@ import (
 // the clock past its airtime, exercising carrier sense, occupancy
 // accounting, delivery, and the idle transition.
 func deliverOne(h *harness, f *Frame) {
-	h.medium.Transmit(0, f)
+	h.medium.Transmit(0, f, nil)
 	h.sched.Run(h.sched.Now() + 2*time.Millisecond)
 }
 
@@ -70,8 +70,8 @@ func TestCollidingDeliveryAllocs(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
 	a, b := dataFrame(0, 1), dataFrame(2, 1)
 	round := func() {
-		h.medium.Transmit(0, a)
-		h.medium.Transmit(2, b)
+		h.medium.Transmit(0, a, nil)
+		h.medium.Transmit(2, b, nil)
 		h.sched.Run(h.sched.Now() + 2*time.Millisecond)
 	}
 	for i := 0; i < 16; i++ {
@@ -169,13 +169,13 @@ func BenchmarkTransmitInFlight(b *testing.B) {
 			// simulated time, far beyond any benchmark's horizon.
 			for i := 0; i < k; i++ {
 				src := topology.NodeID(2 + i)
-				m.Transmit(src, &Frame{Kind: FrameBroadcast, To: Broadcast, LinkFrom: src, LinkTo: src, ControlBytes: 1 << 36})
+				m.Transmit(src, &Frame{Kind: FrameBroadcast, To: Broadcast, LinkFrom: src, LinkTo: src, ControlBytes: 1 << 36}, nil)
 			}
 			f := dataFrame(0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Transmit(0, f)
+				m.Transmit(0, f, nil)
 				sched.Run(sched.Now() + 2*time.Millisecond)
 				if i%1024 == 0 {
 					rx.frames, rx.oks = rx.frames[:0], rx.oks[:0]
@@ -205,7 +205,7 @@ func BenchmarkMediumDelivery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(0, f)
+		m.Transmit(0, f, nil)
 		sched.Run(sched.Now() + 2*time.Millisecond)
 		if i%1024 == 0 {
 			// Keep the recorder slices from growing without bound.

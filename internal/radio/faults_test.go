@@ -40,7 +40,7 @@ func TestInjectedLossCountsPerReceiver(t *testing.T) {
 	const n = 300
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond // spaced: no collisions
-		sched.At(at, func() { m.Transmit(0, dataFrame(0, 1)) })
+		sched.At(at, func() { m.Transmit(0, dataFrame(0, 1), nil) })
 	}
 	sched.Run(10 * time.Second)
 
@@ -79,7 +79,7 @@ func TestLinkLossIsPerLink(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
-		h.sched.At(at, func() { h.medium.Transmit(0, dataFrame(0, 1)) })
+		h.sched.At(at, func() { h.medium.Transmit(0, dataFrame(0, 1), nil) })
 	}
 	h.sched.Run(5 * time.Second)
 
@@ -103,7 +103,7 @@ func TestLinkLossIsPerLink(t *testing.T) {
 
 	// Clearing the loss restores lossless delivery.
 	h.medium.SetLinkLoss(0, 1, 0)
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(6 * time.Second)
 	if ok := h.nodes[1].oks[len(h.nodes[1].oks)-1]; !ok {
 		t.Error("frame lost after link loss cleared")
@@ -173,7 +173,7 @@ func TestDownNodeReceivesNothing(t *testing.T) {
 		t.Fatal("NodeDown not reported")
 	}
 
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(time.Second)
 	if len(h.nodes[1].frames) != 0 {
 		t.Error("down node received a frame")
@@ -186,7 +186,7 @@ func TestDownNodeReceivesNothing(t *testing.T) {
 	}
 
 	h.medium.SetNodeDown(1, false)
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(2 * time.Second)
 	if len(h.nodes[1].frames) != 1 || !h.nodes[1].oks[0] {
 		t.Error("recovered node did not receive")
@@ -201,7 +201,7 @@ func TestDownNodeTransmitPanics(t *testing.T) {
 			t.Error("transmit from a down node did not panic")
 		}
 	}()
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 }
 
 // TestStatsConcurrentReads polls Stats from other goroutines while the
@@ -212,7 +212,7 @@ func TestStatsConcurrentReads(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * 5 * time.Millisecond
-		h.sched.At(at, func() { h.medium.Transmit(0, dataFrame(0, 1)) })
+		h.sched.At(at, func() { h.medium.Transmit(0, dataFrame(0, 1), nil) })
 	}
 
 	stop := make(chan struct{})

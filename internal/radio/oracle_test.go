@@ -149,7 +149,7 @@ func runOracle(t *testing.T, cfg topology.Config, moves bool, seed int64) {
 				return
 			}
 			f := oracleFrame(topo, src, kind, size)
-			m.Transmit(src, f)
+			m.Transmit(src, f, nil)
 			o.start(src, f.ID)
 		})
 	}

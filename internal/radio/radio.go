@@ -667,20 +667,22 @@ type transmission struct {
 	// went on the air, and those a later carrier reached before a
 	// topology change. Its backing array is recycled with the record.
 	jammed []topology.NodeID
+	// aired is the transmitter's end-of-air callback, nil for none.
+	aired func()
 	// finishFn is bound once per record so scheduling the end-of-air
 	// event does not allocate a fresh closure per frame.
 	finishFn func()
 }
 
-func (m *Medium) newTransmission(src topology.NodeID, f *Frame, seq int64, end time.Duration) *transmission {
+func (m *Medium) newTransmission(src topology.NodeID, f *Frame, seq int64, end time.Duration, aired func()) *transmission {
 	if n := len(m.txFree); n > 0 {
 		tx := m.txFree[n-1]
 		m.txFree[n-1] = nil
 		m.txFree = m.txFree[:n-1]
-		tx.src, tx.frame, tx.seq, tx.since, tx.end = src, f, seq, seq, end
+		tx.src, tx.frame, tx.seq, tx.since, tx.end, tx.aired = src, f, seq, seq, end, aired
 		return tx
 	}
-	tx := &transmission{src: src, frame: f, seq: seq, since: seq, end: end}
+	tx := &transmission{src: src, frame: f, seq: seq, since: seq, end: end, aired: aired}
 	tx.finishFn = func() { m.finish(tx) }
 	return tx
 }
@@ -694,6 +696,7 @@ func (m *Medium) releaseTransmission(tx *transmission) {
 		m.frameFree = append(m.frameFree, f)
 	}
 	tx.frame = nil
+	tx.aired = nil
 	tx.jammed = tx.jammed[:0]
 	m.txFree = append(m.txFree, tx)
 }
@@ -719,7 +722,12 @@ func (m *Medium) NewFrame() *Frame {
 // propagation, carrier sensing, and collisions. The frame's ID field is
 // assigned by the medium. A frame from NewFrame returns to the pool after
 // its delivery; one the caller built may be transmitted again.
-func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
+//
+// aired, when not nil, runs at the frame's end of air, in the same kernel
+// event as the delivery: after every receiver's OnFrame and every OnIdle
+// the frame causes. By then a frame from NewFrame is back in the pool, so
+// aired must not touch it.
+func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 	if m.onAir[src] != nil {
 		panic(fmt.Sprintf("radio: node %d transmit while already transmitting", src))
 	}
@@ -735,7 +743,7 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 	f.From = src
 	dur := m.Airtime(f)
 	now := m.sched.Now()
-	tx := m.newTransmission(src, f, seq, now+dur)
+	tx := m.newTransmission(src, f, seq, now+dur, aired)
 	atomic.AddInt64(&m.stats.Transmissions, 1)
 	if f.Kind == FrameBroadcast {
 		atomic.AddInt64(&m.stats.ControlFrames, 1)
@@ -858,5 +866,9 @@ func (m *Medium) finish(tx *transmission) {
 		}
 	}
 	m.idleScratch = nowIdle[:0]
+	aired := tx.aired
 	m.releaseTransmission(tx)
+	if aired != nil {
+		aired()
+	}
 }

@@ -91,7 +91,7 @@ func TestSingleTransmissionDelivery(t *testing.T) {
 	// 0 --- 1 --- 2: node 0 transmits to 1; node 2 overhears nothing
 	// (out of 0's range) but is out of range, node 1 decodes.
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(time.Second)
 
 	if len(h.nodes[1].frames) != 1 || !h.nodes[1].oks[0] {
@@ -108,7 +108,7 @@ func TestSingleTransmissionDelivery(t *testing.T) {
 
 func TestBusyIdleTransitions(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(time.Second)
 	if h.nodes[1].busy != 1 || h.nodes[1].idle != 1 {
 		t.Errorf("node 1 busy/idle = %d/%d, want 1/1", h.nodes[1].busy, h.nodes[1].idle)
@@ -126,7 +126,7 @@ func TestOverhearingDelivery(t *testing.T) {
 	// Both 1 and 2 are in range of 0; frame addressed to 1 is also
 	// delivered (as overheard) to 2.
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 100, Y: 150}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.Run(time.Second)
 	if len(h.nodes[2].frames) != 1 {
 		t.Fatal("in-range node did not overhear")
@@ -140,8 +140,8 @@ func TestCollisionBetweenInRangeSenders(t *testing.T) {
 	// 0 and 2 both within range of 1; simultaneous transmissions collide
 	// at 1.
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
-	h.medium.Transmit(0, dataFrame(0, 1))
-	h.medium.Transmit(2, dataFrame(2, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
+	h.medium.Transmit(2, dataFrame(2, 1), nil)
 	h.sched.Run(time.Second)
 	for _, ok := range h.nodes[1].oks {
 		if ok {
@@ -158,8 +158,8 @@ func TestHiddenTerminalCollision(t *testing.T) {
 	// reach 1. Overlap corrupts at 1; each sender's frame is fine at its
 	// own other neighbors.
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}, {X: 600}})
-	h.medium.Transmit(0, dataFrame(0, 1))
-	h.medium.Transmit(2, dataFrame(2, 3))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
+	h.medium.Transmit(2, dataFrame(2, 3), nil)
 	h.sched.Run(time.Second)
 	if h.nodes[1].oks[0] || h.nodes[1].oks[1] {
 		t.Error("hidden-terminal overlap not corrupted at node 1")
@@ -172,10 +172,10 @@ func TestHiddenTerminalCollision(t *testing.T) {
 
 func TestPartialOverlapStillCorrupts(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	// Start the second transmission shortly before the first ends.
 	h.sched.After(100*time.Microsecond, func() {
-		h.medium.Transmit(2, dataFrame(2, 1))
+		h.medium.Transmit(2, dataFrame(2, 1), nil)
 	})
 	h.sched.Run(time.Second)
 	for i := range h.nodes[1].frames {
@@ -189,9 +189,9 @@ func TestSequentialTransmissionsDoNotCollide(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
 	f := dataFrame(0, 1)
 	air := h.medium.Airtime(f)
-	h.medium.Transmit(0, f)
+	h.medium.Transmit(0, f, nil)
 	h.sched.After(air+time.Microsecond, func() {
-		h.medium.Transmit(2, dataFrame(2, 1))
+		h.medium.Transmit(2, dataFrame(2, 1), nil)
 	})
 	h.sched.Run(time.Second)
 	if len(h.nodes[1].oks) != 2 || !h.nodes[1].oks[0] || !h.nodes[1].oks[1] {
@@ -203,9 +203,9 @@ func TestHalfDuplexReceiverCorruption(t *testing.T) {
 	// Node 1 starts transmitting while node 0's frame is in flight to
 	// it: node 1 must not decode that frame.
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	h.sched.After(50*time.Microsecond, func() {
-		h.medium.Transmit(1, dataFrame(1, 2))
+		h.medium.Transmit(1, dataFrame(1, 2), nil)
 	})
 	h.sched.Run(time.Second)
 	if len(h.nodes[1].frames) != 1 {
@@ -218,20 +218,20 @@ func TestHalfDuplexReceiverCorruption(t *testing.T) {
 
 func TestTransmitWhileTransmittingPanics(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}})
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("double transmit did not panic")
 		}
 	}()
-	h.medium.Transmit(0, dataFrame(0, 1))
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
 }
 
 func TestOccupancyAccounting(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}})
 	f := dataFrame(0, 1)
 	air := h.medium.Airtime(f)
-	h.medium.Transmit(0, f)
+	h.medium.Transmit(0, f, nil)
 	h.sched.Run(time.Second)
 	occ := h.medium.TakeOccupancy()
 	if got := occ[topology.Link{From: 0, To: 1}]; got != air {
@@ -259,7 +259,7 @@ func TestInjectedLoss(t *testing.T) {
 	air := par.Airtime(FrameData, 1024)
 	for i := 0; i < n; i++ {
 		i := i
-		sched.At(time.Duration(i)*2*air, func() { m.Transmit(0, dataFrame(0, 1)) })
+		sched.At(time.Duration(i)*2*air, func() { m.Transmit(0, dataFrame(0, 1), nil) })
 	}
 	sched.Run(time.Hour)
 	okCount := 0
@@ -316,8 +316,8 @@ func TestThreeWayBusyCounting(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}})
 	short := &Frame{Kind: FrameRTS, To: 1, LinkFrom: 0, LinkTo: 1}
 	long := dataFrame(2, 1)
-	h.medium.Transmit(0, short)
-	h.medium.Transmit(2, long)
+	h.medium.Transmit(0, short, nil)
+	h.medium.Transmit(2, long, nil)
 	h.sched.Run(time.Second)
 	if h.nodes[1].busy != 1 {
 		t.Errorf("node 1 OnBusy fired %d times, want 1 (continuous busy)", h.nodes[1].busy)
@@ -331,7 +331,7 @@ func TestBroadcastFrameAccounting(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}})
 	bc := &Frame{Kind: FrameBroadcast, To: Broadcast, LinkFrom: 0, LinkTo: 0, ControlBytes: 24}
 	air := h.medium.Airtime(bc)
-	h.medium.Transmit(0, bc)
+	h.medium.Transmit(0, bc, nil)
 	h.sched.Run(time.Second)
 	st := h.medium.Stats()
 	if st.ControlFrames != 1 || st.ControlAirtime != air {
@@ -353,5 +353,43 @@ func TestBroadcastAirtimeScalesWithPayload(t *testing.T) {
 	big := p.Airtime(FrameBroadcast, 256)
 	if big <= small {
 		t.Error("payload size does not affect broadcast airtime")
+	}
+}
+
+func TestTransmitAiredCallback(t *testing.T) {
+	// Nodes 1 and 2 both hear node 0: each gets the frame and an idle
+	// edge, and the transmitter's aired callback must come after all of
+	// them, at the frame's end of air, in the same kernel event.
+	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 100, Y: 150}})
+	f := dataFrame(0, 1)
+	end := h.medium.Airtime(f)
+	calls := 0
+	h.medium.Transmit(0, f, func() {
+		calls++
+		if now := h.sched.Now(); now != end {
+			t.Errorf("aired ran at %v, want the end of air %v", now, end)
+		}
+		for _, n := range []int{1, 2} {
+			if r := h.nodes[n]; len(r.frames) != 1 || r.idle != 1 {
+				t.Errorf("aired ran before node %d's delivery and idle edge: frames=%d idle=%d", n, len(r.frames), r.idle)
+			}
+		}
+		if h.medium.Transmitting(0) {
+			t.Error("transmitter still on the air in its aired callback")
+		}
+	})
+	if got := h.sched.Pending(); got != 1 {
+		t.Errorf("one transmission holds %d kernel events, want 1", got)
+	}
+	h.sched.Run(time.Second)
+	if calls != 1 {
+		t.Fatalf("aired ran %d times, want 1", calls)
+	}
+
+	// A nil aired is allowed.
+	h.medium.Transmit(0, dataFrame(0, 1), nil)
+	h.sched.Run(2 * time.Second)
+	if len(h.nodes[1].frames) != 2 {
+		t.Errorf("node 1 got %d frames, want 2", len(h.nodes[1].frames))
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -91,6 +92,22 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}); avg > 0 {
 		t.Errorf("arm/cancel cycle allocates %.1f objects per run, want 0", avg)
 	}
+
+	// Events spread over four wheel spans: the near ones fill many
+	// distinct buckets, the rest wait in the overflow heap.
+	span := time.Duration(wheelBuckets << bucketShift)
+	if avg := testing.AllocsPerRun(200, func() {
+		var tms [64]Timer
+		for i := range tms {
+			tms[i] = s.After(time.Duration(i)*span/16+time.Duration(i), fn)
+		}
+		for i := 0; i < len(tms); i += 3 {
+			tms[i].Cancel()
+		}
+		s.Run(s.Now() + 4*span)
+	}); avg > 0 {
+		t.Errorf("multi-span arm/cancel/fire cycle allocates %.1f objects per run, want 0", avg)
+	}
 }
 
 // BenchmarkSchedulerTimers measures the MAC-like timer churn pattern:
@@ -108,5 +125,42 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 		tms[1].Cancel()
 		tms[3].Cancel()
 		s.Run(s.Now() + 10*time.Microsecond)
+	}
+}
+
+// BenchmarkSchedulerHold is the classic hold model: n events stay
+// pending, and each step fires the earliest, whose callback schedules its
+// replacement at now plus a random delay. Delays are uniform over 2 ms,
+// inside the wheel's horizon, except that one in 20 is uniform over
+// 20 ms, so about the share of events the simulator sends past the
+// horizon lands in the overflow heap.
+func BenchmarkSchedulerHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var delays [1024]time.Duration
+	for i := range delays {
+		if i%20 == 0 {
+			delays[i] = time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+		} else {
+			delays[i] = time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+		}
+	}
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := NewScheduler()
+			next := 0
+			var fn func()
+			fn = func() {
+				s.After(delays[next%len(delays)], fn)
+				next++
+			}
+			for i := 0; i < n; i++ {
+				fn()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
 	}
 }
