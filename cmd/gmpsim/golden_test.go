@@ -48,44 +48,72 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 // TestTelemetryGolden pins the JSONL telemetry export byte-for-byte:
-// the schema and its determinism are part of the CLI contract.
+// the schema and its determinism are part of the CLI contract. The
+// fig4 gmp-dist case pins the per-node agents' condition and limit
+// records, which the Result goldens cannot see.
 func TestTelemetryGolden(t *testing.T) {
-	tmp := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	var buf bytes.Buffer
-	args := []string{
-		"-scenario", "fig2", "-protocol", "gmp",
-		"-duration", "60s", "-warmup", "30s", "-seed", "1",
-		"-telemetry", tmp,
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"fig2_gmp_telemetry.golden", []string{
+			"-scenario", "fig2", "-protocol", "gmp",
+			"-duration", "60s", "-warmup", "30s", "-seed", "1"}},
+		{"fig4_gmpdist_telemetry.golden", []string{
+			"-scenario", "fig4", "-protocol", "gmp-dist",
+			"-duration", "60s", "-warmup", "30s", "-seed", "1"}},
 	}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc.name, runToFile(t, tc.args, "-telemetry"))
+		})
 	}
-	got, err := os.ReadFile(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig2_gmp_telemetry.golden", got)
 }
 
 // TestSpanGolden pins the span JSONL export byte-for-byte through the
 // CLI: the causal-trace schema and its determinism are part of the
-// contract traceq and gmpd rely on.
+// contract traceq and gmpd rely on. The fig4 cases sample so sparsely
+// that no packet is traced: they pin the rate-limit provenance of both
+// GMP runtimes.
 func TestSpanGolden(t *testing.T) {
-	tmp := filepath.Join(t.TempDir(), "spans.jsonl")
-	var buf bytes.Buffer
-	args := []string{
-		"-scenario", "fig2", "-protocol", "gmp",
-		"-duration", "20s", "-warmup", "10s", "-seed", "1",
-		"-span", tmp, "-span-sample", "256",
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"fig2_gmp_spans.golden", []string{
+			"-scenario", "fig2", "-protocol", "gmp",
+			"-duration", "20s", "-warmup", "10s", "-seed", "1",
+			"-span-sample", "256"}},
+		{"fig4_gmp_spans.golden", []string{
+			"-scenario", "fig4", "-protocol", "gmp",
+			"-duration", "60s", "-warmup", "30s", "-seed", "1",
+			"-span-sample", "1000000"}},
+		{"fig4_gmpdist_spans.golden", []string{
+			"-scenario", "fig4", "-protocol", "gmp-dist",
+			"-duration", "60s", "-warmup", "30s", "-seed", "1",
+			"-span-sample", "1000000"}},
 	}
-	if err := run(args, &buf); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc.name, runToFile(t, tc.args, "-span"))
+		})
+	}
+}
+
+// runToFile runs the CLI with outFlag pointing at a temporary file and
+// returns what the run wrote there.
+func runToFile(t *testing.T, args []string, outFlag string) []byte {
+	t.Helper()
+	tmp := filepath.Join(t.TempDir(), "out.jsonl")
+	var buf bytes.Buffer
+	if err := run(append(args, outFlag, tmp), &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig2_gmp_spans.golden", got)
+	return got
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -32,8 +32,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite determinism-gate g
 
 // gateCases is the pinned workload set: the paper scenarios behind
 // Tables 1-4 (Fig2/Fig3/Fig4) under every compared protocol, plus one
-// fault-schedule run and two mobility runs (random-waypoint chain,
-// group-mobility grid). Durations are shorter than the paper sessions so
+// fault-schedule run, two mobility runs (random-waypoint chain,
+// group-mobility grid), two churn runs, and the §6 per-node runtime
+// (gmp-dist) on the out-of-band bus, with in-band broadcasts, and under
+// churn without admission. Durations are shorter than the paper sessions so
 // the gate stays fast; determinism does not depend on session length.
 func gateCases(t *testing.T) []struct {
 	name string
@@ -125,6 +127,22 @@ func gateCases(t *testing.T) []struct {
 				DiurnalAmplitude: 0.8,
 				Matrix:           ChurnGateway,
 				Admission:        &AdmissionParams{MinShare: 50},
+			},
+		})},
+		{"fig2_gmpdist", short(Config{Scenario: Fig2Scenario(), Protocol: ProtocolGMPDistributed})},
+		{"fig3_gmpdist", short(Config{Scenario: Fig3Scenario(), Protocol: ProtocolGMPDistributed})},
+		{"fig4_gmpdist_inband", short(Config{
+			Scenario:      Fig4Scenario(),
+			Protocol:      ProtocolGMPDistributed,
+			InBandControl: true,
+		})},
+		{"churn_fig3_gmpdist", short(Config{
+			Scenario: Fig3Scenario(),
+			Protocol: ProtocolGMPDistributed,
+			Churn: &ChurnConfig{
+				Process: ChurnPoisson,
+				Rate:    0.2,
+				Matrix:  ChurnRandom,
 			},
 		})},
 	}
