@@ -797,6 +797,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		refFlows[i] = maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate}
 	}
 
+	gmpParams := core.Params{
+		Period:           cfg.Period,
+		Beta:             cfg.Beta,
+		OmegaThreshold:   cfg.OmegaThreshold,
+		AdditiveIncrease: cfg.AdditiveIncrease,
+		HalveGap:         core.DefaultParams().HalveGap,
+	}
 	var engine *core.Engine
 	var dist *core.Distributed
 	var twoPPTarget []float64
@@ -820,25 +827,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		board := measure.NewOccupancyBoard(medium, cfg.Period)
 		dist, err = core.StartDistributed(sched, topo, cliques, board, nodes, dissAgents,
-			registry, core.Params{
-				Period:           cfg.Period,
-				Beta:             cfg.Beta,
-				OmegaThreshold:   cfg.OmegaThreshold,
-				AdditiveIncrease: cfg.AdditiveIncrease,
-				HalveGap:         3,
-			}, sim.NewRand(master.Int63()))
+			registry, gmpParams, sim.NewRand(master.Int63()))
 		if err != nil {
 			return nil, fmt.Errorf("gmp: %w", err)
 		}
 	case ProtocolGMP:
 		collector := measure.NewCollector(nodes, medium, cfg.OmegaThreshold)
-		engine, err = core.NewEngine(sched, topo, cliques, registry, collector, core.Params{
-			Period:           cfg.Period,
-			Beta:             cfg.Beta,
-			OmegaThreshold:   cfg.OmegaThreshold,
-			AdditiveIncrease: cfg.AdditiveIncrease,
-			HalveGap:         3,
-		})
+		engine, err = core.NewEngine(sched, topo, cliques, registry, collector, gmpParams)
 		if err != nil {
 			return nil, fmt.Errorf("gmp: %w", err)
 		}

@@ -31,24 +31,24 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 func TestValidateRejections(t *testing.T) {
 	base := func() Config { return validPoisson() }
 	cases := map[string]func(*Config){
-		"zero rate":           func(c *Config) { c.Rate = 0 },
-		"huge rate":           func(c *Config) { c.Rate = 1e7 },
-		"nan rate":            func(c *Config) { c.Rate = math.NaN() },
-		"inf amplitude":       func(c *Config) { c.Process = Diurnal; c.DiurnalPeriod = time.Second; c.DiurnalAmplitude = math.Inf(1) },
-		"negative start":      func(c *Config) { c.Start = -time.Second },
-		"stop before start":   func(c *Config) { c.Start = 10 * time.Second; c.Stop = 5 * time.Second },
-		"diurnal no period":   func(c *Config) { c.Process = Diurnal },
-		"amplitude above 1":   func(c *Config) { c.Process = Diurnal; c.DiurnalPeriod = time.Second; c.DiurnalAmplitude = 1.5 },
-		"diurnal on poisson":  func(c *Config) { c.DiurnalAmplitude = 0.5 },
-		"bad process":         func(c *Config) { c.Process = 99 },
-		"bad matrix":          func(c *Config) { c.Matrix = 99 },
-		"negative alpha":      func(c *Config) { c.Alpha = -1 },
-		"zero min size":       func(c *Config) { c.MinSizePkts = -1 },
-		"max below min":       func(c *Config) { c.MinSizePkts = 100; c.MaxSizePkts = 10 },
-		"negative weight":     func(c *Config) { c.Weight = -1 },
+		"zero rate":            func(c *Config) { c.Rate = 0 },
+		"huge rate":            func(c *Config) { c.Rate = 1e7 },
+		"nan rate":             func(c *Config) { c.Rate = math.NaN() },
+		"inf amplitude":        func(c *Config) { c.Process = Diurnal; c.DiurnalPeriod = time.Second; c.DiurnalAmplitude = math.Inf(1) },
+		"negative start":       func(c *Config) { c.Start = -time.Second },
+		"stop before start":    func(c *Config) { c.Start = 10 * time.Second; c.Stop = 5 * time.Second },
+		"diurnal no period":    func(c *Config) { c.Process = Diurnal },
+		"amplitude above 1":    func(c *Config) { c.Process = Diurnal; c.DiurnalPeriod = time.Second; c.DiurnalAmplitude = 1.5 },
+		"diurnal on poisson":   func(c *Config) { c.DiurnalAmplitude = 0.5 },
+		"bad process":          func(c *Config) { c.Process = 99 },
+		"bad matrix":           func(c *Config) { c.Matrix = 99 },
+		"negative alpha":       func(c *Config) { c.Alpha = -1 },
+		"zero min size":        func(c *Config) { c.MinSizePkts = -1 },
+		"max below min":        func(c *Config) { c.MinSizePkts = 100; c.MaxSizePkts = 10 },
+		"negative weight":      func(c *Config) { c.Weight = -1 },
 		"gateway out of range": func(c *Config) { c.GatewayNode = 9 },
-		"negative gateway":    func(c *Config) { c.GatewayNode = -1 },
-		"bad admission":       func(c *Config) { c.Admission = &admission.Params{MinShare: -1} },
+		"negative gateway":     func(c *Config) { c.GatewayNode = -1 },
+		"bad admission":        func(c *Config) { c.Admission = &admission.Params{MinShare: -1} },
 	}
 	for name, mutate := range cases {
 		cfg := base()

@@ -38,7 +38,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestBetaEquality(t *testing.T) {
-	e := &Engine{params: Params{Beta: 0.10}}
+	r := &rules{params: Params{Beta: 0.10}}
 	tests := []struct {
 		a, b float64
 		want bool
@@ -52,7 +52,7 @@ func TestBetaEquality(t *testing.T) {
 		{1000, 905, true}, // scales with magnitude
 	}
 	for _, tt := range tests {
-		if got := e.eq(tt.a, tt.b); got != tt.want {
+		if got := r.eq(tt.a, tt.b); got != tt.want {
 			t.Errorf("eq(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
@@ -61,47 +61,33 @@ func TestBetaEquality(t *testing.T) {
 func TestRequestAggregation(t *testing.T) {
 	r := make(reqSet)
 	// Increases keep the smallest factor.
-	r.addIncrease(0, 2.0)
-	r.addIncrease(0, 1.1)
+	r.add(0, Request{Factor: 2.0})
+	r.add(0, Request{Factor: 1.1})
 	if req := r[0]; req.Reduce || req.Factor != 1.1 {
 		t.Errorf("increase aggregation = %+v", req)
 	}
-	r.addIncrease(0, 1.5)
+	r.add(0, Request{Factor: 1.5})
 	if req := r[0]; req.Factor != 1.1 {
 		t.Errorf("larger increase overwrote smaller: %+v", req)
 	}
 	// A reduction overrides any increase.
-	r.addReduce(0, 0.9)
+	r.add(0, Request{Reduce: true, Factor: 0.9})
 	if req := r[0]; !req.Reduce || req.Factor != 0.9 {
 		t.Errorf("reduce did not override: %+v", req)
 	}
 	// Later increases cannot displace a reduction.
-	r.addIncrease(0, 1.1)
+	r.add(0, Request{Factor: 1.1})
 	if req := r[0]; !req.Reduce {
 		t.Errorf("increase displaced a reduction: %+v", req)
 	}
 	// Among reductions the largest cut (smallest factor) wins.
-	r.addReduce(0, 0.5)
+	r.add(0, Request{Reduce: true, Factor: 0.5})
 	if req := r[0]; req.Factor != 0.5 {
 		t.Errorf("reduce aggregation = %+v", req)
 	}
-	r.addReduce(0, 0.9)
+	r.add(0, Request{Reduce: true, Factor: 0.9})
 	if req := r[0]; req.Factor != 0.5 {
 		t.Errorf("weaker reduce overwrote stronger: %+v", req)
-	}
-}
-
-func TestAddAllHelpers(t *testing.T) {
-	r := make(reqSet)
-	flows := map[packet.FlowID]topology.NodeID{1: 10, 2: 20}
-	r.addReduceAll(flows, 0.9)
-	if len(r) != 2 || !r[1].Reduce || !r[2].Reduce {
-		t.Errorf("addReduceAll = %v", r)
-	}
-	r2 := make(reqSet)
-	r2.addIncreaseAll(flows, 1.1)
-	if len(r2) != 2 || r2[1].Reduce {
-		t.Errorf("addIncreaseAll = %v", r2)
 	}
 }
 
@@ -262,55 +248,46 @@ func TestTraceRecordsRounds(t *testing.T) {
 }
 
 func TestEvaluateSourceConditionGeneratesRequests(t *testing.T) {
+	// A saturated virtual node hosts a limited local flow at mu=100 and
+	// receives a buffer-saturated upstream link at mu=10: the local flow
+	// must be asked down and the upstream primary up, halved and doubled
+	// because the gap exceeds HalveGap.
+	r := newRules(DefaultParams())
+	reqs := make(reqSet)
+	ups := []upLink{{
+		link: topology.Link{From: 1, To: 0}, mu: 10, bufferSat: true,
+		primaries: map[packet.FlowID]topology.NodeID{5: 1},
+	}}
+	r.sourceAndBuffer(0, ups, []localFlow{{id: 0, mu: 100, limited: true}}, reqs.add, nil)
+	if req := reqs[0]; !req.Reduce || req.Factor != 0.5 {
+		t.Errorf("local flow request = %+v, want a halving", req)
+	}
+	if req := reqs[5]; req.Reduce || req.Factor != 2 {
+		t.Errorf("upstream primary request = %+v, want a doubling", req)
+	}
+
+	// The engine feeds the rule from its snapshot: at virtual node 0_1,
+	// a fat upstream link (mu=100) and a starved buffer-saturated one
+	// (mu=10) get the same treatment.
 	h := newEngineHarness(t)
-	// Craft a snapshot: virtual node 0_1 saturated; a local flow at
-	// mu=100 and a buffer-saturated upstream link at mu=10. The engine
-	// must ask the local flow down and the upstream primary up.
 	snap := emptySnap()
 	q := packet.QueueForDest(1)
 	v := measure.VNodeID{Node: 0, Queue: q}
 	snap.Saturated[v] = true
 	snap.Omega[v] = 0.9
-	up := &measure.VLinkState{
-		Key:       forwarding.VLinkKey{From: 1, To: 0, Queue: q},
-		Rate:      10,
-		NormRate:  10,
-		Primaries: map[packet.FlowID]topology.NodeID{5: 1},
-		Type:      measure.BufferSaturated,
+	for _, st := range []*measure.VLinkState{
+		{Key: forwarding.VLinkKey{From: 1, To: 0, Queue: q}, NormRate: 100, Primaries: map[packet.FlowID]topology.NodeID{5: 1}, Type: measure.BufferSaturated},
+		{Key: forwarding.VLinkKey{From: 2, To: 0, Queue: q}, NormRate: 10, Primaries: map[packet.FlowID]topology.NodeID{6: 2}, Type: measure.BufferSaturated},
+	} {
+		snap.VLinks[st.Key] = st
+		snap.InsertUpstream(v, st)
 	}
-	snap.VLinks[up.Key] = up
-	snap.InsertUpstream(v, up)
-
-	// The local flow's source must report mu=100: fabricate by running
-	// a period at 100 pps.
-	h.sched.Run(time.Millisecond)
-	// flow.Source has no setter for normRate; drive via EndPeriod with a
-	// synthetic count is not possible either. Instead rely on the
-	// engine reading NormRate() == 0 for the local flow, making the
-	// upstream link (mu=10) the L1 candidate: L1=10, S1=10 -> satisfied.
-	// So instead give the upstream a big mu and check the reduce lands
-	// on its primary flow 5.
-	up.NormRate = 100
-	up2 := &measure.VLinkState{
-		Key:       forwarding.VLinkKey{From: 2, To: 0, Queue: q},
-		Rate:      10,
-		NormRate:  10,
-		Primaries: map[packet.FlowID]topology.NodeID{6: 2},
-		Type:      measure.BufferSaturated,
+	reqs = h.engine.evaluate(snap)
+	if req := reqs[5]; !req.Reduce || req.Factor != 0.5 {
+		t.Errorf("primary of the fat upstream link: %+v, want a halving", req)
 	}
-	snap.VLinks[up2.Key] = up2
-	snap.InsertUpstream(v, up2)
-
-	reqs := h.engine.evaluate(snap)
-	if req, ok := reqs[5]; !ok || !req.Reduce {
-		t.Errorf("primary of the fat upstream link not reduced: %v", reqs)
-	}
-	if req, ok := reqs[6]; !ok || req.Reduce {
-		t.Errorf("primary of the starved upstream link not increased: %v", reqs)
-	}
-	// Gap 100:10 exceeds HalveGap: expect halve/double.
-	if reqs[5].Factor != 0.5 || reqs[6].Factor != 2 {
-		t.Errorf("factors = %v / %v, want 0.5 / 2", reqs[5].Factor, reqs[6].Factor)
+	if req := reqs[6]; req.Reduce || req.Factor != 2 {
+		t.Errorf("primary of the starved upstream link: %+v, want a doubling", req)
 	}
 }
 

@@ -159,3 +159,52 @@ func TestNewAgentValidation(t *testing.T) {
 		t.Error("invalid params accepted")
 	}
 }
+
+// TestAgentIdleInput pins the agent's input to the rate-limit step: a
+// limited source running below its limit counts as idle, and sheds the
+// limit after two slack rounds, only while its queue is not saturated.
+// A saturated queue (measured Ω, or a binding limit) keeps it probing.
+func TestAgentIdleInput(t *testing.T) {
+	h := newEngineHarness(t)
+	spec := h.reg.Specs()[0]
+	agent := func(saturated bool) *Agent {
+		return &Agent{
+			rules:        newRules(DefaultParams()),
+			localFlows:   []flow.Spec{spec},
+			localSources: []*flow.Source{h.src},
+			saturated:    map[packet.QueueID]bool{packet.QueueForDest(spec.Dst): saturated},
+			rates:        map[packet.FlowID]float64{spec.ID: 50},
+			pending:      make(reqSet),
+		}
+	}
+
+	h.src.SetLimit(100)
+	idle := agent(false)
+	idle.applyPending()
+	if _, ok := h.src.Limited(); !ok {
+		t.Fatal("limit removed after a single slack round")
+	}
+	idle.applyPending()
+	if _, ok := h.src.Limited(); ok {
+		t.Error("idle source kept its limit after two slack rounds")
+	}
+
+	h.src.SetLimit(100)
+	busy := agent(true)
+	for i := 0; i < 3; i++ {
+		busy.applyPending()
+	}
+	if limit, ok := h.src.Limited(); !ok || limit != 100+3*DefaultParams().AdditiveIncrease {
+		t.Errorf("saturated source limit = %v,%v; want three additive probes over 100", limit, ok)
+	}
+
+	// A delivered request overrides the idle test and is consumed.
+	busy.pending.add(spec.ID, Request{Reduce: true, Factor: 0.5})
+	busy.applyPending()
+	if limit, _ := h.src.Limited(); limit != 25 {
+		t.Errorf("limit after a halving = %v, want 25 (0.5 x min(rate 50, limit))", limit)
+	}
+	if len(busy.pending) != 0 {
+		t.Errorf("pending requests not consumed: %v", busy.pending)
+	}
+}
