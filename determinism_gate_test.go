@@ -33,7 +33,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite determinism-gate g
 // gateCases is the pinned workload set: the paper scenarios behind
 // Tables 1-4 (Fig2/Fig3/Fig4) under every compared protocol, plus one
 // fault-schedule run, two mobility runs (random-waypoint chain,
-// group-mobility grid), two churn runs, and the §6 per-node runtime
+// group-mobility grid), a random-walk grid under churn, two churn runs,
+// and the §6 per-node runtime
 // (gmp-dist) on the out-of-band bus, with in-band broadcasts, and under
 // churn without admission. Durations are shorter than the paper sessions so
 // the gate stays fast; determinism does not depend on session length.
@@ -105,6 +106,24 @@ func gateCases(t *testing.T) []struct {
 				MinSpeed: 1, MaxSpeed: 5,
 				MinX: 0, MaxX: 400, MinY: 0, MaxY: 400,
 				Groups: 3, GroupRadius: 100,
+			},
+		})},
+		{"mob_churn_grid_gmp", short(Config{
+			Scenario: mobGrid,
+			Protocol: ProtocolGMP,
+			// The random walk city500-dynamic runs, plus churn flows
+			// whose routes and reference read the t=0 tables.
+			Mobility: &MobilityConfig{
+				Model:    MobilityRandomWalk,
+				Epoch:    time.Second,
+				MinSpeed: 1, MaxSpeed: 5,
+				MinX: 0, MaxX: 400, MinY: 0, MaxY: 400,
+			},
+			Churn: &ChurnConfig{
+				Process:   ChurnPoisson,
+				Rate:      0.2,
+				Matrix:    ChurnRandom,
+				Admission: &AdmissionParams{MinShare: 50},
 			},
 		})},
 		{"churn_fig3_gmp", short(Config{
