@@ -23,11 +23,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"gmp/internal/clique"
+	"gmp/internal/geom"
+	"gmp/internal/mobility"
 	"gmp/internal/routing"
+	"gmp/internal/sim"
 	"gmp/internal/stats"
 	"gmp/internal/topology"
 )
@@ -690,5 +694,103 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(frames)/s, "frames/s")
+	}
+}
+
+// BenchmarkMobilityEpoch times the repairs RunContext makes to the
+// network on a mobility epoch, over the epochs of the city500-dynamic
+// benchmark panel: the 500-node city at 220 m pitch under a 1 s random
+// walk at 1-5 m/s, four 60 s sessions whose trajectories are seeded the
+// way the benchmark's build-stage replay (bench/layers.go) seeds them
+// for workload seed 1. Each iteration replays the panel, and only the
+// repair under test is timed. ns/epoch is its cost per epoch that
+// changed the adjacency; an unchanged epoch repairs nothing.
+//
+//	go test -run '^$' -bench MobilityEpoch .
+//
+// The clique rows compare Update given the full mover list with Update
+// given the touched set RunContext passes, next to the from-scratch
+// Build. The routing rows compare the eager table the benchmark's replay
+// still times with the lazy table RunContext installs, plus the rows of
+// the city's flows.
+func BenchmarkMobilityEpoch(b *testing.B) {
+	sc, err := CityScenario(500, 4, 10, 220, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mob := MobilityConfig{Model: MobilityRandomWalk, Epoch: time.Second, MinSpeed: 1, MaxSpeed: 5}
+	// The panel's session seeds for workload seed 1 (bench/workloads.go).
+	seeds := []int64{8240856498840590925, 196268158620989535, 1884379821067057501, 1547107535566102797}
+	type epoch struct {
+		moved []topology.NodeID
+		pos   []geom.Point
+	}
+	var panel [][]epoch
+	for _, seed := range seeds {
+		var eps []epoch
+		sched := sim.NewScheduler()
+		record := func(moved []topology.NodeID, pos []geom.Point) {
+			eps = append(eps, epoch{slices.Clone(moved), slices.Clone(pos)})
+		}
+		if _, err := mobility.Start(sched, sc.Positions, mob, sim.NewRand(seed), record); err != nil {
+			b.Fatal(err)
+		}
+		sched.Run(60 * time.Second)
+		panel = append(panel, eps)
+	}
+
+	type repair func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set
+	routeFlows := func(rt *routing.Table) {
+		for _, f := range sc.Flows {
+			rt.HopCount(f.Src, f.Dst)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   repair
+	}{
+		{"clique.Update/moved", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
+			return clique.Update(topo, cs, d.Moved)
+		}},
+		{"clique.Update/touched", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
+			return clique.Update(topo, cs, d.Touched)
+		}},
+		{"clique.Build", func(topo *topology.Topology, _ *clique.Set, _ *topology.Diff) *clique.Set {
+			return clique.Build(topo)
+		}},
+		{"routing.BuildExcluding", func(topo *topology.Topology, cs *clique.Set, _ *topology.Diff) *clique.Set {
+			routeFlows(routing.BuildExcluding(topo, nil))
+			return cs
+		}},
+		{"routing.BuildLazyExcluding+rows", func(topo *topology.Topology, cs *clique.Set, _ *topology.Diff) *clique.Set {
+			routeFlows(routing.BuildLazyExcluding(topo, nil))
+			return cs
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var timed time.Duration
+			changing := 0
+			for i := 0; i < b.N; i++ {
+				for _, eps := range panel {
+					topo := topology.MustNew(sc.Positions, sc.Radio)
+					cs := clique.Build(topo)
+					for _, e := range eps {
+						d, err := topo.MoveNodes(e.moved, e.pos)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !d.Changed() {
+							continue
+						}
+						start := time.Now()
+						cs = tc.fn(topo, cs, d)
+						timed += time.Since(start)
+						changing++
+					}
+				}
+			}
+			b.ReportMetric(float64(timed.Nanoseconds())/float64(changing), "ns/epoch")
+			b.ReportMetric(float64(changing)/float64(b.N), "epochs/op")
+		})
 	}
 }

@@ -452,7 +452,8 @@ type FlowResult struct {
 	Rate float64
 	// NormRate is Rate divided by the flow's weight (μ(f), §2.1).
 	NormRate float64
-	// Hops is the routing path length l_f.
+	// Hops is the routing path length l_f on the t=0 topology: under
+	// mobility it is the initial route's length, not the final one's.
 	Hops int
 	// Delivered and Dropped count packets over the whole session.
 	Delivered int64
@@ -479,7 +480,8 @@ type Result struct {
 	U   float64
 	// Reference is the centralized weighted water-filling allocation on
 	// estimated clique capacities — the maxmin ground truth GMP should
-	// approach (shape, not absolute values).
+	// approach (shape, not absolute values). Under mobility it is solved
+	// on the t=0 topology: the initial routes and the initial cliques.
 	Reference []float64
 	// TwoPPTarget is 2PP's precomputed allocation (Protocol2PP only).
 	TwoPPTarget []float64
@@ -578,25 +580,21 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gmp: building topology: %w", err)
 	}
-	// Static runs (no mobility) never mutate the topology, so the
-	// shortest-path tables can materialize per-destination rows lazily:
-	// only the flow destinations actually routed to pay for a BFS, which
-	// is what makes the 10k-node city scenario start in milliseconds.
-	// Mobility forces eager builds — a lazy row computed after MoveNodes
-	// would see the wrong topology. Geographic tables are always eager:
-	// their dead-end detection must run up front to drive the
-	// GPSR-fallback error contract.
-	lazyRoutes := cfg.mobilityConfig() == nil
+	// Shortest-path tables materialize per-destination rows lazily: only
+	// the flow destinations actually routed to pay for a BFS, which is
+	// what makes the 10k-node city scenario start in milliseconds. Every
+	// mobility epoch that changes the adjacency installs a fresh table,
+	// and a lazy table refuses to compute a row after such a change.
+	// Geographic tables are always eager: their dead-end detection must
+	// run up front to drive the GPSR-fallback error contract.
 	var routes *routing.Table
 	if cfg.GeographicRouting {
 		routes, err = routing.BuildGeographic(topo)
 		if err != nil {
 			return nil, fmt.Errorf("gmp: %w", err)
 		}
-	} else if lazyRoutes {
-		routes = routing.BuildLazy(topo)
 	} else {
-		routes = routing.Build(topo)
+		routes = routing.BuildLazy(topo)
 	}
 	for _, spec := range cfg.Scenario.Flows {
 		if !topo.Valid(spec.Src) || !topo.Valid(spec.Dst) {
@@ -639,6 +637,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			Start:       cf.At,
 			Stop:        cf.At + cf.Lifetime,
 		})
+	}
+	// routes stays the t=0 table: the end-of-run reference and
+	// FlowResult.Hops read it after mobility has left it stale, so every
+	// flow's row is built now, while it still matches the topology (the
+	// static flows' rows were built by the check above).
+	for _, spec := range allFlows[staticN:] {
+		routes.HopCount(spec.Src, spec.Dst)
 	}
 
 	medium := radio.NewMedium(sched, topo, par, sim.NewRand(master.Int63()))
@@ -759,14 +764,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			// fallback to shortest-path repair.
 		}
 		if t == nil {
-			if lazyRoutes {
-				// Fault/churn repair without mobility: the topology is
-				// still immutable, so repaired tables stay lazy too (the
-				// down set is copied at build time).
-				t = routing.BuildLazyExcluding(topo, down)
-			} else {
-				t = routing.BuildExcluding(topo, down)
-			}
+			// The down set is copied at build time.
+			t = routing.BuildLazyExcluding(topo, down)
 		}
 		liveRoutes = t
 		return t
@@ -884,7 +883,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			if diff.Changed() {
 				lastTopoChange = sched.Now()
-				liveCliques = clique.Update(topo, liveCliques, diff.Moved)
+				liveCliques = clique.Update(topo, liveCliques, diff.Touched)
 				if engine != nil {
 					engine.SetCliques(liveCliques)
 				}

@@ -9,9 +9,10 @@
 package clique
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"gmp/internal/topology"
 )
@@ -45,19 +46,10 @@ func (c *Clique) Contains(l topology.Link) bool {
 	return false
 }
 
-// minNode returns the smallest node ID among the clique's endpoints.
-func (c *Clique) minNode() topology.NodeID {
-	low := c.Links[0].From
-	for _, l := range c.Links {
-		if l.From < low {
-			low = l.From
-		}
-		if l.To < low {
-			low = l.To
-		}
-	}
-	return low
-}
+// minNode returns the smallest node ID among the clique's endpoints:
+// the first link's From, since links are canonical (From < To) and
+// sorted by From.
+func (c *Clique) minNode() topology.NodeID { return c.Links[0].From }
 
 // Set is the complete clique decomposition of a topology.
 type Set struct {
@@ -218,53 +210,140 @@ func maximalCliques(n int, adj [][]bool) [][]int {
 // maximalCliquesSparse enumerates the same maximal cliques as
 // maximalCliques (the dense differential oracle, TestSparseMatchesDense)
 // from sorted adjacency lists instead of a matrix. The outer loop visits
-// vertices in degeneracy order — each vertex's subproblem is confined to
-// its later neighbors — and the recursion uses the standard pivot rule
-// on sorted-slice intersections, so the cost tracks the graph's
-// degeneracy (bounded by local density in geometric contention graphs)
-// rather than its size. Output order is unspecified; callers
-// canonicalize via finish.
+// vertices in degeneracy order and roots the search at each in turn: a
+// vertex's subproblem is confined to its neighborhood, with its earlier
+// neighbors excluded, so the cost tracks the graph's degeneracy (bounded
+// by local density in geometric contention graphs) rather than its size.
+// Output order is unspecified; callers canonicalize via finish.
 func maximalCliquesSparse(n int, nbr [][]int32) [][]int32 {
 	var out [][]int32
-	var bk func(r, p, x []int32)
-	bk = func(r, p, x []int32) {
-		if len(p) == 0 && len(x) == 0 {
-			if len(r) == 0 {
-				return
-			}
-			out = append(out, append([]int32(nil), r...))
-			return
-		}
-		// Pivot: vertex of p ∪ x with most neighbors in p.
-		pivot, best := int32(-1), -1
-		for _, set := range [2][]int32{p, x} {
-			for _, u := range set {
-				if c := countIntersect(nbr[u], p); c > best {
-					best, pivot = c, u
-				}
-			}
-		}
-		candidates := subtractSorted(p, nbr[pivot])
-		for _, v := range candidates {
-			bk(append(r, v), intersectSorted(p, nbr[v]), intersectSorted(x, nbr[v]))
-			p = removeSorted(p, v)
-			x = insertSorted(x, v)
-		}
-	}
+	emit := func(r []int32) { out = append(out, append([]int32(nil), r...)) }
 	order, pos := degeneracyOrder(n, nbr)
-	var p, x []int32
+	var e enumerator
 	for _, v := range order {
-		p, x = p[:0], x[:0]
-		for _, w := range nbr[v] {
-			if pos[w] > pos[v] {
-				p = append(p, w)
-			} else {
-				x = append(x, w)
-			}
-		}
-		bk([]int32{v}, p, x)
+		e.root(nbr, v, func(w int32) bool { return pos[w] < pos[v] }, emit)
 	}
 	return out
+}
+
+// enumerator runs Bron–Kerbosch with pivoting rooted at one vertex at a
+// time. The search never leaves the root's neighborhood, so it works on
+// bitsets over that neighborhood: set intersections and the pivot's
+// neighbor counts are word operations. Buffers are reused across roots.
+type enumerator struct {
+	local []int32  // the root's neighbors, sorted: local index -> vertex
+	words int      // words per local bitset
+	adj   []uint64 // local adjacency, words per row
+	stack []uint64 // per depth: P, X and the candidates being expanded
+	r     []int32  // the clique being grown, as local indices
+	out   []int32  // a reported clique, as vertices
+	emit  func([]int32)
+}
+
+// root calls emit with every maximal clique of the graph nbr (sorted
+// adjacency rows) that contains v and no neighbor w of v with excluded(w)
+// — the cliques a search rooted at each excluded neighbor reports. The
+// rows of v and of each of its neighbors are read. emit must not modify
+// or retain its argument.
+func (e *enumerator) root(nbr [][]int32, v int32, excluded func(int32) bool, emit func([]int32)) {
+	local := nbr[v]
+	k := len(local)
+	w := (k + 63) / 64
+	e.local, e.words, e.emit = local, w, emit
+	e.adj = slices.Grow(e.adj[:0], k*w)[:k*w]
+	clear(e.adj)
+	for i, u := range local {
+		row, other := e.adj[i*w:(i+1)*w], nbr[u]
+		for a, b := 0, 0; a < len(other) && b < k; {
+			switch {
+			case other[a] == local[b]:
+				row[b>>6] |= 1 << (b & 63)
+				a++
+				b++
+			case other[a] < local[b]:
+				a++
+			default:
+				b++
+			}
+		}
+	}
+	// A clique grows by at most one vertex per level, so k+1 levels of
+	// three sets suffice.
+	e.stack = slices.Grow(e.stack[:0], (k+1)*3*w)[:(k+1)*3*w]
+	p, x := e.stack[:w], e.stack[w:2*w]
+	clear(p)
+	clear(x)
+	for i, u := range local {
+		if excluded(u) {
+			x[i>>6] |= 1 << (i & 63)
+		} else {
+			p[i>>6] |= 1 << (i & 63)
+		}
+	}
+	e.r = e.r[:0]
+	e.out = append(e.out[:0], v)
+	e.expand(0)
+}
+
+// expand is one Bron–Kerbosch call on the sets at depth d: it reports
+// the clique when P and X are empty, else branches on each vertex of P
+// outside the neighborhood of a pivot with the most neighbors in P.
+func (e *enumerator) expand(d int) {
+	w := e.words
+	set := e.stack[d*3*w:]
+	p, x, cand := set[:w], set[w:2*w], set[2*w:3*w]
+	if isEmpty(p) {
+		if isEmpty(x) {
+			out := e.out[:1]
+			for _, i := range e.r {
+				out = append(out, e.local[i])
+			}
+			e.out = out
+			e.emit(out)
+		}
+		return
+	}
+	pivot, best := 0, -1
+	for wi := range p {
+		for m := p[wi] | x[wi]; m != 0; m &= m - 1 {
+			u := wi*64 + bits.TrailingZeros64(m)
+			c := 0
+			for j, a := range e.adj[u*w : (u+1)*w] {
+				c += bits.OnesCount64(a & p[j])
+			}
+			if c > best {
+				pivot, best = u, c
+			}
+		}
+	}
+	for j, a := range e.adj[pivot*w : (pivot+1)*w] {
+		cand[j] = p[j] &^ a
+	}
+	next := e.stack[(d+1)*3*w:]
+	np, nx := next[:w], next[w:2*w]
+	for wi := range cand {
+		for m := cand[wi]; m != 0; m &= m - 1 {
+			v := wi*64 + bits.TrailingZeros64(m)
+			for j, a := range e.adj[v*w : (v+1)*w] {
+				np[j] = p[j] & a
+				nx[j] = x[j] & a
+			}
+			e.r = append(e.r, int32(v))
+			e.expand(d + 1)
+			e.r = e.r[:len(e.r)-1]
+			p[wi] &^= 1 << (v & 63)
+			x[wi] |= 1 << (v & 63)
+		}
+	}
+}
+
+func isEmpty(s []uint64) bool {
+	for _, m := range s {
+		if m != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // degeneracyOrder returns a vertex order built by repeatedly removing a
@@ -314,107 +393,23 @@ func degeneracyOrder(n int, nbr [][]int32) (order []int32, pos []int32) {
 	return order, pos
 }
 
-// countIntersect returns |a ∩ b| for sorted slices.
-func countIntersect(a, b []int32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			c++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return c
-}
-
-// intersectSorted returns a fresh sorted a ∩ b.
-func intersectSorted(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-// subtractSorted returns a fresh sorted a \ b.
-func subtractSorted(a, b []int32) []int32 {
-	var out []int32
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// removeSorted returns sorted a with v removed (in place).
-func removeSorted(a []int32, v int32) []int32 {
-	at := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if at == len(a) || a[at] != v {
-		return a
-	}
-	return append(a[:at], a[at+1:]...)
-}
-
-// insertSorted returns sorted a with v inserted (appends then rotates).
-func insertSorted(a []int32, v int32) []int32 {
-	at := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	a = append(a, 0)
-	copy(a[at+1:], a[at:])
-	a[at] = v
-	return a
-}
-
-// cliqueFromIndices32 is cliqueFromIndices for the sparse enumerator's
-// index type.
+// cliqueFromIndices32 materializes a clique from vertex indices into the
+// link table, with the canonical sorted link order.
 func cliqueFromIndices32(links []topology.Link, r []int32) *Clique {
 	ls := make([]topology.Link, len(r))
 	for i, idx := range r {
 		ls[i] = links[idx]
 	}
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].From != ls[j].From {
-			return ls[i].From < ls[j].From
-		}
-		return ls[i].To < ls[j].To
-	})
+	slices.SortFunc(ls, compareLinks)
 	return &Clique{Links: ls}
 }
 
-// cliqueFromIndices materializes a clique from vertex indices into the
-// link table, with the canonical sorted link order.
-func cliqueFromIndices(links []topology.Link, r []int) *Clique {
-	ls := make([]topology.Link, len(r))
-	for i, idx := range r {
-		ls[i] = links[idx]
+// compareLinks orders links by (From, To), the canonical link order.
+func compareLinks(a, b topology.Link) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
 	}
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].From != ls[j].From {
-			return ls[i].From < ls[j].From
-		}
-		return ls[i].To < ls[j].To
-	})
-	return &Clique{Links: ls}
+	return cmp.Compare(a.To, b.To)
 }
 
 // finish sorts the cliques into canonical order, assigns the §6.3
@@ -422,7 +417,7 @@ func cliqueFromIndices(links []topology.Link, r []int) *Clique {
 // the incremental Update funnel through it so identifier assignment is
 // identical for identical clique sets.
 func finish(out []*Clique) *Set {
-	sort.Slice(out, func(i, j int) bool { return cliqueLess(out[i], out[j]) })
+	slices.SortFunc(out, compareCliques)
 	seq := make(map[topology.NodeID]int)
 	byLink := make(map[topology.Link][]*Clique)
 	for _, c := range out {
@@ -436,16 +431,10 @@ func finish(out []*Clique) *Set {
 	return &Set{cliques: out, byLink: byLink}
 }
 
-func cliqueLess(a, b *Clique) bool {
-	for i := 0; i < len(a.Links) && i < len(b.Links); i++ {
-		if a.Links[i] != b.Links[i] {
-			if a.Links[i].From != b.Links[i].From {
-				return a.Links[i].From < b.Links[i].From
-			}
-			return a.Links[i].To < b.Links[i].To
-		}
-	}
-	return len(a.Links) < len(b.Links)
+// compareCliques orders cliques canonically: by their sorted link lists,
+// lexicographically, a proper prefix first.
+func compareCliques(a, b *Clique) int {
+	return slices.CompareFunc(a.Links, b.Links, compareLinks)
 }
 
 // All returns every proper contention clique.

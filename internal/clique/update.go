@@ -1,206 +1,166 @@
 // Incremental maintenance of the contention-clique decomposition under
-// node motion. Only links incident to a moved node can change their
-// contention relation (contention depends solely on endpoint positions),
-// so cliques built entirely from non-mover links survive; everything
-// else is re-enumerated on the small subgraph around the movers.
+// node motion. Contention between two links depends only on their
+// endpoints' identities and carrier-sense adjacency, so cliques built
+// entirely from links away from the nodes whose neighbor lists changed
+// survive; the rest is re-enumerated from the links at those nodes.
 package clique
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"gmp/internal/topology"
 )
 
-// Update returns the clique decomposition of topo after the nodes in
-// moved changed position, reusing old (the decomposition before the
-// move). The result is deep-equal to Build(topo) — identifiers included —
-// at a fraction of the cost when few nodes moved; the from-scratch Build
-// is kept as the differential oracle (TestUpdateMatchesBuild). old is not
+// Update returns the clique decomposition of topo after a topology
+// change, reusing old (the decomposition before the change). nodes must
+// cover the change: every node pair whose Tx or carrier-sense adjacency
+// flipped has an endpoint in nodes. topology.Diff.Touched is the smallest
+// such set MoveNodes reports, and Diff.Moved is a valid, larger one. The
+// result is deep-equal to Build(topo) — identifiers included — at a cost
+// that tracks the covered nodes' neighborhoods; the from-scratch Build is
+// kept as the differential oracle (TestUpdateMatchesBuild). old is not
 // modified.
 //
-// Correctness sketch. Every maximal clique of the new contention graph is
-// found by one of three routes:
-//   - no mover-incident link, maximal before the move: it is a kept old
-//     clique, still a clique (its pairwise contention is unchanged); it
-//     stays maximal unless some new mover-incident link extends it, which
-//     is re-checked here.
-//   - at least one mover-incident link a: it lies inside {a} ∪ N(a), so
-//     Bron–Kerbosch on the candidate subgraph S ⊇ A ∪ N(A) finds it, and
-//     subgraph-maximality implies graph-maximality (any extender contends
-//     with a, hence lies in S).
-//   - no mover-incident link, NOT maximal before the move: its old
-//     extender must have been mover-incident, so it lay inside a dropped
-//     (or de-maximalized kept) clique; its links are folded into S and a
-//     full-graph maximality check filters the survivors.
-func Update(topo *topology.Topology, old *Set, moved []topology.NodeID) *Set {
-	isMover := make([]bool, topo.NumNodes())
-	for _, m := range moved {
-		isMover[m] = true
+// Correctness sketch. Call a link covered when an endpoint is in nodes.
+// An uncovered link exists before and after the change, and two uncovered
+// links contend after it iff they did before. Every maximal clique K of
+// the new contention graph is found by exactly one of three routes:
+//   - K holds a covered link. Bron–Kerbosch is rooted at each covered
+//     link a in turn, over a's contention neighborhood N(a) with the
+//     earlier covered links in X, so K is emitted once, from its first
+//     covered link. Maximality inside {a} ∪ N(a) is maximality in the
+//     graph: any extender contends with a.
+//   - K is uncovered and was maximal before: it is an old clique without
+//     a covered link (kept). Only a covered link a can extend it now, and
+//     then K ∪ {a} lies in a clique K' of the first route whose uncovered
+//     part is exactly K (that part was a clique before, and K was
+//     maximal). So a kept clique is dropped iff it is the uncovered part
+//     of a first-route clique.
+//   - K is uncovered and was not maximal before. Its old extender was
+//     covered (an uncovered one would still extend it), so K lay inside
+//     an old clique D holding a covered link, and K is D's uncovered part
+//     exactly: that part is still a clique, and K is maximal. So the
+//     uncovered part of each such D is a candidate, kept when no link of
+//     the new graph extends it. It was not maximal before (D extends it),
+//     so it is no kept clique.
+func Update(topo *topology.Topology, old *Set, nodes []topology.NodeID) *Set {
+	covered := make([]bool, topo.NumNodes())
+	for _, v := range nodes {
+		covered[v] = true
 	}
-	moverLink := func(l topology.Link) bool { return isMover[l.From] || isMover[l.To] }
+	isCovered := func(l topology.Link) bool { return covered[l.From] || covered[l.To] }
 
-	// All undirected links of the new topology, in Build's canonical
-	// order (needed for contention neighborhoods and maximality checks),
-	// plus the sparse per-node incidence used to localize every
-	// contention query below.
-	allLinks := undirectedLinks(topo)
-	incident := incidentLists(topo.NumNodes(), allLinks)
-	mark := make([]bool, len(allLinks))
-
-	// New mover-incident undirected links.
-	var aNew []topology.Link
-	var aNewIdx []int32
-	for i, l := range allLinks {
-		if moverLink(l) {
-			aNew = append(aNew, l)
-			aNewIdx = append(aNewIdx, int32(i))
-		}
-	}
-
-	contendsAll := func(d topology.Link, links []topology.Link) bool {
-		for _, l := range links {
-			if !topo.LinksContend(d, l) {
-				return false
+	// The new topology's undirected links in Build's canonical order, and
+	// their contention neighborhoods, computed on first use: only the
+	// links near the covered nodes ever need one.
+	links := undirectedLinks(topo)
+	incident := incidentLists(topo.NumNodes(), links)
+	mark := make([]bool, len(links))
+	nbr := make([][]int32, len(links))
+	row := func(i int32) []int32 {
+		if nbr[i] == nil {
+			nbr[i] = contentionNeighbors(topo, links, incident, int(i), mark)
+			if nbr[i] == nil {
+				nbr[i] = []int32{}
 			}
 		}
-		return true
+		return nbr[i]
 	}
 
-	// Partition the old cliques: drop every clique touching a mover (its
-	// contention relations may have changed) and every survivor that a
-	// new mover-incident link can extend (no longer maximal). The
-	// non-mover links of dropped cliques seed the candidate subgraph so
-	// newly exposed sub-cliques are re-enumerated.
-	var kept []*Clique
-	pool := make(map[topology.Link]bool)
+	// Covered links, ascending.
+	var cov []int32
+	isCov := make([]bool, len(links))
+	for _, v := range nodes {
+		for _, i := range incident[v] {
+			if !isCov[i] {
+				isCov[i] = true
+				cov = append(cov, i)
+			}
+		}
+	}
+	slices.Sort(cov)
+
+	// Route 1: every clique holding a covered link, from its first one.
+	var out []*Clique
+	extended := make(map[*Clique]bool)
+	var e enumerator
+	var rest []topology.Link
+	for _, a := range cov {
+		for _, w := range row(a) {
+			row(w) // the search reads every neighbor's row
+		}
+		e.root(nbr, a, func(w int32) bool { return isCov[w] && w < a }, func(r []int32) {
+			c := cliqueFromIndices32(links, r)
+			out = append(out, c)
+			rest = uncoveredPart(rest[:0], c.Links, isCovered)
+			if q := findClique(old.byLink, rest); q != nil {
+				extended[q] = true
+			}
+		})
+	}
+
+	// Routes 2 and 3 over the old cliques. Kept cliques get new Clique
+	// values: finish reassigns identifiers and must not write through to
+	// old.
+	candidates := make(map[topology.Link][]*Clique)
 	for _, c := range old.cliques {
-		dropped := false
-		for _, l := range c.Links {
-			if moverLink(l) {
-				dropped = true
-				break
+		rest = uncoveredPart(rest[:0], c.Links, isCovered)
+		if len(rest) == len(c.Links) {
+			if !extended[c] {
+				out = append(out, &Clique{Links: c.Links})
 			}
+			continue
 		}
-		if !dropped {
-			for _, a := range aNew {
-				if contendsAll(a, c.Links) {
-					dropped = true // extendable: its extensions carry a
-					break
-				}
-			}
+		if len(rest) == 0 || findClique(candidates, rest) != nil {
+			continue
 		}
-		if dropped {
-			for _, l := range c.Links {
-				if !moverLink(l) {
-					pool[l] = true
-				}
-			}
-		} else {
-			kept = append(kept, c)
+		k := &Clique{Links: slices.Clone(rest)}
+		candidates[rest[0]] = append(candidates[rest[0]], k)
+		if !extendable(topo, links, row(int32(findLink(links, rest[0]))), k.Links) {
+			out = append(out, k)
 		}
-	}
-
-	// Candidate subgraph S = A ∪ N(A) ∪ pool, as indices into allLinks.
-	// N(A) comes from the localized contention neighborhoods — no scan
-	// of the full link table.
-	inS := make([]bool, len(allLinks))
-	for _, ai := range aNewIdx {
-		inS[ai] = true
-	}
-	for _, ai := range aNewIdx {
-		for _, j := range contentionNeighbors(topo, allLinks, incident, int(ai), mark) {
-			inS[j] = true
-		}
-	}
-	for l := range pool {
-		if idx := findLink(allLinks, l); idx >= 0 {
-			inS[idx] = true // non-mover links always persist in the new graph
-		}
-	}
-	var subIdx []int32
-	for i := range allLinks {
-		if inS[i] {
-			subIdx = append(subIdx, int32(i))
-		}
-	}
-	sub := make([]topology.Link, len(subIdx))
-	posInSub := make([]int32, len(allLinks))
-	for i := range posInSub {
-		posInSub[i] = -1
-	}
-	for si, i := range subIdx {
-		sub[si] = allLinks[i]
-		posInSub[i] = int32(si)
-	}
-
-	// Sparse contention adjacency restricted to S. Contention
-	// neighborhoods are ascending and subIdx is ascending, so the
-	// remapped rows come out sorted, as the enumerator requires.
-	nbr := make([][]int32, len(sub))
-	for si, i := range subIdx {
-		var row []int32
-		for _, j := range contentionNeighbors(topo, allLinks, incident, int(i), mark) {
-			if sj := posInSub[j]; sj >= 0 {
-				row = append(row, sj)
-			}
-		}
-		nbr[si] = row
-	}
-
-	keptKeys := make(map[string]bool, len(kept))
-	for _, c := range kept {
-		keptKeys[linkKey(c.Links)] = true
-	}
-
-	// Fresh Clique values throughout: finish reassigns identifiers and
-	// must not write through to the caller's old set.
-	out := make([]*Clique, 0, len(kept))
-	for _, c := range kept {
-		out = append(out, &Clique{Links: c.Links})
-	}
-	for _, r := range maximalCliquesSparse(len(sub), nbr) {
-		c := cliqueFromIndices32(sub, r)
-		hasMover := false
-		for _, l := range c.Links {
-			if moverLink(l) {
-				hasMover = true
-				break
-			}
-		}
-		if !hasMover {
-			// Subgraph-maximality does not imply graph-maximality for
-			// all-non-mover candidates: verify against the full link set
-			// and skip duplicates of kept cliques.
-			if keptKeys[linkKey(c.Links)] {
-				continue
-			}
-			if extendable(topo, allLinks, incident, mark, c.Links) {
-				continue
-			}
-		}
-		out = append(out, c)
 	}
 	return finish(out)
 }
 
-// extendable reports whether some link outside members contends with
-// every member, i.e. the clique is not maximal in the full graph. An
-// extender must contend with members[0] in particular, so only that
-// link's contention neighborhood is searched — not the full link table.
-func extendable(topo *topology.Topology, allLinks []topology.Link, incident [][]int32, mark []bool, members []topology.Link) bool {
-	inC := make(map[topology.Link]bool, len(members))
-	for _, l := range members {
-		inC[l] = true
+// uncoveredPart appends to dst the links of ls with no covered endpoint,
+// in order.
+func uncoveredPart(dst, ls []topology.Link, isCovered func(topology.Link) bool) []topology.Link {
+	for _, l := range ls {
+		if !isCovered(l) {
+			dst = append(dst, l)
+		}
 	}
-	m0 := findLink(allLinks, members[0])
-	for _, j := range contentionNeighbors(topo, allLinks, incident, m0, mark) {
-		d := allLinks[j]
-		if inC[d] {
+	return dst
+}
+
+// findClique returns the clique of byLink whose links are exactly links
+// (canonically sorted), or nil.
+func findClique(byLink map[topology.Link][]*Clique, links []topology.Link) *Clique {
+	if len(links) == 0 {
+		return nil
+	}
+	for _, c := range byLink[links[0]] {
+		if slices.Equal(c.Links, links) {
+			return c
+		}
+	}
+	return nil
+}
+
+// extendable reports whether some link outside members (canonically
+// sorted) contends with every member, i.e. the clique is not maximal in
+// the full graph. An extender contends with members[0] in particular, so
+// only that link's contention row row0 is searched.
+func extendable(topo *topology.Topology, links []topology.Link, row0 []int32, members []topology.Link) bool {
+	for _, j := range row0 {
+		d := links[j]
+		if _, in := slices.BinarySearchFunc(members, d, compareLinks); in {
 			continue
 		}
 		all := true
-		for _, l := range members {
+		for _, l := range members[1:] {
 			if !topo.LinksContend(d, l) {
 				all = false
 				break
@@ -226,9 +186,4 @@ func findLink(links []topology.Link, l topology.Link) int {
 		return at
 	}
 	return -1
-}
-
-// linkKey renders a canonical sorted link list as a map key.
-func linkKey(links []topology.Link) string {
-	return fmt.Sprint(links)
 }

@@ -21,17 +21,24 @@ const NoRoute topology.NodeID = -1
 // handful of flow destinations pays one BFS per destination actually
 // used instead of one per node — the difference between O(N·(N+E)) and
 // O(F·(N+E)) at city scale.
+//
+// A lazy table is stamped with the topology's adjacency version
+// (topology.Topology.Version). Once the adjacency changes, the table
+// keeps serving the rows it already built — the routes as they were at
+// build time — and panics on a row it would have to compute against the
+// changed topology. A caller that keeps reading an old table after
+// motion materializes the rows it needs before the change.
 type Table struct {
 	next [][]topology.NodeID // [dest][node] -> next hop (NoRoute if none)
 	dist [][]int             // [dest][node] -> hop count (-1 if unreachable)
 
-	// Lazy mode only: the topology rows are computed from, and the
-	// excluded-node set frozen at build time. nil for eager tables.
-	// A lazy Table is not safe for concurrent use, and the topology
-	// must not be mutated while the table is alive — callers with
-	// mobility build eagerly.
-	topo *topology.Topology
-	down []bool
+	// Lazy mode only: the topology rows are computed from, its
+	// adjacency version at build time, and the excluded-node set frozen
+	// at build time. topo is nil for eager tables. A lazy Table is not
+	// safe for concurrent use.
+	topo    *topology.Topology
+	version uint64
+	down    []bool
 }
 
 // Build computes minimum-hop routes between all node pairs via one BFS per
@@ -60,8 +67,8 @@ func BuildExcluding(topo *topology.Topology, down []bool) *Table {
 // BuildLazy returns a table whose per-destination rows are computed on
 // first access. It is interchangeable with Build for read access — every
 // materialized row is byte-identical to the eager one — under two
-// restrictions documented on Table: no concurrent use, and no topology
-// mutation while the table is alive.
+// restrictions documented on Table: no concurrent use, and no new row
+// once the topology's adjacency has changed.
 func BuildLazy(topo *topology.Topology) *Table {
 	return BuildLazyExcluding(topo, nil)
 }
@@ -71,7 +78,7 @@ func BuildLazy(topo *topology.Topology) *Table {
 // into rows built afterward.
 func BuildLazyExcluding(topo *topology.Topology, down []bool) *Table {
 	t := newTable(topo.NumNodes())
-	t.topo = topo
+	t.topo, t.version = topo, topo.Version()
 	if down != nil {
 		t.down = append([]bool(nil), down...)
 	}
@@ -130,9 +137,14 @@ func buildRow(topo *topology.Topology, down []bool, dest int, t *Table) {
 
 // ensure materializes dest's row if the table is lazy and the row has
 // not been built yet. Eager rows are always present, so this is a
-// nil-check on the hot path.
+// nil-check on the hot path. It panics when the topology's adjacency
+// changed since the table was built: the row would describe the new
+// topology, not the one the table's other rows were built on.
 func (t *Table) ensure(dest topology.NodeID) {
 	if t.next[dest] == nil {
+		if v := t.topo.Version(); v != t.version {
+			panic(fmt.Sprintf("routing: row for destination %d requested from a lazy table of topology version %d, now at %d", dest, t.version, v))
+		}
 		buildRow(t.topo, t.down, int(dest), t)
 	}
 }

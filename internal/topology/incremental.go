@@ -14,6 +14,11 @@ import (
 type Diff struct {
 	// Moved lists the nodes whose positions changed, ascending.
 	Moved []NodeID
+	// Touched lists the movers whose Tx or carrier-sense neighbor list
+	// changed, ascending; Touched ⊆ Moved. Every node pair whose Tx or
+	// CS adjacency flipped has an endpoint in Touched, so it covers the
+	// change for clique.Update.
+	Touched []NodeID
 	// OldLinks is the dense directed-link slice as it was before the
 	// update. Dense per-link state recorded under the old indices must be
 	// re-keyed through these Link values into the new index space.
@@ -35,6 +40,12 @@ type Diff struct {
 func (d *Diff) Changed() bool {
 	return len(d.AddedLinks) > 0 || len(d.RemovedLinks) > 0 || d.CSChanged
 }
+
+// Version returns the topology's adjacency version: 0 at New, bumped by
+// every MoveNodes call whose Diff reports Changed. Structures derived
+// from the adjacency (lazy routing tables) record it to detect that they
+// went stale.
+func (t *Topology) Version() uint64 { return t.version }
 
 // MoveNodes updates the positions of the given nodes in place and
 // incrementally repairs every derived structure — Tx/CS neighbor lists,
@@ -147,9 +158,12 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 	// the non-mover endpoints' sorted lists. Edges between two movers are
 	// processed once (from the lower-ID side); both endpoints' lists are
 	// replaced wholesale below, so only the bitset and the Diff entry are
-	// needed for those.
+	// needed for those. A mover is touched when either of its own lists
+	// changed, which every flipped pair — a mover at one end — reports.
+	touched := make([]bool, len(diff.Moved))
 	for i, m := range diff.Moved {
 		added, removed := diffSorted(oldTx[i], newTx[i])
+		touched[i] = len(added) > 0 || len(removed) > 0
 		for _, x := range added {
 			if isMover[x] && x < m {
 				continue
@@ -181,6 +195,7 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 	} else {
 		for i, m := range diff.Moved {
 			added, removed := diffSorted(oldCS[i], newCS[i])
+			touched[i] = touched[i] || len(added) > 0 || len(removed) > 0
 			for _, x := range added {
 				if isMover[x] && x < m {
 					continue
@@ -213,6 +228,12 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		if !sameRange {
 			t.csNeighbors[m] = newCS[i]
 		}
+		if touched[i] {
+			diff.Touched = append(diff.Touched, m)
+		}
+	}
+	if diff.Changed() {
+		t.version++
 	}
 
 	if len(diff.AddedLinks) > 0 || len(diff.RemovedLinks) > 0 {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -151,4 +152,90 @@ func equalIDs(a, b []NodeID) bool {
 		}
 	}
 	return true
+}
+
+// TestDiffTouchedCovers checks the cover contract clique.Update relies
+// on, over random motion with equal and widened carrier-sense ranges:
+// every node pair whose Tx or CS adjacency flipped has an endpoint in
+// Diff.Touched; Touched is exactly the movers whose Tx or CS neighbor
+// list changed, ascending, so Touched ⊆ Moved; and the adjacency
+// version bumps iff Diff.Changed.
+func TestDiffTouchedCovers(t *testing.T) {
+	for _, csFactor := range []float64{1, 1.7} {
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 10; trial++ {
+			n := 10 + rng.Intn(30)
+			topo, pts := randomTopo(rng, n, 1000, 250, csFactor)
+			changed := 0
+			for step := 0; step < 40; step++ {
+				var oldTx, oldCS [][]NodeID
+				for v := 0; v < n; v++ {
+					oldTx = append(oldTx, topo.Neighbors(NodeID(v)))
+					oldCS = append(oldCS, topo.CSNeighbors(NodeID(v)))
+				}
+				adjacency := func(a, b int) [2]bool {
+					return [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
+				}
+				before := make([][2]bool, n*n)
+				for a := 0; a < n; a++ {
+					for b := 0; b < n; b++ {
+						before[a*n+b] = adjacency(a, b)
+					}
+				}
+				version := topo.Version()
+
+				moved, np := mutate(rng, pts, 1000, 1000)
+				diff, err := topo.MoveNodes(moved, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sort.SliceIsSorted(diff.Touched, func(i, j int) bool { return diff.Touched[i] < diff.Touched[j] }) {
+					t.Fatalf("csFactor %v trial %d step %d: Touched %v not ascending", csFactor, trial, step, diff.Touched)
+				}
+				touched := make([]bool, n)
+				for _, v := range diff.Touched {
+					touched[v] = true
+				}
+				isMover := make([]bool, n)
+				for _, m := range diff.Moved {
+					isMover[m] = true
+				}
+				for v := 0; v < n; v++ {
+					listChanged := !slices.Equal(oldTx[v], topo.Neighbors(NodeID(v))) ||
+						!slices.Equal(oldCS[v], topo.CSNeighbors(NodeID(v)))
+					if touched[v] && !isMover[v] {
+						t.Fatalf("csFactor %v trial %d step %d: touched node %d did not move", csFactor, trial, step, v)
+					}
+					if isMover[v] && touched[v] != listChanged {
+						t.Fatalf("csFactor %v trial %d step %d: mover %d touched=%v, neighbor lists changed=%v", csFactor, trial, step, v, touched[v], listChanged)
+					}
+				}
+				flipped := false
+				for a := 0; a < n; a++ {
+					for b := a + 1; b < n; b++ {
+						if before[a*n+b] == adjacency(a, b) {
+							continue
+						}
+						flipped = true
+						if !touched[a] && !touched[b] {
+							t.Fatalf("csFactor %v trial %d step %d: pair (%d,%d) flipped with neither endpoint touched (%v)", csFactor, trial, step, a, b, diff.Touched)
+						}
+					}
+				}
+				if diff.Changed() != flipped {
+					t.Fatalf("csFactor %v trial %d step %d: Changed() = %v, adjacency flipped = %v", csFactor, trial, step, diff.Changed(), flipped)
+				}
+				bumped := topo.Version() != version
+				if bumped != diff.Changed() || (bumped && topo.Version() != version+1) {
+					t.Fatalf("csFactor %v trial %d step %d: version %d -> %d with Changed() = %v", csFactor, trial, step, version, topo.Version(), diff.Changed())
+				}
+				if diff.Changed() {
+					changed++
+				}
+			}
+			if changed == 0 || changed == 40 {
+				t.Fatalf("csFactor %v trial %d: %d of 40 steps changed adjacency; want a mix", csFactor, trial, changed)
+			}
+		}
+	}
 }

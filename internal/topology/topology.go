@@ -115,6 +115,9 @@ type Topology struct {
 	// topologies (the differential oracle path), which fall back to
 	// full scans.
 	grid *geom.Grid
+
+	// version counts the MoveNodes calls that changed adjacency.
+	version uint64
 }
 
 // ErrNoNodes is returned when constructing a topology with no nodes.
