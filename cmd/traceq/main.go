@@ -4,15 +4,24 @@
 // lists the provenance chain behind every §5.3 rate-limit change, and
 // converts traces to Chrome trace-event JSON for Perfetto.
 //
+// Its lint command validates telemetry and span JSONL files against
+// their schemas (obs.ValidateJSONL and span.ValidateJSONL, the schemas'
+// executable definitions) and prints per-type record counts; CI runs it
+// on freshly recorded streams. The schema is auto-detected per file:
+// span streams open with a meta record carrying "sample_every",
+// telemetry streams do not. Use -schema to force one.
+//
 // Usage:
 //
 //	traceq critical-path [-flow N] [-verify] trace.jsonl
 //	traceq top-waits [-n 10] trace.jsonl
 //	traceq limit-chain [-flow N] trace.jsonl
 //	traceq perfetto [-o out.json] [-check] trace.jsonl
+//	traceq lint [-schema auto|telemetry|spans] file.jsonl [file.jsonl ...]
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -22,6 +31,7 @@ import (
 	"sort"
 	"time"
 
+	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/span"
 	"gmp/internal/topology"
@@ -35,7 +45,8 @@ commands:
   critical-path  per-packet hop-by-hop latency breakdown (-flow N, -verify)
   top-waits      where sampled packets waited, aggregated by node (-n N)
   limit-chain    provenance of every rate-limit change (-flow N)
-  perfetto       convert to Chrome trace-event JSON (-o file, -check)`)
+  perfetto       convert to Chrome trace-event JSON (-o file, -check)
+  lint           validate telemetry/span JSONL files (-schema auto|telemetry|spans)`)
 	os.Exit(2)
 }
 
@@ -75,6 +86,11 @@ func main() {
 		err = withTrace(fs.Args(), func(t *span.Trace) error {
 			return perfetto(t, *out, *check)
 		})
+	case "lint":
+		fs := flag.NewFlagSet("lint", flag.ExitOnError)
+		schema := fs.String("schema", "auto", "schema to validate against: auto, telemetry, or spans")
+		fs.Parse(os.Args[2:])
+		err = lintFiles(fs.Args(), *schema)
 	default:
 		usage()
 	}
@@ -228,5 +244,69 @@ func perfetto(t *span.Trace, out string, check bool) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "traceq: perfetto: %d events, JSON ok\n", len(events))
+	return nil
+}
+
+// lintFiles lints every file, reporting each failure, and fails if any
+// file does.
+func lintFiles(paths []string, schema string) error {
+	switch schema {
+	case "auto", "telemetry", "spans":
+	default:
+		return fmt.Errorf("lint: unknown -schema %q", schema)
+	}
+	if len(paths) == 0 {
+		return fmt.Errorf("lint: expected at least one JSONL file")
+	}
+	failed := 0
+	for _, path := range paths {
+		if err := lint(path, schema); err != nil {
+			fmt.Fprintf(os.Stderr, "traceq: %s: %v\n", path, err)
+			failed++
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("lint: %d of %d files failed", failed, len(paths))
+	}
+	return nil
+}
+
+// lint validates one JSONL file against schema ("auto" detects it) and
+// prints its per-type record counts.
+func lint(path, schema string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if schema == "auto" {
+		br := bufio.NewReader(f)
+		head, _ := br.Peek(4096)
+		schema = "telemetry"
+		if line, _, ok := bytes.Cut(head, []byte("\n")); (ok || len(line) > 0) && bytes.Contains(line, []byte(`"sample_every"`)) {
+			schema = "spans"
+		}
+		r = br
+	}
+	var counts map[string]int
+	if schema == "spans" {
+		counts, err = span.ValidateJSONL(r)
+	} else {
+		counts, err = obs.ValidateJSONL(r)
+	}
+	if err != nil {
+		return err
+	}
+	types := make([]string, 0, len(counts))
+	for k := range counts {
+		types = append(types, k)
+	}
+	sort.Strings(types)
+	fmt.Printf("%s: ok (%s)", path, schema)
+	for _, k := range types {
+		fmt.Printf(" %s=%d", k, counts[k])
+	}
+	fmt.Println()
 	return nil
 }

@@ -200,7 +200,9 @@ func TestDeterminismGate(t *testing.T) {
 // layer: enabling Config.Telemetry must reproduce the telemetry-off
 // Result byte-for-byte (the committed goldens above, which exclude the
 // Telemetry field), and the recorded telemetry itself must be schema-
-// valid and byte-identical across repeated runs.
+// valid and byte-identical across repeated runs. The repeat run turns
+// every observer on, so neither the Result nor the telemetry may move
+// when spans and the event ring share the probe.
 func TestTelemetryGate(t *testing.T) {
 	for _, tc := range gateCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,9 +233,13 @@ func TestTelemetryGate(t *testing.T) {
 				t.Fatalf("telemetry JSONL fails its schema: %v", err)
 			}
 
-			res2, err := Run(cfg)
+			res2, err := Run(withAllObservers(cfg))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := dumpResult(res2); got != string(want) {
+				t.Fatalf("all-observers result diverged from the golden:\n%s",
+					firstDiff(string(want), got))
 			}
 			var j2 bytes.Buffer
 			if err := res2.Telemetry.WriteJSONL(&j2); err != nil {
@@ -244,6 +250,15 @@ func TestTelemetryGate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withAllObservers returns cfg with telemetry, spans and the event ring
+// all enabled.
+func withAllObservers(cfg Config) Config {
+	cfg.Telemetry = &TelemetryConfig{}
+	cfg.Spans = &SpanConfig{}
+	cfg.EventTrace = 1 << 12
+	return cfg
 }
 
 // dumpResult renders every behavior-relevant field of a Result as

@@ -575,7 +575,122 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	s, err := newSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.start(); err != nil {
+		return nil, err
+	}
+	if done := ctx.Done(); done != nil {
+		// Poll for cancellation on the virtual clock. The poll event
+		// touches no protocol state and no random source, so enabling
+		// it cannot change the outcome of an uncancelled run.
+		var poll func()
+		poll = func() {
+			select {
+			case <-done:
+				s.sched.Stop()
+			default:
+				s.sched.After(time.Second, poll)
+			}
+		}
+		s.sched.After(time.Second, poll)
+	}
+	s.sched.At(cfg.Warmup, func() { s.registry.Mark(cfg.Warmup) })
+	s.sched.Run(cfg.Duration)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("gmp: run aborted at t=%v: %w", s.sched.Now(), err)
+	}
+	return s.collect()
+}
 
+// gmpRuntime is what a session drives in either GMP runtime: the
+// central *core.Engine or the per-node agents of *core.Distributed.
+type gmpRuntime interface {
+	SetCliques(*clique.Set)
+	SetFaultProbe(func() []topology.NodeID)
+	SetProbe(*obs.Probe)
+	OnFlowDeparted(packet.FlowID)
+	Trace() []core.Round
+}
+
+// session is one run in stages: newSession builds the network, start
+// wires the run's dynamic parts, RunContext runs the kernel, and collect
+// assembles the Result. The hooks the parts call back into are methods
+// over the session's fields.
+//
+// Master-RNG draw order. Every random source is seeded by one draw from
+// the master RNG (Config.Seed), in this order:
+//  1. churn, if on;
+//  2. the medium;
+//  3. one draw per station, in node order;
+//  4. one draw per source, in flow order;
+//  5. in-band jitter, outside gmp-dist;
+//  6. the agents' offsets, in gmp-dist;
+//  7. mobility, if on.
+//
+// A part that is off draws nothing, so a churn-off or mobility-off run
+// consumes the identical sequence it always did.
+//
+// Event-registration order. Same-instant kernel events run in the order
+// they were registered, and the stages register theirs in this order:
+// the static sources' first packets (newSession); in-band control, the
+// fault schedule, the protocol's period boundaries, mobility epochs,
+// churn arrivals and the telemetry sampler (start); the cancel poll and
+// the warmup mark (RunContext).
+//
+// The determinism goldens pin both orders, so neither may move; the
+// telemetry goldens, for one, pin the sampler's place after churn.
+type session struct {
+	cfg    Config
+	sched  *sim.Scheduler
+	master *rand.Rand
+	topo   *topology.Topology
+
+	// routes is the t=0 table: the reference allocation and
+	// FlowResult.Hops read it after mobility has left it stale.
+	// liveRoutes is the latest repair, which churn admission tests
+	// arrivals against.
+	routes, liveRoutes *routing.Table
+	// cliques is the t=0 decomposition; liveCliques follows mobility.
+	cliques, liveCliques *clique.Set
+	capacity             float64
+
+	// allFlows holds the static flows, then one flow per churn arrival
+	// (staticN counts the static ones). ccfg is the effective churn
+	// workload and churnFlows its schedule, nil when churn is off.
+	allFlows   []flow.Spec
+	staticN    int
+	ccfg       *churn.Config
+	churnFlows []churn.Flow
+
+	medium   *radio.Medium
+	fwdCfg   forwarding.Config
+	nodes    []*forwarding.Node
+	stations []*mac.Station
+	registry *flow.Registry
+
+	// sinks holds the run's observers, each nil when off. probe, what
+	// every layer holds, points at sinks, or is nil when all are off.
+	sinks obs.Probe
+	probe *obs.Probe
+
+	dissAgents     []*dissemination.Agent
+	fengine        *faults.Engine
+	rt             gmpRuntime // nil outside the two GMP protocols
+	twoPPTarget    []float64
+	mobEngine      *mobility.Engine
+	lastTopoChange time.Duration
+	churnEng       *churn.Engine
+	admCtrl        *admission.Controller
+}
+
+// newSession builds the run's network: the topology, the t=0 routes
+// with every flow's row, the churn schedule, the medium, the observers'
+// probe, the stations with their forwarding nodes, the flow sources
+// (static flows start here) and the cliques.
+func newSession(cfg Config) (*session, error) {
 	topo, err := cfg.Scenario.Topology()
 	if err != nil {
 		return nil, fmt.Errorf("gmp: building topology: %w", err)
@@ -604,31 +719,26 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("gmp: flow %d has no route from %d to %d", spec.ID, spec.Src, spec.Dst)
 		}
 	}
-
-	par := radio.DefaultParams()
-	if cfg.Radio != nil {
-		par = *cfg.Radio
+	s := &session{
+		cfg:        cfg,
+		sched:      sim.NewScheduler(),
+		master:     sim.NewRand(cfg.Seed),
+		topo:       topo,
+		routes:     routes,
+		liveRoutes: routes,
+		allFlows:   append([]flow.Spec(nil), cfg.Scenario.Flows...),
+		staticN:    len(cfg.Scenario.Flows),
 	}
-	par.LossProb = cfg.LossProb
 
-	sched := sim.NewScheduler()
-	master := sim.NewRand(cfg.Seed)
-
-	// Churn workload. Its randomness is drawn first and only when churn
-	// is enabled, so churn-off runs consume the identical random sequence
-	// they always did (the static determinism goldens pin this).
-	var ccfg *churn.Config
-	var churnFlows []churn.Flow
+	// Churn workload: every arrival is generated up front.
 	if c := cfg.churnConfig(); c != nil {
 		cc := c.WithDefaults()
-		ccfg = &cc
-		churnFlows = churn.Generate(cc, len(cfg.Scenario.Positions), cfg.Duration, sim.NewRand(master.Int63()))
+		s.ccfg = &cc
+		s.churnFlows = churn.Generate(cc, len(cfg.Scenario.Positions), cfg.Duration, sim.NewRand(s.master.Int63()))
 	}
-	staticN := len(cfg.Scenario.Flows)
-	allFlows := append([]flow.Spec(nil), cfg.Scenario.Flows...)
-	for i, cf := range churnFlows {
-		allFlows = append(allFlows, flow.Spec{
-			ID:          packet.FlowID(staticN + i),
+	for i, cf := range s.churnFlows {
+		spec := flow.Spec{
+			ID:          packet.FlowID(s.staticN + i),
 			Src:         cf.Src,
 			Dst:         cf.Dst,
 			Weight:      cf.Weight,
@@ -636,176 +746,144 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			SizeBytes:   cf.SizeBytes,
 			Start:       cf.At,
 			Stop:        cf.At + cf.Lifetime,
-		})
-	}
-	// routes stays the t=0 table: the end-of-run reference and
-	// FlowResult.Hops read it after mobility has left it stale, so every
-	// flow's row is built now, while it still matches the topology (the
-	// static flows' rows were built by the check above).
-	for _, spec := range allFlows[staticN:] {
+		}
+		s.allFlows = append(s.allFlows, spec)
+		// The t=0 table must hold every flow's row before mobility can
+		// leave it stale (the static rows were built by the check above).
 		routes.HopCount(spec.Src, spec.Dst)
 	}
 
-	medium := radio.NewMedium(sched, topo, par, sim.NewRand(master.Int63()))
-
-	fwdCfg, err := forwardingConfig(cfg)
-	if err != nil {
+	par := radio.DefaultParams()
+	if cfg.Radio != nil {
+		par = *cfg.Radio
+	}
+	par.LossProb = cfg.LossProb
+	s.medium = radio.NewMedium(s.sched, topo, par, sim.NewRand(s.master.Int63()))
+	s.capacity = par.SaturationRate(packetBytes(s.allFlows), !cfg.DisableRTS)
+	if s.fwdCfg, err = forwardingConfig(cfg); err != nil {
 		return nil, err
 	}
-
-	registry, err := flow.NewRegistry(allFlows)
-	if err != nil {
+	if s.registry, err = flow.NewRegistry(s.allFlows); err != nil {
 		return nil, fmt.Errorf("gmp: %w", err)
 	}
 
-	// Telemetry (see internal/obs). The recorder only observes, and the
-	// sampler below draws no randomness and touches no protocol state,
-	// so a telemetry-on run reproduces a telemetry-off run exactly.
-	var rec *obs.Recorder
-	sinkFn := forwarding.SinkFunc(registry.OnDeliver)
+	// Observers (internal/obs, internal/span, internal/trace). None draws
+	// randomness or touches protocol state, and span sampling is a pure
+	// function of (Config.Seed, flow, stride), so an observed run
+	// reproduces an unobserved one exactly.
 	if cfg.Telemetry != nil {
 		interval := cfg.Telemetry.SampleInterval
 		if interval <= 0 {
 			interval = cfg.Period
 		}
-		rec = obs.NewRecorder(topo, len(allFlows), interval, sched.Now)
-		medium.SetRecorder(rec)
-		sinkFn = func(p *packet.Packet, from topology.NodeID) {
-			rec.Delivered(p.Flow, sched.Now()-p.Created)
-			registry.OnDeliver(p, from)
-		}
+		s.sinks.Tel = obs.NewRecorder(topo, len(s.allFlows), interval, s.sched.Now)
 	}
-
-	// Causal tracing (see internal/span). Sampling is a pure function of
-	// (Config.Seed, flow, stride) — no randomness is drawn — and the
-	// recorder only observes, so a spans-on run reproduces a spans-off
-	// run exactly.
-	var spanRec *span.Recorder
 	if cfg.Spans != nil {
-		spanRec = span.NewRecorder(topo.NumNodes(), len(allFlows), cfg.Seed, cfg.Spans.SampleEvery, sched.Now)
-		medium.SetSpans(spanRec)
-		prevSink := sinkFn
-		sinkFn = func(p *packet.Packet, from topology.NodeID) {
-			spanRec.Delivered(p)
-			prevSink(p, from)
-		}
+		s.sinks.Spans = span.NewRecorder(topo.NumNodes(), len(s.allFlows), cfg.Seed, cfg.Spans.SampleEvery, s.sched.Now)
 	}
-
-	var ring *trace.Ring
-	dropFn := registry.OnDrop
 	if cfg.EventTrace > 0 {
-		ring = trace.NewRing(cfg.EventTrace)
-		medium.SetObserver(ring.Record)
-		dropFn = func(p *packet.Packet, reason forwarding.DropReason) {
-			ring.Record(trace.Event{
-				At:     sched.Now(),
-				Kind:   trace.KindDrop,
-				Node:   p.Src,
-				Peer:   p.Dst,
-				Detail: fmt.Sprintf("%s %s", p, reason),
-			})
-			registry.OnDrop(p, reason)
-		}
+		s.sinks.Events = trace.NewRing(cfg.EventTrace)
 	}
+	if s.sinks != (obs.Probe{}) {
+		s.probe = &s.sinks
+	}
+	s.medium.SetProbe(s.probe)
 
-	nodes := make([]*forwarding.Node, topo.NumNodes())
-	stations := make([]*mac.Station, topo.NumNodes())
+	s.nodes = make([]*forwarding.Node, topo.NumNodes())
+	s.stations = make([]*mac.Station, topo.NumNodes())
 	macCfg := mac2Config(cfg)
 	for _, id := range topo.Nodes() {
-		n := forwarding.NewNode(id, sched, fwdCfg, routes, sinkFn, dropFn)
-		st := newStation(id, sched, medium, macCfg, master.Int63(), n)
+		n := forwarding.NewNode(id, s.sched, s.fwdCfg, routes, s.registry.OnDeliver, s.registry.OnDrop)
+		st := newStation(id, s.sched, s.medium, macCfg, s.master.Int63(), n)
 		n.SetMAC(st)
-		if rec != nil {
-			n.SetRecorder(rec)
-			st.SetRecorder(rec)
-		}
-		if spanRec != nil {
-			n.SetSpans(spanRec)
-			st.SetSpans(spanRec)
-		}
-		nodes[id] = n
-		stations[id] = st
+		n.SetProbe(s.probe)
+		st.SetProbe(s.probe)
+		s.nodes[id], s.stations[id] = n, st
 	}
-
-	for _, spec := range allFlows {
-		src := flow.NewSource(spec, sched, nodes[spec.Src], cfg.Period, sim.NewRand(master.Int63()))
+	for _, spec := range s.allFlows {
+		src := flow.NewSource(spec, s.sched, s.nodes[spec.Src], cfg.Period, sim.NewRand(s.master.Int63()))
 		src.SetCBR(cfg.CBRSources)
-		if spanRec != nil {
-			src.SetSpans(spanRec)
-		}
-		registry.AttachSource(spec.ID, src)
+		s.registry.AttachSource(spec.ID, src)
 		// Static flows start immediately; churn flows wait for their
-		// arrival's admission decision (StartNow in the admit hook).
-		if int(spec.ID) < staticN {
+		// arrival's admission decision (StartNow in OnAdmit).
+		if int(spec.ID) < s.staticN {
 			src.Start()
 		}
 	}
+	s.cliques = clique.Build(topo)
+	s.liveCliques = s.cliques
+	return s, nil
+}
 
-	var dissAgents []*dissemination.Agent
+// start wires the run's dynamic parts, in registration order: in-band
+// control, faults, the protocol, mobility, churn and the telemetry
+// sampler.
+func (s *session) start() error {
+	cfg := s.cfg
 	if cfg.InBandControl && cfg.Protocol != ProtocolGMPDistributed {
 		// The distributed runtime's own dissemination is already
 		// in-band; this path covers the other protocols.
-		dissAgents = startInBandControl(sched, topo, nodes, stations, cfg.Period, sim.NewRand(master.Int63()))
+		s.dissAgents = startInBandControl(s.sched, s.topo, s.nodes, s.stations, cfg.Period, sim.NewRand(s.master.Int63()))
 	}
-
-	// rebuildRoutes repairs the routing tables against the live topology,
-	// excluding crashed nodes. Shared by fault-driven and motion-driven
-	// route repair (which compose: a motion epoch must keep excluding
-	// nodes a fault already crashed). liveRoutes tracks the latest table
-	// so churn admission tests arrivals against current reachability.
-	liveRoutes := routes
-	rebuildRoutes := func(down []bool) *routing.Table {
-		var t *routing.Table
-		if cfg.GeographicRouting {
-			if gt, gerr := routing.BuildGeographicExcluding(topo, down); gerr == nil {
-				t = gt
-			}
-			// A crash or motion opened a greedy void: GPSR-style
-			// fallback to shortest-path repair.
-		}
-		if t == nil {
-			// The down set is copied at build time.
-			t = routing.BuildLazyExcluding(topo, down)
-		}
-		liveRoutes = t
-		return t
-	}
-
-	// Fault injection. The engine draws no randomness and registers all
-	// events up front, so a run with an empty schedule is byte-identical
-	// to one without this block.
-	var fengine *faults.Engine
+	// The fault engine draws no randomness and registers all events up
+	// front, so a run with an empty schedule is byte-identical to one
+	// without faults.
 	if events := cfg.faultSchedule(); len(events) > 0 {
-		fengine, err = faults.Start(sched, topo.NumNodes(), events, faults.Hooks{
-			Medium:   medium,
-			Stations: stations,
-			Nodes:    nodes,
-			Sources:  registry.Sources(),
-			Rebuild:  rebuildRoutes,
+		var err error
+		s.fengine, err = faults.Start(s.sched, s.topo.NumNodes(), events, faults.Hooks{
+			Medium:   s.medium,
+			Stations: s.stations,
+			Nodes:    s.nodes,
+			Sources:  s.registry.Sources(),
+			Rebuild:  s.rebuildRoutes,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("gmp: fault schedule: %w", err)
+			return fmt.Errorf("gmp: fault schedule: %w", err)
 		}
 	}
-
-	cliques := clique.Build(topo)
-	liveCliques := cliques
-	capacity := par.SaturationRate(packetBytes(allFlows), !cfg.DisableRTS)
-	refFlows := make([]maxminref.FlowSpec, len(cfg.Scenario.Flows))
-	for i, spec := range cfg.Scenario.Flows {
-		refFlows[i] = maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate}
+	if err := s.startProtocol(); err != nil {
+		return err
 	}
+	if mob := cfg.mobilityConfig(); mob != nil {
+		var err error
+		if s.mobEngine, err = mobility.Start(s.sched, cfg.Scenario.Positions, *mob, sim.NewRand(s.master.Int63()), s.onEpoch); err != nil {
+			return fmt.Errorf("gmp: %w", err)
+		}
+	}
+	if s.ccfg != nil {
+		s.startChurn()
+	}
+	if tel := s.sinks.Tel; tel != nil {
+		// Periodic sampler: queue depths, per-link channel utilization,
+		// per-flow rate limits. Pure observation on the virtual clock.
+		interval := tel.SampleInterval()
+		var sample func()
+		sample = func() {
+			smp := obs.Sample{At: s.sched.Now(), Queues: make([]int, len(s.nodes))}
+			for i, n := range s.nodes {
+				smp.Queues[i] = n.TotalQueued()
+			}
+			smp.Links = tel.SampleLinkUtil(interval)
+			smp.Limits = s.registry.Limits()
+			tel.AddSample(smp)
+			s.sched.After(interval, sample)
+		}
+		s.sched.After(interval, sample)
+	}
+	return nil
+}
 
-	gmpParams := core.Params{
+// startProtocol starts the selected protocol's control: a GMP runtime,
+// or 2PP's precomputed limits. Plain 802.11 and backpressure have none.
+func (s *session) startProtocol() error {
+	cfg := s.cfg
+	params := core.Params{
 		Period:           cfg.Period,
 		Beta:             cfg.Beta,
 		OmegaThreshold:   cfg.OmegaThreshold,
 		AdditiveIncrease: cfg.AdditiveIncrease,
 		HalveGap:         core.DefaultParams().HalveGap,
 	}
-	var engine *core.Engine
-	var dist *core.Distributed
-	var twoPPTarget []float64
 	switch cfg.Protocol {
 	case ProtocolGMPDistributed:
 		// Control messaging defaults to the out-of-band bus (reliable,
@@ -813,327 +891,282 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// it over real 802.11 broadcasts instead — which have no
 		// collision recovery and can starve under the very congestion
 		// GMP exists to control (see EXPERIMENTS.md).
-		dissAgents = make([]*dissemination.Agent, topo.NumNodes())
+		s.dissAgents = make([]*dissemination.Agent, s.topo.NumNodes())
 		if cfg.InBandControl {
-			for _, id := range topo.Nodes() {
-				dissAgents[id] = dissemination.NewAgent(id, topo, stations[id])
+			for _, id := range s.topo.Nodes() {
+				s.dissAgents[id] = dissemination.NewAgent(id, s.topo, s.stations[id])
 			}
 		} else {
-			bus := dissemination.NewBus(topo)
-			for _, id := range topo.Nodes() {
-				dissAgents[id] = bus.NewAgent(id, topo)
+			bus := dissemination.NewBus(s.topo)
+			for _, id := range s.topo.Nodes() {
+				s.dissAgents[id] = bus.NewAgent(id, s.topo)
 			}
 		}
-		board := measure.NewOccupancyBoard(medium, cfg.Period)
-		dist, err = core.StartDistributed(sched, topo, cliques, board, nodes, dissAgents,
-			registry, gmpParams, sim.NewRand(master.Int63()))
+		board := measure.NewOccupancyBoard(s.medium, cfg.Period)
+		dist, err := core.StartDistributed(s.sched, s.topo, s.cliques, board, s.nodes, s.dissAgents,
+			s.registry, params, sim.NewRand(s.master.Int63()))
 		if err != nil {
-			return nil, fmt.Errorf("gmp: %w", err)
+			return fmt.Errorf("gmp: %w", err)
 		}
+		s.rt = dist
 	case ProtocolGMP:
-		collector := measure.NewCollector(nodes, medium, cfg.OmegaThreshold)
-		engine, err = core.NewEngine(sched, topo, cliques, registry, collector, gmpParams)
+		collector := measure.NewCollector(s.nodes, s.medium, cfg.OmegaThreshold)
+		engine, err := core.NewEngine(s.sched, s.topo, s.cliques, s.registry, collector, params)
 		if err != nil {
-			return nil, fmt.Errorf("gmp: %w", err)
+			return fmt.Errorf("gmp: %w", err)
 		}
 		engine.Start()
+		s.rt = engine
 	case Protocol2PP:
-		twoPPTarget, err = baseline.TwoPPAllocation(refFlows, routes, cliques, baseline.UniformCliqueCapacity(capacity))
+		refFlows := make([]maxminref.FlowSpec, s.staticN)
+		for i, spec := range cfg.Scenario.Flows {
+			refFlows[i] = refSpec(spec)
+		}
+		target, err := baseline.TwoPPAllocation(refFlows, s.routes, s.cliques, baseline.UniformCliqueCapacity(s.capacity))
 		if err != nil {
-			return nil, fmt.Errorf("gmp: 2PP allocation: %w", err)
+			return fmt.Errorf("gmp: 2PP allocation: %w", err)
 		}
-		for i, r := range twoPPTarget {
-			registry.Source(packet.FlowID(i)).SetLimit(r)
+		for i, r := range target {
+			s.registry.Source(packet.FlowID(i)).SetLimit(r)
+		}
+		s.twoPPTarget = target
+		return nil
+	default:
+		return nil
+	}
+	s.rt.SetProbe(s.probe)
+	if s.fengine != nil {
+		s.rt.SetFaultProbe(s.fengine.DownNodes)
+	}
+	return nil
+}
+
+// rebuildRoutes repairs the routing tables against the live topology,
+// excluding crashed nodes, and makes the result the live table. Faults
+// and motion share it, so a motion epoch keeps excluding the nodes a
+// fault already crashed.
+func (s *session) rebuildRoutes(down []bool) *routing.Table {
+	var t *routing.Table
+	if s.cfg.GeographicRouting {
+		if gt, err := routing.BuildGeographicExcluding(s.topo, down); err == nil {
+			t = gt
+		}
+		// A crash or motion opened a greedy void: GPSR-style
+		// fallback to shortest-path repair.
+	}
+	if t == nil {
+		// The down set is copied at build time.
+		t = routing.BuildLazyExcluding(s.topo, down)
+	}
+	s.liveRoutes = t
+	return t
+}
+
+// onEpoch applies one mobility epoch: it moves the nodes, repairs the
+// cliques every consumer holds, and re-routes.
+func (s *session) onEpoch(moved []topology.NodeID, newPos []geom.Point) {
+	// In-flight transmissions hold carrier-sense counts against the old
+	// neighbor lists: unwind them before mutating the topology in place,
+	// re-key the per-link accounting after.
+	s.medium.BeginTopologyChange()
+	diff, err := s.topo.MoveNodes(moved, newPos)
+	if err != nil {
+		panic(fmt.Sprintf("gmp: mobility epoch at %v: %v", s.sched.Now(), err))
+	}
+	s.medium.EndTopologyChange(diff.OldLinks)
+	s.sinks.Tel.OnTopologyChange(diff.OldLinks)
+	if diff.Changed() {
+		s.lastTopoChange = s.sched.Now()
+		s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Touched)
+		if s.rt != nil {
+			s.rt.SetCliques(s.liveCliques)
+		}
+		if s.admCtrl != nil {
+			s.admCtrl.SetCliques(s.liveCliques)
+		}
+		for _, a := range s.dissAgents {
+			if a != nil {
+				a.RefreshTopology(s.topo)
+			}
 		}
 	}
-
-	if fengine != nil {
-		if engine != nil {
-			engine.SetFaultProbe(fengine.DownNodes)
+	// Greedy geographic next hops depend on raw positions, not just the
+	// link set, so they re-resolve on every epoch.
+	if diff.Changed() || s.cfg.GeographicRouting {
+		var down []bool
+		if s.fengine != nil {
+			down = s.fengine.DownSet()
 		}
-		if dist != nil {
-			dist.SetFaultProbe(fengine.DownNodes)
-		}
-	}
-
-	// admCtrl is the churn admission controller (set further below, when
-	// churn runs with admission); mobility epochs re-book its clique
-	// budgets against the repaired decomposition.
-	var admCtrl *admission.Controller
-
-	// Node motion. The engine's seed is drawn only when mobility is on
-	// and after every unconditional draw above, so a mobility-off run
-	// consumes the identical random sequence it always did (the nine
-	// static determinism goldens pin this).
-	var mobEngine *mobility.Engine
-	var lastTopoChange time.Duration
-	if mob := cfg.mobilityConfig(); mob != nil {
-		onEpoch := func(moved []topology.NodeID, newPos []geom.Point) {
-			// In-flight transmissions hold carrier-sense counts against
-			// the old neighbor lists: unwind them before mutating the
-			// topology in place, re-key the per-link accounting after.
-			medium.BeginTopologyChange()
-			diff, merr := topo.MoveNodes(moved, newPos)
-			if merr != nil {
-				panic(fmt.Sprintf("gmp: mobility epoch at %v: %v", sched.Now(), merr))
-			}
-			medium.EndTopologyChange(diff.OldLinks)
-			if rec != nil {
-				rec.OnTopologyChange(diff.OldLinks)
-			}
-			if diff.Changed() {
-				lastTopoChange = sched.Now()
-				liveCliques = clique.Update(topo, liveCliques, diff.Touched)
-				if engine != nil {
-					engine.SetCliques(liveCliques)
-				}
-				if dist != nil {
-					dist.RefreshCliques(liveCliques)
-				}
-				if admCtrl != nil {
-					admCtrl.SetCliques(liveCliques)
-				}
-				for _, a := range dissAgents {
-					if a != nil {
-						a.RefreshTopology(topo)
-					}
-				}
-			}
-			// Greedy geographic next hops depend on raw positions, not
-			// just the link set, so they re-resolve on every epoch.
-			if diff.Changed() || cfg.GeographicRouting {
-				var down []bool
-				if fengine != nil {
-					down = fengine.DownSet()
-				}
-				table := rebuildRoutes(down)
-				for _, n := range nodes {
-					n.ResetNeighborState()
-					n.SetRoutes(table)
-				}
-			}
-		}
-		mobEngine, err = mobility.Start(sched, cfg.Scenario.Positions, *mob, sim.NewRand(master.Int63()), onEpoch)
-		if err != nil {
-			return nil, fmt.Errorf("gmp: %w", err)
+		table := s.rebuildRoutes(down)
+		for _, n := range s.nodes {
+			n.ResetNeighborState()
+			n.SetRoutes(table)
 		}
 	}
+}
 
-	// Flow churn. Every arrival was generated up front from the churn
-	// rng; the engine and all hooks below run as scheduled callbacks that
-	// draw no randomness, so churn-on runs reproduce byte for byte and
-	// churn-off runs are untouched.
-	var churnEng *churn.Engine
-	if ccfg != nil {
-		baseID := packet.FlowID(staticN)
-		if ccfg.Admission != nil {
-			admCtrl = admission.NewController(*ccfg.Admission, cliques, capacity)
-			// Static flows are grandfathered: they book clique budget so
-			// arrivals test against the true load, but never face the
-			// admission test themselves.
-			for _, spec := range cfg.Scenario.Flows {
-				if links, lerr := routes.Links(spec.Src, spec.Dst); lerr == nil {
-					admCtrl.Book(spec.ID, spec.Weight, links)
-				}
+// startChurn starts the flow-churn engine. Its hooks run as scheduled
+// callbacks that draw no randomness, so churn-on runs reproduce byte
+// for byte.
+func (s *session) startChurn() {
+	baseID := packet.FlowID(s.staticN)
+	if adm := s.ccfg.Admission; adm != nil {
+		s.admCtrl = admission.NewController(*adm, s.cliques, s.capacity)
+		// Static flows are grandfathered: they book clique budget so
+		// arrivals test against the true load, but never face the
+		// admission test themselves.
+		for _, spec := range s.cfg.Scenario.Flows {
+			if links, err := s.routes.Links(spec.Src, spec.Dst); err == nil {
+				s.admCtrl.Book(spec.ID, spec.Weight, links)
 			}
 		}
-		// releaseQueues frees a departed flow's queues along its former
-		// path where idle (in-flight stragglers recreate them on demand,
-		// so a second sweep one period later catches the tail). The
-		// shared FIFO of plain 802.11 belongs to every flow and is never
-		// released.
-		releaseQueues := func(id packet.FlowID, f churn.Flow) {
-			if fwdCfg.Mode == forwarding.Shared {
-				return
-			}
-			path, perr := liveRoutes.Path(f.Src, f.Dst)
-			if perr != nil {
-				return
-			}
-			qid := fwdCfg.Mode.QueueKey(&packet.Packet{Flow: id, Dst: f.Dst})
-			sweep := func() {
-				for _, n := range path[:len(path)-1] {
-					nodes[n].ReleaseQueueIfIdle(qid)
+	}
+	tel := s.sinks.Tel
+	s.churnEng = churn.Start(s.sched, s.churnFlows, baseID, churn.Hooks{
+		Admit: s.admit,
+		OnAdmit: func(id packet.FlowID, f churn.Flow) {
+			s.registry.Source(id).StartNow()
+			tel.Admission(id, true, "")
+		},
+		OnReject: func(id packet.FlowID, f churn.Flow, reason admission.Reason) {
+			tel.Admission(id, false, reason.String())
+		},
+		OnDepart: s.teardown,
+		OnShed: func(id packet.FlowID, f churn.Flow) {
+			s.teardown(id, f)
+			tel.Admission(id, false, admission.Shed.String())
+		},
+	})
+	if engine, ok := s.rt.(*core.Engine); ok && s.admCtrl != nil {
+		// Overload watchdog (central GMP only: the distributed runtime
+		// has no global view of reduce conditions, see DESIGN.md). When
+		// a clique's §5.3 reduce condition persists ShedAfter
+		// consecutive periods, the newest churn flow crossing it is
+		// shed; static flows are never shed.
+		wd := admission.NewWatchdog(s.ccfg.Admission.ShedAfter)
+		engine.SetOverloadNotifier(func(overloaded []clique.ID) {
+			for _, q := range wd.Observe(overloaded) {
+				if victim, ok := s.admCtrl.NewestCrossing(q, baseID); ok {
+					s.churnEng.Shed(victim)
 				}
 			}
-			sweep()
-			sched.After(cfg.Period, sweep)
-		}
-		teardown := func(id packet.FlowID, f churn.Flow) {
-			registry.Source(id).Teardown()
-			if admCtrl != nil {
-				admCtrl.Release(id)
-			}
-			if engine != nil {
-				engine.OnFlowDeparted(id)
-			}
-			if dist != nil {
-				dist.OnFlowDeparted(id, f.Src)
-			}
-			releaseQueues(id, f)
-		}
-		churnEng = churn.Start(sched, churnFlows, baseID, churn.Hooks{
-			Admit: func(id packet.FlowID, f churn.Flow) admission.Reason {
-				if fengine != nil && (fengine.Down(f.Src) || fengine.Down(f.Dst)) {
-					return admission.NoRoute
-				}
-				links, lerr := liveRoutes.Links(f.Src, f.Dst)
-				if lerr != nil || len(links) == 0 {
-					return admission.NoRoute
-				}
-				if admCtrl == nil {
-					return 0
-				}
-				return admCtrl.Admit(id, f.Weight, links)
-			},
-			OnAdmit: func(id packet.FlowID, f churn.Flow) {
-				registry.Source(id).StartNow()
-				rec.Admission(id, true, "")
-			},
-			OnReject: func(id packet.FlowID, f churn.Flow, reason admission.Reason) {
-				rec.Admission(id, false, reason.String())
-			},
-			OnDepart: teardown,
-			OnShed: func(id packet.FlowID, f churn.Flow) {
-				teardown(id, f)
-				rec.Admission(id, false, admission.Shed.String())
-			},
 		})
-		if engine != nil && admCtrl != nil {
-			// Overload watchdog (central GMP only: the distributed
-			// runtime has no global view of reduce conditions, see
-			// DESIGN.md). When a clique's §5.3 reduce condition persists
-			// ShedAfter consecutive periods, the newest churn flow
-			// crossing it is shed; static flows are never shed.
-			wd := admission.NewWatchdog(ccfg.Admission.ShedAfter)
-			engine.SetOverloadNotifier(func(overloaded []clique.ID) {
-				for _, q := range wd.Observe(overloaded) {
-					if victim, ok := admCtrl.NewestCrossing(q, baseID); ok {
-						churnEng.Shed(victim)
-					}
-				}
-			})
+	}
+}
+
+// admit is a churn arrival's admission test: a live route between live
+// endpoints, then the admission controller's clique budgets, if any.
+func (s *session) admit(id packet.FlowID, f churn.Flow) admission.Reason {
+	if s.fengine != nil && (s.fengine.Down(f.Src) || s.fengine.Down(f.Dst)) {
+		return admission.NoRoute
+	}
+	links, err := s.liveRoutes.Links(f.Src, f.Dst)
+	if err != nil || len(links) == 0 {
+		return admission.NoRoute
+	}
+	if s.admCtrl == nil {
+		return 0
+	}
+	return s.admCtrl.Admit(id, f.Weight, links)
+}
+
+// teardown ends a departed or shed churn flow everywhere it left state.
+func (s *session) teardown(id packet.FlowID, f churn.Flow) {
+	s.registry.Source(id).Teardown()
+	if s.admCtrl != nil {
+		s.admCtrl.Release(id)
+	}
+	if s.rt != nil {
+		s.rt.OnFlowDeparted(id)
+	}
+	s.releaseQueues(id, f)
+}
+
+// releaseQueues frees a departed flow's queues along its former path
+// where idle (in-flight stragglers recreate them on demand, so a second
+// sweep one period later catches the tail). The shared FIFO of plain
+// 802.11 belongs to every flow and is never released.
+func (s *session) releaseQueues(id packet.FlowID, f churn.Flow) {
+	if s.fwdCfg.Mode == forwarding.Shared {
+		return
+	}
+	path, err := s.liveRoutes.Path(f.Src, f.Dst)
+	if err != nil {
+		return
+	}
+	qid := s.fwdCfg.Mode.QueueKey(&packet.Packet{Flow: id, Dst: f.Dst})
+	sweep := func() {
+		for _, n := range path[:len(path)-1] {
+			s.nodes[n].ReleaseQueueIfIdle(qid)
 		}
 	}
+	sweep()
+	s.sched.After(s.cfg.Period, sweep)
+}
 
-	if rec != nil {
-		if engine != nil {
-			engine.SetRecorder(rec)
-		}
-		if dist != nil {
-			dist.SetRecorder(rec)
-		}
-		// Periodic sampler: queue depths, per-link channel utilization,
-		// per-flow rate limits. Pure observation on the virtual clock.
-		interval := rec.SampleInterval()
-		var sample func()
-		sample = func() {
-			s := obs.Sample{At: sched.Now(), Queues: make([]int, len(nodes))}
-			for i, n := range nodes {
-				s.Queues[i] = n.TotalQueued()
-			}
-			s.Links = rec.SampleLinkUtil(interval)
-			s.Limits = registry.Limits()
-			rec.AddSample(s)
-			sched.After(interval, sample)
-		}
-		sched.After(interval, sample)
-	}
-
-	if spanRec != nil {
-		if engine != nil {
-			engine.SetSpans(spanRec)
-		}
-		if dist != nil {
-			dist.SetSpans(spanRec)
-		}
-	}
-
-	if done := ctx.Done(); done != nil {
-		// Poll for cancellation on the virtual clock. The poll event
-		// touches no protocol state and no random source, so enabling
-		// it cannot change the outcome of an uncancelled run.
-		var poll func()
-		poll = func() {
-			select {
-			case <-done:
-				sched.Stop()
-			default:
-				sched.After(time.Second, poll)
-			}
-		}
-		sched.After(time.Second, poll)
-	}
-
-	sched.At(cfg.Warmup, func() { registry.Mark(cfg.Warmup) })
-	sched.Run(cfg.Duration)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("gmp: run aborted at t=%v: %w", sched.Now(), err)
-	}
-
+// collect assembles the Result once the kernel has stopped.
+func (s *session) collect() (*Result, error) {
+	cfg := s.cfg
 	// The maxmin ground truth. Under churn the reference covers the
 	// static flows plus the churn flows still active at the end of the
 	// run — the set whose allocation the protocol should approach —
 	// scattered into a full-length vector (0 for refused, shed and
 	// departed flows).
-	refIdx := make([]int, 0, len(allFlows))
-	for i := range cfg.Scenario.Flows {
+	var refFlows []maxminref.FlowSpec
+	refIdx := make([]int, 0, len(s.allFlows))
+	for i, spec := range s.allFlows {
+		if i >= s.staticN && (!s.churnEng.Active(spec.ID) || s.routes.HopCount(spec.Src, spec.Dst) <= 0) {
+			continue
+		}
+		refFlows = append(refFlows, refSpec(spec))
 		refIdx = append(refIdx, i)
 	}
-	if churnEng != nil {
-		for i := range churnFlows {
-			id := packet.FlowID(staticN + i)
-			spec := allFlows[id]
-			if churnEng.Active(id) && routes.HopCount(spec.Src, spec.Dst) > 0 {
-				refFlows = append(refFlows, maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate})
-				refIdx = append(refIdx, int(id))
-			}
-		}
-	}
-	reference, err := referenceAllocation(refFlows, routes, cliques, capacity)
+	reference, err := referenceAllocation(refFlows, s.routes, s.cliques, s.capacity)
 	if err != nil {
 		return nil, err
 	}
-	if len(allFlows) > staticN {
-		full := make([]float64, len(allFlows))
+	if len(s.allFlows) > s.staticN {
+		full := make([]float64, len(s.allFlows))
 		for j, v := range reference {
 			full[refIdx[j]] = v
 		}
 		reference = full
 	}
 
-	rates := registry.MeasuredRates(cfg.Duration)
+	rates := s.registry.MeasuredRates(cfg.Duration)
 	res := &Result{
 		Scenario:    cfg.Scenario.Name,
 		Protocol:    cfg.Protocol,
 		Rates:       rates,
 		Reference:   reference,
-		TwoPPTarget: twoPPTarget,
-		Channel:     medium.Stats(),
+		TwoPPTarget: s.twoPPTarget,
+		Channel:     s.medium.Stats(),
+		Telemetry:   s.sinks.Tel.Finalize(cfg.Scenario.Name, cfg.Protocol.String()),
+		Spans:       s.sinks.Spans.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration),
 	}
-	for _, st := range stations {
+	for _, st := range s.stations {
 		res.MAC = append(res.MAC, st.Stats())
 	}
-	if ring != nil {
-		res.Events = ring.Events()
+	if s.sinks.Events != nil {
+		res.Events = s.sinks.Events.Events()
 	}
 	res.ControlOverhead = float64(res.Channel.ControlAirtime) / float64(cfg.Duration)
 	hops := make([]int, len(rates))
-	for i, spec := range allFlows {
-		src := registry.Source(spec.ID)
+	for i, spec := range s.allFlows {
+		src := s.registry.Source(spec.ID)
 		limit := math.Inf(1)
 		if l, ok := src.Limited(); ok {
 			limit = l
 		}
-		hops[i] = routes.HopCount(spec.Src, spec.Dst)
+		hops[i] = s.routes.HopCount(spec.Src, spec.Dst)
 		res.Flows = append(res.Flows, FlowResult{
 			Spec:          spec,
 			Rate:          rates[i],
 			NormRate:      rates[i] / spec.Weight,
 			Hops:          hops[i],
-			Delivered:     registry.Delivered(spec.ID),
-			Dropped:       registry.Dropped(spec.ID),
-			DropsByReason: registry.DroppedBy(spec.ID),
+			Delivered:     s.registry.Delivered(spec.ID),
+			Dropped:       s.registry.Dropped(spec.ID),
+			DropsByReason: s.registry.DroppedBy(spec.ID),
 			Limit:         limit,
 		})
 	}
@@ -1142,7 +1175,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// departed flows (rate 0 by construction) do not masquerade as
 	// starvation.
 	mRates, mHops := rates, hops
-	if len(allFlows) > staticN {
+	if len(s.allFlows) > s.staticN {
 		mRates = make([]float64, 0, len(refIdx))
 		mHops = make([]int, 0, len(refIdx))
 		for _, i := range refIdx {
@@ -1153,16 +1186,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.Imm = metrics.MaxminIndex(mRates)
 	res.Ieq = metrics.EqualityIndex(mRates)
 	res.U = metrics.EffectiveThroughput(mRates, mHops)
-	if engine != nil {
-		res.Trace = engine.Trace()
+	if s.rt != nil {
+		res.Trace = s.rt.Trace()
 	}
-	if dist != nil {
-		res.Trace = dist.Trace()
-	}
-	if churnEng != nil {
+	if s.churnEng != nil {
 		out := &ChurnOutcome{}
-		out.Arrivals, out.Admitted, out.Rejected, out.Shed = churnEng.Counts()
-		for _, d := range churnEng.Decisions() {
+		out.Arrivals, out.Admitted, out.Rejected, out.Shed = s.churnEng.Counts()
+		for _, d := range s.churnEng.Decisions() {
 			ad := AdmissionDecision{Flow: d.Flow, At: d.At, Admitted: d.Admitted}
 			if !d.Admitted {
 				ad.Reason = d.Reason.String()
@@ -1173,7 +1203,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		for i, d := range out.Decisions {
 			out.TimeToFairShare[i] = -1
 			if d.Admitted {
-				spec := allFlows[d.Flow]
+				spec := s.allFlows[d.Flow]
 				if ttfs, ok := FlowTimeToFairShare(res.Trace, int(d.Flow), d.At, spec.Stop, DefaultRecoveryTol); ok {
 					out.TimeToFairShare[i] = ttfs
 				}
@@ -1182,9 +1212,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// Departed flows must leave no rate-limit state behind; a
 		// non-zero count here is the teardown bug this field exists to
 		// catch.
-		for id := packet.FlowID(staticN); int(id) < len(allFlows); id++ {
-			src := registry.Source(id)
-			if src.Started() && !churnEng.Active(id) {
+		for id := packet.FlowID(s.staticN); int(id) < len(s.allFlows); id++ {
+			src := s.registry.Source(id)
+			if src.Started() && !s.churnEng.Active(id) {
 				if _, limited := src.Limited(); limited {
 					out.StaleLimits++
 				}
@@ -1192,28 +1222,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		res.Churn = out
 	}
-	if fengine != nil {
-		res.FaultEvents = fengine.Schedule()
+	if s.fengine != nil {
+		res.FaultEvents = s.fengine.Schedule()
 	}
-	if mobEngine != nil {
-		res.MobilityEpochs = mobEngine.Epochs()
+	if s.mobEngine != nil {
+		res.MobilityEpochs = s.mobEngine.Epochs()
 	}
-	if (fengine != nil || lastTopoChange > 0) && len(res.Trace) > 0 {
+	if (s.fengine != nil || s.lastTopoChange > 0) && len(res.Trace) > 0 {
 		// Anchor recovery at the last disturbance of either kind.
-		anchor := lastTopoChange
-		if fengine != nil && fengine.LastFaultTime() > anchor {
-			anchor = fengine.LastFaultTime()
+		anchor := s.lastTopoChange
+		if s.fengine != nil && s.fengine.LastFaultTime() > anchor {
+			anchor = s.fengine.LastFaultTime()
 		}
 		rep := RecoveryReport(res.Trace, anchor, DefaultRecoveryTol)
 		res.RecoveryTime, res.Recovered = rep.Time, rep.Settled
 	}
-	if rec != nil {
-		res.Telemetry = rec.Finalize(cfg.Scenario.Name, cfg.Protocol.String())
-	}
-	if spanRec != nil {
-		res.Spans = spanRec.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration)
-	}
 	return res, nil
+}
+
+// refSpec is a flow's entry in a maxmin reference problem.
+func refSpec(spec flow.Spec) maxminref.FlowSpec {
+	return maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate}
 }
 
 func forwardingConfig(cfg Config) (forwarding.Config, error) {

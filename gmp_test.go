@@ -3,6 +3,7 @@ package gmp
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -426,6 +427,45 @@ func TestEventTraceRecorded(t *testing.T) {
 	}
 	if !sawTx {
 		t.Error("no transmissions in trace")
+	}
+}
+
+// TestDropEventsNameTheDroppingNode pins where a drop event happens: at
+// the node whose queue lost the packet, with no peer. Plain 802.11 never
+// requeues, so each MAC retry-limit drop is one retry-limit drop event at
+// the same node, and the two counts must agree node by node.
+func TestDropEventsNameTheDroppingNode(t *testing.T) {
+	const ring = 1 << 18
+	res := run(t, Config{Scenario: Fig4Scenario(), Protocol: Protocol80211,
+		Duration: 3 * time.Second, Warmup: time.Second, EventTrace: ring})
+	if len(res.Events) >= ring {
+		t.Fatalf("event ring wrapped at %d events", len(res.Events))
+	}
+	events := make([]int64, len(res.MAC))
+	withPeer := 0
+	for _, e := range res.Events {
+		if e.Kind.String() != "drop" {
+			continue
+		}
+		if e.Peer != -1 {
+			withPeer++
+		}
+		if strings.HasSuffix(e.Detail, " "+DropRetry.String()) {
+			events[e.Node]++
+		}
+	}
+	if withPeer > 0 {
+		t.Errorf("%d drop events name a peer, want -1", withPeer)
+	}
+	var total int64
+	for n, st := range res.MAC {
+		if events[n] != st.Drops {
+			t.Errorf("node %d: %d retry-limit drop events, MAC counted %d drops", n, events[n], st.Drops)
+		}
+		total += st.Drops
+	}
+	if total == 0 {
+		t.Fatal("no MAC drops: the run no longer exercises the retry limit")
 	}
 }
 

@@ -64,7 +64,6 @@ import (
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -203,14 +202,10 @@ func (e *Engine) SetCliques(s *clique.Set) { e.cliques = s }
 // nodes (fault injection); each recorded Round carries its result.
 func (e *Engine) SetFaultProbe(fn func() []topology.NodeID) { e.faultProbe = fn }
 
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only observes condition outcomes and limit changes; it never
-// alters the requests themselves.
-func (e *Engine) SetRecorder(rec *obs.Recorder) { e.rec = rec }
-
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (e *Engine) SetSpans(r *span.Recorder) { e.spans = r }
+// SetProbe installs the run's observers (nil disables, the default).
+// They only observe condition outcomes and limit changes; they never
+// alter the requests themselves.
+func (e *Engine) SetProbe(p *obs.Probe) { e.probe = p }
 
 // SetOverloadNotifier installs the per-round overload callback (nil
 // disables). It observes which cliques generated reduce requests; it

@@ -38,7 +38,6 @@ import (
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -497,8 +496,9 @@ func (a *Agent) onViolation(v violationMsg) {
 
 // Distributed is the handle returned by StartDistributed.
 type Distributed struct {
-	Agents []*Agent
-	trace  []Round
+	Agents   []*Agent
+	registry *flow.Registry
+	trace    []Round
 
 	// faultProbe, when set, reports the currently crashed nodes so each
 	// trace Round records the fault state it was measured under.
@@ -515,34 +515,26 @@ func (d *Distributed) Trace() []Round { return d.trace }
 // (i.e. right after StartDistributed returns, before sched.Run).
 func (d *Distributed) SetFaultProbe(fn func() []topology.NodeID) { d.faultProbe = fn }
 
-// SetRecorder installs the telemetry recorder on every agent (nil
-// disables). Install it before sched.Run, like SetFaultProbe.
-func (d *Distributed) SetRecorder(rec *obs.Recorder) {
+// SetProbe installs the run's observers on every agent (nil disables,
+// the default). Install it before sched.Run, like SetFaultProbe.
+func (d *Distributed) SetProbe(p *obs.Probe) {
 	for _, a := range d.Agents {
-		a.rec = rec
-	}
-}
-
-// SetSpans installs the causal-trace recorder on every agent (nil
-// disables). Install it before sched.Run, like SetRecorder.
-func (d *Distributed) SetSpans(r *span.Recorder) {
-	for _, a := range d.Agents {
-		a.spans = r
+		a.probe = p
 	}
 }
 
 // OnFlowDeparted drops the per-flow adjustment state a departed churn
 // flow left on its source's agent (pending request, slack streak), so
 // long churn runs do not accumulate state for dead flows.
-func (d *Distributed) OnFlowDeparted(f packet.FlowID, src topology.NodeID) {
-	a := d.Agents[src]
+func (d *Distributed) OnFlowDeparted(f packet.FlowID) {
+	a := d.Agents[d.registry.Specs()[f].Src]
 	delete(a.slack, f)
 	delete(a.pending, f)
 }
 
-// RefreshCliques pushes a new clique decomposition to every agent after
-// a topology change under mobility.
-func (d *Distributed) RefreshCliques(cliques *clique.Set) {
+// SetCliques pushes a new clique decomposition to every agent after a
+// topology change under mobility.
+func (d *Distributed) SetCliques(cliques *clique.Set) {
 	for _, a := range d.Agents {
 		a.RefreshCliques(cliques)
 	}
@@ -559,7 +551,7 @@ func StartDistributed(sched *sim.Scheduler, topo *topology.Topology, cliques *cl
 	dissAgents []*dissemination.Agent, registry *flow.Registry,
 	params Params, rng *rand.Rand) (*Distributed, error) {
 
-	d := &Distributed{Agents: make([]*Agent, topo.NumNodes())}
+	d := &Distributed{Agents: make([]*Agent, topo.NumNodes()), registry: registry}
 	deliver := func(f packet.FlowID, req Request) {
 		// The control packet's walk ends at the source's agent, which
 		// aggregates requests by §6.3's rule.

@@ -8,7 +8,6 @@ import (
 	"gmp/internal/flow"
 	"gmp/internal/obs"
 	"gmp/internal/packet"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -24,14 +23,11 @@ type rules struct {
 	// idle source; the limit is removed only after two, so a single
 	// noisy period cannot unleash a burst.
 	slack map[packet.FlowID]int
-	// rec is the telemetry recorder (nil when telemetry is off). It
-	// records which local condition generated each adjustment request
-	// and every applied limit change.
-	rec *obs.Recorder
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// receives the same condition/limit events with decision provenance
-	// attached.
-	spans *span.Recorder
+	// probe reaches the run's observers (nil when all are off).
+	// Telemetry records which local condition generated each adjustment
+	// request and every applied limit change; spans receive the same
+	// events with decision provenance attached.
+	probe *obs.Probe
 }
 
 func newRules(params Params) rules {
@@ -70,7 +66,7 @@ type provenance struct {
 // condition cond at node generated it — in flow-ID order when recording,
 // so neither stream inherits map iteration order.
 func (r *rules) ask(add func(packet.FlowID, Request), flows map[packet.FlowID]topology.NodeID, node topology.NodeID, cond obs.Condition, req Request, prov provenance) {
-	if r.rec == nil && r.spans == nil {
+	if r.probe == nil {
 		for f := range flows {
 			add(f, req)
 		}
@@ -88,8 +84,10 @@ func (r *rules) ask(add func(packet.FlowID, Request), flows map[packet.FlowID]to
 
 // askOne is ask for a single flow.
 func (r *rules) askOne(add func(packet.FlowID, Request), f packet.FlowID, node topology.NodeID, cond obs.Condition, req Request, prov provenance) {
-	r.rec.Condition(f, node, cond, req.Reduce, req.Factor)
-	r.spans.Condition(f, node, cond.String(), req.Reduce, req.Factor, prov.clique, prov.occ, prov.maxOcc)
+	if r.probe != nil {
+		r.probe.Tel.Condition(f, node, cond, req.Reduce, req.Factor)
+		r.probe.Spans.Condition(f, node, cond.String(), req.Reduce, req.Factor, prov.clique, prov.occ, prov.maxOcc)
+	}
 	add(f, req)
 }
 
@@ -274,17 +272,18 @@ func (r *rules) stepLimit(src *flow.Source, reqs reqSet, rate float64, idle bool
 	if l, ok := src.Limited(); ok {
 		after = l
 	}
-	if r.rec != nil {
-		r.rec.LimitChange(f, action, before, after)
-		if action == obs.ActionProbe || action == obs.ActionRemove {
-			// The rate-limit condition (§5.3 c4): a source with a
-			// non-binding limit probes upward or sheds the limit.
-			factor := 0.0
-			if action == obs.ActionProbe && before > 0 && after > 0 {
-				factor = after / before
-			}
-			r.rec.Condition(f, spec.Src, obs.CondRateLimit, false, factor)
-		}
+	if r.probe == nil {
+		return
 	}
-	r.spans.LimitChange(f, spec.Src, string(action), before, after)
+	r.probe.Tel.LimitChange(f, action, before, after)
+	if action == obs.ActionProbe || action == obs.ActionRemove {
+		// The rate-limit condition (§5.3 c4): a source with a
+		// non-binding limit probes upward or sheds the limit.
+		factor := 0.0
+		if action == obs.ActionProbe && before > 0 && after > 0 {
+			factor = after / before
+		}
+		r.probe.Tel.Condition(f, spec.Src, obs.CondRateLimit, false, factor)
+	}
+	r.probe.Spans.LimitChange(f, spec.Src, string(action), before, after)
 }

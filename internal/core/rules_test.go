@@ -52,13 +52,13 @@ func TestAskRoutesEveryFlow(t *testing.T) {
 
 	// Recording, the same requests go out in flow-ID order, each with
 	// its condition event.
-	r.rec = newRecorder(t)
+	r.probe = &obs.Probe{Tel: newRecorder(t)}
 	var order []packet.FlowID
 	r.ask(func(f packet.FlowID, _ Request) { order = append(order, f) }, flows, 7, obs.CondBandwidth, req, provenance{})
 	if fmt.Sprint(order) != "[1 2 3]" {
 		t.Errorf("recorded routing order = %v, want [1 2 3]", order)
 	}
-	events := r.rec.Finalize("", "").Conditions
+	events := r.probe.Tel.Finalize("", "").Conditions
 	if len(events) != len(order) {
 		t.Fatalf("%d conditions recorded for %d requests", len(events), len(order))
 	}
@@ -169,7 +169,7 @@ func TestSourceAndBufferRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRules(DefaultParams())
-			r.rec = newRecorder(t)
+			r.probe = &obs.Probe{Tel: newRecorder(t)}
 			got := make(collect)
 			var reduced []topology.Link
 			r.sourceAndBuffer(0, tc.ups, tc.locals, got.add, func(l topology.Link) { reduced = append(reduced, l) })
@@ -179,7 +179,7 @@ func TestSourceAndBufferRule(t *testing.T) {
 			if fmt.Sprint(reduced) != fmt.Sprint(tc.reduced) {
 				t.Errorf("reduced links = %v, want %v", reduced, tc.reduced)
 			}
-			events := r.rec.Finalize("", "").Conditions
+			events := r.probe.Tel.Finalize("", "").Conditions
 			if len(events) != len(got) {
 				t.Errorf("%d conditions recorded for %d requests", len(events), len(got))
 			}

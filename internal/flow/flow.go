@@ -11,7 +11,6 @@ import (
 	"gmp/internal/forwarding"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -114,10 +113,6 @@ type Source struct {
 	// spare is the packet the local queue last refused; the next attempt
 	// reuses it instead of allocating another.
 	spare *packet.Packet
-
-	// spans, when non-nil, receives causal-trace events for sampled
-	// packets (source backpressure). Purely observational.
-	spans *span.Recorder
 }
 
 // NewSource builds the generator for spec, injecting into node (which must
@@ -151,9 +146,6 @@ func NewSource(spec Spec, sched *sim.Scheduler, node *forwarding.Node, period ti
 
 // Spec returns the flow's specification.
 func (s *Source) Spec() Spec { return s.spec }
-
-// SetSpans installs a causal-trace recorder (nil disables, the default).
-func (s *Source) SetSpans(r *span.Recorder) { s.spans = r }
 
 // SetCBR switches the generator from Poisson arrivals (the default) to
 // constant-bit-rate generation. Poisson is the default because phase lock
@@ -280,9 +272,6 @@ func (s *Source) generate() {
 	if !s.node.Enqueue(p) {
 		// Local queue full: the source slows down (§2.2). Resume when the
 		// queue opens; the unsent packet is regenerated then, in place.
-		if s.spans != nil {
-			s.spans.SourceBlocked(p)
-		}
 		s.spare = p
 		s.waiting = true
 		s.node.NotifyQueueOpen(s.qid, s.queueOpenFn)

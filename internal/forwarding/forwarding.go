@@ -28,8 +28,8 @@ import (
 	"gmp/internal/packet"
 	"gmp/internal/routing"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
+	"gmp/internal/trace"
 )
 
 // Mode selects the queueing discipline.
@@ -364,14 +364,11 @@ type Node struct {
 	// (arrivals + local generation), for tests.
 	enqueued int64
 
-	// rec is the telemetry recorder (nil when telemetry is off). When
-	// set, admitted packets are stamped with their admission time and
-	// acknowledged forwards report their per-hop sojourn.
-	rec *obs.Recorder
-
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// observes admissions, requeues, and drops for sampled packets.
-	spans *span.Recorder
+	// probe reaches the run's observers (nil when all are off). Under a
+	// probe, admitted packets are stamped with their admission time, and
+	// the observers see admissions, refused source packets, requeues,
+	// acknowledged forwards, deliveries and drops.
+	probe *obs.Probe
 }
 
 var (
@@ -417,24 +414,26 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 // the two layers).
 func (n *Node) SetMAC(st *mac.Station) { n.mac = st }
 
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only observes admissions, forwards, and drops; it never
-// influences queueing decisions, so enabling it cannot change
-// simulation behavior.
-func (n *Node) SetRecorder(rec *obs.Recorder) { n.rec = rec }
+// SetProbe installs the run's observers (nil disables, the default).
+// They never influence queueing decisions, so installing them cannot
+// change simulation behavior.
+func (n *Node) SetProbe(p *obs.Probe) { n.probe = p }
 
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (n *Node) SetSpans(r *span.Recorder) { n.spans = r }
-
-// dropPkt reports a packet loss at this node: the telemetry recorder
-// attributes it to the node, then the statistics callback runs.
+// dropPkt reports a packet loss at this node: the observers attribute
+// it to the node, then the statistics callback runs.
 func (n *Node) dropPkt(p *packet.Packet, reason DropReason) {
-	if n.rec != nil {
-		n.rec.PacketDropped(n.id, p.Flow)
-	}
-	if n.spans != nil {
-		n.spans.Dropped(n.id, p, reason.String())
+	if n.probe != nil {
+		n.probe.Tel.PacketDropped(n.id, p.Flow)
+		n.probe.Spans.Dropped(n.id, p, reason.String())
+		if n.probe.Events != nil {
+			n.probe.Events.Record(trace.Event{
+				At:     n.sched.Now(),
+				Kind:   trace.KindDrop,
+				Node:   n.id,
+				Peer:   -1,
+				Detail: fmt.Sprintf("%s %s", p, reason),
+			})
+		}
 	}
 	n.drop(p, reason)
 }
@@ -647,17 +646,19 @@ func (n *Node) Queues() []packet.QueueID {
 // slows down when its local buffer is full ("the flow source will
 // generate new packets at a smaller rate if the network cannot deliver
 // its desirable rate"); tail overwrite applies only to relayed arrivals.
+// A refused packet opens its source-blocked span.
 func (n *Node) Enqueue(p *packet.Packet) bool {
 	q := n.queueFor(n.cfg.Mode.QueueKey(p))
 	if n.fullFor(q, n.id) {
+		if n.probe != nil {
+			n.probe.Spans.SourceBlocked(p)
+		}
 		return false
 	}
-	if n.rec != nil {
-		p.ArrivedAt = n.sched.Now()
-	}
 	q.push(p, n.id)
-	if n.spans != nil {
-		n.spans.Admitted(n.id, p)
+	if n.probe != nil {
+		p.ArrivedAt = n.sched.Now()
+		n.probe.Spans.Admitted(n.id, p)
 	}
 	n.enqueued++
 	n.touchFullState(q)
@@ -732,8 +733,8 @@ func (n *Node) OnSendComplete(o *mac.Outgoing, ok bool) {
 			// one if upstream refilled the freed slot meanwhile.
 			q := n.queueFor(n.cfg.Mode.QueueKey(out.Pkt))
 			q.pushFront(out.Pkt, out.Origin)
-			if n.spans != nil {
-				n.spans.Requeued(n.id, out.Pkt)
+			if n.probe != nil {
+				n.probe.Spans.Requeued(n.id, out.Pkt)
 			}
 			n.touchFullState(q)
 			if n.mac != nil {
@@ -744,8 +745,8 @@ func (n *Node) OnSendComplete(o *mac.Outgoing, ok bool) {
 		n.dropPkt(out.Pkt, DropRetry)
 		return
 	}
-	if n.rec != nil {
-		n.rec.HopForwarded(n.id, out.Pkt.Flow, n.sched.Now()-out.Pkt.ArrivedAt)
+	if n.probe != nil {
+		n.probe.Tel.HopForwarded(n.id, out.Pkt.Flow, n.sched.Now()-out.Pkt.ArrivedAt)
 	}
 	key := VLinkKey{From: n.id, To: out.NextHop, Queue: n.cfg.Mode.QueueKey(out.Pkt)}
 	m := n.meters[key]
@@ -793,6 +794,10 @@ func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
 		observePrimary(&m.Primary, p)
 	}
 	if p.Dst == n.id {
+		if n.probe != nil {
+			n.probe.Tel.Delivered(p.Flow, n.sched.Now()-p.Created)
+			n.probe.Spans.Delivered(p)
+		}
 		n.sink(p, from)
 		return
 	}
@@ -803,11 +808,9 @@ func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
 		if n.cfg.OverwriteTail {
 			tail := q.pkts[len(q.pkts)-1]
 			q.pkts[len(q.pkts)-1] = p
-			if n.rec != nil {
+			if n.probe != nil {
 				p.ArrivedAt = n.sched.Now()
-			}
-			if n.spans != nil {
-				n.spans.Admitted(n.id, p)
+				n.probe.Spans.Admitted(n.id, p)
 			}
 			n.dropPkt(tail, DropTail)
 		} else {
@@ -815,12 +818,10 @@ func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
 		}
 		return
 	}
-	if n.rec != nil {
-		p.ArrivedAt = n.sched.Now()
-	}
 	q.push(p, from)
-	if n.spans != nil {
-		n.spans.Admitted(n.id, p)
+	if n.probe != nil {
+		p.ArrivedAt = n.sched.Now()
+		n.probe.Spans.Admitted(n.id, p)
 	}
 	n.enqueued++
 	n.touchFullState(q)

@@ -18,7 +18,6 @@ import (
 	"gmp/internal/packet"
 	"gmp/internal/radio"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -187,16 +186,13 @@ type Station struct {
 
 	stats Stats
 
-	// rec is the telemetry recorder (nil when telemetry is off); curSince
-	// is the virtual time the current packet was pulled from the client,
-	// for MAC service-time spans. Only maintained while rec is set.
-	rec      *obs.Recorder
+	// probe reaches the run's observers (nil when all are off). They see
+	// completed exchanges, retries, pulls, backoff segments and
+	// deferrals; nothing they record feeds back into channel access.
+	// curSince is the virtual time the current packet was pulled from
+	// the client, for MAC service times; only maintained under a probe.
+	probe    *obs.Probe
 	curSince time.Duration
-
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// observes pulls, backoff segments, deferrals, and retries for
-	// sampled packets; it never feeds back into channel access.
-	spans *span.Recorder
 }
 
 var _ radio.Station = (*Station)(nil)
@@ -236,15 +232,10 @@ func (s *Station) ID() topology.NodeID { return s.id }
 // Stats returns a snapshot of the station's counters.
 func (s *Station) Stats() Stats { return s.stats }
 
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only observes completed exchanges and retries; it never
-// feeds back into channel access, so enabling it cannot change
-// simulation behavior.
-func (s *Station) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (s *Station) SetSpans(r *span.Recorder) { s.spans = r }
+// SetProbe installs the run's observers (nil disables, the default).
+// They only observe, so installing them cannot change simulation
+// behavior.
+func (s *Station) SetProbe(p *obs.Probe) { s.probe = p }
 
 // Down reports whether the station is currently crashed.
 func (s *Station) Down() bool { return s.ph == phaseDown }
@@ -330,11 +321,9 @@ func (s *Station) pullNext() {
 		s.ph = phaseIdle
 		return
 	}
-	if s.rec != nil {
+	if s.probe != nil {
 		s.curSince = s.sched.Now()
-	}
-	if s.spans != nil {
-		s.spans.MACPulled(s.id, s.cur.Pkt)
+		s.probe.Spans.MACPulled(s.id, s.cur.Pkt)
 	}
 	s.retries = 0
 	s.startAccess()
@@ -363,14 +352,14 @@ func (s *Station) evaluate() {
 		return
 	}
 	if !s.virtualIdle() {
-		if s.spans != nil && s.cur != nil {
-			s.spans.MACDeferred(s.id, s.cur.Pkt)
+		if s.probe != nil && s.cur != nil {
+			s.probe.Spans.MACDeferred(s.id, s.cur.Pkt)
 		}
 		s.armNAVTimer()
 		return
 	}
-	if s.spans != nil && s.cur != nil {
-		s.spans.MACResumed(s.id, s.cur.Pkt)
+	if s.probe != nil && s.cur != nil {
+		s.probe.Spans.MACResumed(s.id, s.cur.Pkt)
 	}
 	s.ph = phaseDIFS
 	s.difsTimer = s.sched.After(s.par.DIFS, s.onDIFSDoneFn)
@@ -400,8 +389,8 @@ func (s *Station) onDIFSDone() {
 	}
 	s.ph = phaseCountdown
 	s.countdownStart = s.sched.Now()
-	if s.spans != nil && s.cur != nil {
-		s.spans.BackoffStart(s.id, s.cur.Pkt, s.backoffSlots)
+	if s.probe != nil && s.cur != nil {
+		s.probe.Spans.BackoffStart(s.id, s.cur.Pkt, s.backoffSlots)
 	}
 	s.countdownTimer = s.sched.After(time.Duration(s.backoffSlots)*s.par.SlotTime, s.onBackoffDoneFn)
 }
@@ -420,15 +409,15 @@ func (s *Station) freeze() {
 		}
 		s.backoffSlots -= consumed
 		s.countdownTimer.Cancel()
-		if s.spans != nil && s.cur != nil {
-			s.spans.BackoffEnd(s.id, s.cur.Pkt)
+		if s.probe != nil && s.cur != nil {
+			s.probe.Spans.BackoffEnd(s.id, s.cur.Pkt)
 		}
 		s.ph = phaseWaitIdle
 	default:
 		return
 	}
-	if s.spans != nil && s.cur != nil {
-		s.spans.MACDeferred(s.id, s.cur.Pkt)
+	if s.probe != nil && s.cur != nil {
+		s.probe.Spans.MACDeferred(s.id, s.cur.Pkt)
 	}
 }
 
@@ -443,8 +432,8 @@ func (s *Station) onBackoffDone() {
 		return
 	}
 	s.backoffSlots = 0
-	if s.spans != nil && s.cur != nil {
-		s.spans.BackoffEnd(s.id, s.cur.Pkt)
+	if s.probe != nil && s.cur != nil {
+		s.probe.Spans.BackoffEnd(s.id, s.cur.Pkt)
 	}
 	if len(s.ctrl) > 0 {
 		s.sendBroadcast()
@@ -538,11 +527,9 @@ func (s *Station) onExchangeTimeout() {
 	}
 	s.retries++
 	s.stats.Retries++
-	if s.rec != nil {
-		s.rec.MACRetry(s.id, s.cur.Pkt.Flow)
-	}
-	if s.spans != nil {
-		s.spans.MACRetry(s.id, s.cur.Pkt, s.retries)
+	if s.probe != nil {
+		s.probe.Tel.MACRetry(s.id, s.cur.Pkt.Flow)
+		s.probe.Spans.MACRetry(s.id, s.cur.Pkt, s.retries)
 	}
 	if s.retries > s.par.RetryLimit {
 		s.stats.Drops++
@@ -684,8 +671,8 @@ func (s *Station) handleAck(f *radio.Frame) {
 	}
 	s.waitTimer.Cancel()
 	s.stats.DataAcked++
-	if s.rec != nil {
-		s.rec.MACService(s.id, s.cur.Pkt.Flow, s.sched.Now()-s.curSince)
+	if s.probe != nil {
+		s.probe.Tel.MACService(s.id, s.cur.Pkt.Flow, s.sched.Now()-s.curSince)
 	}
 	out := s.cur
 	s.cur = nil

@@ -5,12 +5,14 @@
 //
 // The layer is strictly zero-cost when disabled. Every producer (the
 // radio medium, the MAC stations, the forwarding nodes, the protocol
-// engines) holds a *Recorder that is nil in an untelemetered run; hooks
-// are gated on a nil check and every Recorder method is additionally
-// nil-receiver-safe. A nil Recorder therefore adds one predictable
-// branch per hook and no allocations — the determinism goldens and the
-// AllocsPerRun regressions of the hot paths are unaffected (see the
-// zero-cost contract in DESIGN.md "Observability").
+// engines) holds one *Probe, which carries this package's Recorder
+// beside the causal-span recorder and the channel-event ring and is nil
+// when every observer is off. Hooks are gated on that nil check and
+// every Recorder method is additionally nil-receiver-safe. A run with
+// no observer therefore pays one predictable branch per hook and no
+// allocations — the determinism goldens and the AllocsPerRun
+// regressions of the hot paths are unaffected (see the zero-cost
+// contract in DESIGN.md "Observability").
 //
 // When enabled, the Recorder only *observes*: it draws no randomness,
 // schedules no protocol events, and mutates no protocol state, so a
@@ -24,8 +26,22 @@ import (
 	"time"
 
 	"gmp/internal/packet"
+	"gmp/internal/span"
 	"gmp/internal/topology"
+	"gmp/internal/trace"
 )
+
+// Probe is a producer's one handle on a run's observers: telemetry
+// (Tel), causal spans (Spans) and the channel-event ring (Events), any
+// of which may be nil. A producer holds a nil *Probe when every
+// observer is off, so each hook site pays one nil check; past it, the
+// site calls the sinks directly, and every sink method ignores a nil
+// receiver.
+type Probe struct {
+	Tel    *Recorder
+	Spans  *span.Recorder
+	Events *trace.Ring
+}
 
 // Config enables telemetry for a run (gmp.Config.Telemetry).
 type Config struct {
@@ -281,9 +297,7 @@ type Telemetry struct {
 }
 
 // Recorder accumulates telemetry during a run. A nil *Recorder is the
-// disabled state: every method is a no-op on a nil receiver, and the
-// hot-path producers additionally gate their hook calls on a nil check
-// so the disabled cost is a single branch.
+// disabled state: every method is a no-op on a nil receiver.
 type Recorder struct {
 	now  func() time.Duration
 	topo *topology.Topology

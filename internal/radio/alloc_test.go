@@ -47,7 +47,7 @@ func TestDeliveryAllocs(t *testing.T) {
 func TestDeliveryAllocsNilRecorder(t *testing.T) {
 	baseline := newHarness(t, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
 	disabled := newHarness(t, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
-	disabled.medium.SetRecorder(nil)
+	disabled.medium.SetProbe(nil)
 	f := dataFrame(0, 1)
 
 	for i := 0; i < 16; i++ {

@@ -21,7 +21,6 @@ import (
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 	"gmp/internal/trace"
 )
@@ -295,15 +294,12 @@ type Medium struct {
 	idleScratch []topology.NodeID // reused by finish
 	busyBefore  []bool            // scratch for Begin/EndTopologyChange
 
-	stats    Stats
-	observer func(trace.Event)
-	// rec is the telemetry recorder (nil when telemetry is off; the hot
-	// path pays one branch per transmission, see internal/obs).
-	rec *obs.Recorder
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// observes data-frame airtime and corruption for sampled packets and
-	// tracks which transmitter holds each node's carrier sense busy.
-	spans *span.Recorder
+	stats Stats
+	// probe reaches the run's observers (nil when all are off): per-link
+	// airtime for telemetry, sampled data frames' airtime and corruption
+	// plus each node's carrier-sense holder for spans, and every channel
+	// event for the ring.
+	probe *obs.Probe
 }
 
 // NewMedium builds the channel for the given topology. Stations register
@@ -342,28 +338,20 @@ func (m *Medium) Register(n topology.NodeID, st Station) {
 // Params returns the channel constants.
 func (m *Medium) Params() Params { return m.params }
 
-// SetObserver installs a channel-event callback (nil disables). Used by
-// the trace facility; adds no cost when unset.
-func (m *Medium) SetObserver(fn func(trace.Event)) { m.observer = fn }
-
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only accumulates airtime per link; it never mutates channel
-// state, so enabling it cannot change simulation behavior.
-func (m *Medium) SetRecorder(rec *obs.Recorder) { m.rec = rec }
-
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (m *Medium) SetSpans(r *span.Recorder) { m.spans = r }
+// SetProbe installs the run's observers (nil disables, the default).
+// They only observe: no observer mutates channel state, so installing
+// them cannot change simulation behavior.
+func (m *Medium) SetProbe(p *obs.Probe) { m.probe = p }
 
 func (m *Medium) emit(kind trace.Kind, node, peer topology.NodeID, f *Frame) {
-	if m.observer == nil {
+	if m.probe == nil || m.probe.Events == nil {
 		return
 	}
 	detail := f.Kind.String()
 	if f.Data != nil {
 		detail += " " + f.Data.String()
 	}
-	m.observer(trace.Event{
+	m.probe.Events.Record(trace.Event{
 		At:     m.sched.Now(),
 		Kind:   kind,
 		Node:   node,
@@ -626,15 +614,15 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 	for _, tx := range m.inFlight() {
 		for _, n := range m.topo.CSNeighbors(tx.src) {
 			m.busy[n]++
-			if m.busy[n] == 1 && m.spans != nil {
-				m.spans.NodeBusy(n, tx.src)
+			if m.busy[n] == 1 && m.probe != nil {
+				m.probe.Spans.NodeBusy(n, tx.src)
 			}
 		}
 	}
-	if m.spans != nil {
+	if m.probe != nil {
 		for n := range m.busy {
 			if m.busy[n] == 0 {
-				m.spans.NodeIdle(topology.NodeID(n))
+				m.probe.Spans.NodeIdle(topology.NodeID(n))
 			}
 		}
 	}
@@ -750,8 +738,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 		atomic.AddInt64((*int64)(&m.stats.ControlAirtime), int64(dur))
 	} else if idx := m.topo.LinkIndex(f.LinkFrom, f.LinkTo); idx >= 0 {
 		m.occupancy[idx] += dur
-		if m.rec != nil {
-			m.rec.LinkAirtime(idx, dur)
+		if m.probe != nil {
+			m.probe.Tel.LinkAirtime(idx, dur)
 		}
 	} else {
 		if m.occupancyFar == nil {
@@ -760,8 +748,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 		m.occupancyFar[topology.Link{From: f.LinkFrom, To: f.LinkTo}] += dur
 	}
 	m.emit(trace.KindTransmit, src, f.To, f)
-	if m.spans != nil && f.Kind == FrameData && f.Data != nil {
-		m.spans.DataAirtime(f.Data, src, f.To, now, now+dur)
+	if m.probe != nil && f.Kind == FrameData && f.Data != nil {
+		m.probe.Spans.DataAirtime(f.Data, src, f.To, now, now+dur)
 	}
 
 	// A receiver already under another carrier — one it senses, or its
@@ -783,8 +771,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 		// Carrier sensing: raise busy at every foreign node within CS range.
 		m.busy[n]++
 		if m.busy[n] == 1 {
-			if m.spans != nil {
-				m.spans.NodeBusy(n, src)
+			if m.probe != nil {
+				m.probe.Spans.NodeBusy(n, src)
 			}
 			if m.onAir[n] == nil {
 				m.stations[n].OnBusy()
@@ -808,8 +796,8 @@ func (m *Medium) finish(tx *transmission) {
 			panic("radio: negative busy count")
 		}
 		if m.busy[n] == 0 {
-			if m.spans != nil {
-				m.spans.NodeIdle(n)
+			if m.probe != nil {
+				m.probe.Spans.NodeIdle(n)
 			}
 			nowIdle = append(nowIdle, n)
 		}
@@ -853,8 +841,8 @@ func (m *Medium) finish(tx *transmission) {
 		} else {
 			atomic.AddInt64(&m.stats.Corrupted, 1)
 			m.emit(trace.KindCorrupt, n, tx.src, tx.frame)
-			if m.spans != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
-				m.spans.DataCorrupted(tx.frame.Data, tx.src, n)
+			if m.probe != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
+				m.probe.Spans.DataCorrupted(tx.frame.Data, tx.src, n)
 			}
 		}
 		m.stations[n].OnFrame(tx.frame, ok)

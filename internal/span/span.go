@@ -6,9 +6,10 @@
 // Like the telemetry recorder (internal/obs), the Recorder only
 // observes: it draws no randomness, mutates no protocol state, and
 // schedules no events, so enabling it cannot change simulation
-// behavior. Every producer gates its hooks on a nil check, and all
-// Recorder methods are additionally safe on a nil receiver, so the
-// spans-off hot path pays one branch and zero allocations.
+// behavior. Producers reach it through their one *obs.Probe and gate
+// their hooks on that probe's nil check, and all Recorder methods are
+// additionally safe on a nil receiver, so the spans-off hot path pays
+// one branch and zero allocations.
 //
 // Memory is bounded by deterministic 1-in-k per-flow sampling: packet
 // seq is sampled when seq ≡ offset (mod k), where offset is a seeded
@@ -324,8 +325,8 @@ func (r *Recorder) state(p *packet.Packet) (*pktState, bool) {
 
 // SourceBlocked records that the flow source could not admit the
 // sampled packet (local queue full) and is waiting for the queue to
-// open. Called from the flow layer on every refused generation attempt;
-// only the first opens the span.
+// open. Called from the forwarding layer's Enqueue on every refused
+// generation attempt; only the first opens the span.
 func (r *Recorder) SourceBlocked(p *packet.Packet) {
 	if r == nil {
 		return

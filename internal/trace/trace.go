@@ -142,8 +142,12 @@ func NewRing(capacity int) *Ring {
 	return &Ring{events: make([]Event, capacity)}
 }
 
-// Record appends an event, evicting the oldest when full.
+// Record appends an event, evicting the oldest when full. A nil ring
+// records nothing.
 func (r *Ring) Record(e Event) {
+	if r == nil {
+		return
+	}
 	r.events[r.next] = e
 	r.next++
 	if r.next == len(r.events) {

@@ -31,7 +31,8 @@ func spanJSONL(t *testing.T, tr *SpanTrace) []byte {
 
 // TestSpanGate runs every determinism-gate case with spans enabled: the
 // Result must match the spans-off golden byte for byte, and the span
-// JSONL must validate and reproduce across runs.
+// JSONL must validate and reproduce across runs. The repeat run turns
+// every observer on, and neither the Result nor the spans may move.
 func TestSpanGate(t *testing.T) {
 	for _, tc := range gateCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,9 +60,13 @@ func TestSpanGate(t *testing.T) {
 				t.Fatalf("span JSONL fails its schema: %v", err)
 			}
 
-			res2, err := Run(cfg)
+			res2, err := Run(withAllObservers(cfg))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := dumpResult(res2); got != string(want) {
+				t.Fatalf("all-observers result diverged from the golden:\n%s",
+					firstDiff(string(want), got))
 			}
 			if !bytes.Equal(j1, spanJSONL(t, res2.Spans)) {
 				t.Error("span JSONL differs between identical runs")
