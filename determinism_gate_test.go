@@ -33,11 +33,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite determinism-gate g
 // gateCases is the pinned workload set: the paper scenarios behind
 // Tables 1-4 (Fig2/Fig3/Fig4) under every compared protocol, plus one
 // fault-schedule run, two mobility runs (random-waypoint chain,
-// group-mobility grid), a random-walk grid under churn, two churn runs,
-// and the §6 per-node runtime
-// (gmp-dist) on the out-of-band bus, with in-band broadcasts, and under
-// churn without admission. Durations are shorter than the paper sessions so
-// the gate stays fast; determinism does not depend on session length.
+// group-mobility grid), a random-walk grid under churn, plain 802.11 on
+// a random-walk grid with a node crash, three churn runs (GMP with
+// admission, a diurnal mesh, 2PP's per-flow queues without admission),
+// and the §6 per-node runtime (gmp-dist) on the out-of-band bus, with
+// in-band broadcasts, and under churn without admission. Durations are
+// shorter than the paper sessions so the gate stays fast; determinism
+// does not depend on session length.
 func gateCases(t *testing.T) []struct {
 	name string
 	cfg  Config
@@ -126,6 +128,21 @@ func gateCases(t *testing.T) []struct {
 				Admission: &AdmissionParams{MinShare: 50},
 			},
 		})},
+		{"mob_faults_grid_80211", short(Config{
+			Scenario: mobGrid,
+			Protocol: Protocol80211,
+			// Plain 802.11 through route repair, a crash and motion.
+			Mobility: &MobilityConfig{
+				Model:    MobilityRandomWalk,
+				Epoch:    time.Second,
+				MinSpeed: 1, MaxSpeed: 5,
+				MinX: 0, MaxX: 400, MinY: 0, MaxY: 400,
+			},
+			Faults: []FaultEvent{
+				{At: 30 * time.Second, Kind: FaultNodeDown, Node: 4},
+				{At: 40 * time.Second, Kind: FaultNodeUp, Node: 4},
+			},
+		})},
 		{"churn_fig3_gmp", short(Config{
 			Scenario: Fig3Scenario(),
 			Protocol: ProtocolGMP,
@@ -134,6 +151,16 @@ func gateCases(t *testing.T) []struct {
 				Rate:      0.2,
 				Matrix:    ChurnRandom,
 				Admission: &AdmissionParams{MinShare: 50},
+			},
+		})},
+		{"churn_fig3_2pp", short(Config{
+			Scenario: Fig3Scenario(),
+			Protocol: Protocol2PP,
+			// Per-flow queues released at each departure.
+			Churn: &ChurnConfig{
+				Process: ChurnPoisson,
+				Rate:    0.2,
+				Matrix:  ChurnRandom,
 			},
 		})},
 		{"churn_mesh_diurnal_gmp", short(Config{
