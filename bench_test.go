@@ -598,16 +598,20 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // BenchmarkScaling measures how the per-frame simulation cost grows with
 // network size on random connected topologies of constant density (~10
 // expected neighbors per node) and on city-regime street grids (4
-// neighbors per node, the spatial-grid pipeline's target workload).
-// Before the adjacency precomputation the medium scanned all N nodes per
-// transmission, making the per-frame cost O(N); with neighbor lists it
-// is O(degree), so ns/op should grow roughly linearly in N (more nodes →
-// more flows → more frames) rather than quadratically.
+// neighbors per node, the spatial-grid pipeline's target workload),
+// under plain 802.11 and under GMP. Before the adjacency precomputation
+// the medium scanned all N nodes per transmission, making the per-frame
+// cost O(N); with neighbor lists it is O(degree), so ns/op should grow
+// roughly linearly in N (more nodes → more flows → more frames) rather
+// than quadratically.
 //
-// Two metrics are reported separately so setup and steady state cannot
+// Three metrics are reported separately so setup and steady state cannot
 // mask each other: buildms times the static build pipeline (topology,
-// contention cliques, eager routes) on its own, and frames/s reports
-// kernel throughput of the timed simulation runs.
+// contention cliques, eager routes) on its own, frames/s reports kernel
+// throughput of the timed simulation runs, and ns/reception divides
+// their wall time by the radio's receptions (Delivered + Corrupted).
+// A frame costs O(degree), so frames/s may fall as the density grows;
+// ns/reception should not grow with N.
 func BenchmarkScaling(b *testing.B) {
 	cases := []struct {
 		name string
@@ -634,33 +638,47 @@ func BenchmarkScaling(b *testing.B) {
 			clique.Build(topo)
 			routing.Build(topo)
 			buildMs := time.Since(bs).Seconds() * 1000
-			var frames int64
-			var simSeconds float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{
-					Scenario: sc,
-					Protocol: Protocol80211,
-					Duration: 30 * time.Second,
-					Warmup:   10 * time.Second,
-					Seed:     int64(i + 1),
+			for _, arm := range []struct {
+				name  string
+				proto Protocol
+			}{
+				{"80211", Protocol80211},
+				{"gmp", ProtocolGMP},
+			} {
+				b.Run(arm.name, func(b *testing.B) {
+					var frames, receptions int64
+					var simSeconds float64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := Run(Config{
+							Scenario: sc,
+							Protocol: arm.proto,
+							Duration: 30 * time.Second,
+							Warmup:   10 * time.Second,
+							Seed:     int64(i + 1),
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						frames += res.Channel.Transmissions
+						receptions += res.Channel.Delivered + res.Channel.Corrupted
+						simSeconds += 30
+					}
+					b.StopTimer()
+					elapsed := b.Elapsed()
+					if elapsed > 0 {
+						b.ReportMetric(float64(frames)/elapsed.Seconds(), "frames/s")
+						b.ReportMetric(simSeconds/elapsed.Seconds(), "simsec/s")
+					}
+					if receptions > 0 {
+						b.ReportMetric(float64(elapsed.Nanoseconds())/float64(receptions), "ns/reception")
+					}
+					// After StopTimer/ResetTimer so the framework does not
+					// discard it (ResetTimer deletes user-reported metrics).
+					b.ReportMetric(buildMs, "buildms")
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				frames += res.Channel.Transmissions
-				simSeconds += 30
 			}
-			b.StopTimer()
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(frames)/elapsed, "frames/s")
-			}
-			b.ReportMetric(simSeconds/elapsed, "simsec/s")
-			// After StopTimer/ResetTimer so the framework does not
-			// discard it (ResetTimer deletes user-reported metrics).
-			b.ReportMetric(buildMs, "buildms")
 		})
 	}
 }

@@ -1,0 +1,287 @@
+package forwarding
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"gmp/internal/geom"
+	"gmp/internal/packet"
+	"gmp/internal/routing"
+	"gmp/internal/sim"
+	"gmp/internal/topology"
+)
+
+// advertModel is the map-of-maps neighbor state the slice store must
+// reproduce: per neighbor, per queue, the last advertised bit and when
+// it was heard.
+type advertModel map[topology.NodeID]map[packet.QueueID]nbrAdvert
+
+// hear merges an advert and reports whether it opened room.
+func (m advertModel) hear(from topology.NodeID, states []packet.QueueState, now time.Duration) bool {
+	if len(states) == 0 {
+		return false
+	}
+	cache := m[from]
+	if cache == nil {
+		cache = make(map[packet.QueueID]nbrAdvert)
+		m[from] = cache
+	}
+	opened := false
+	for _, st := range states {
+		prev, known := cache[st.Queue]
+		cache[st.Queue] = nbrAdvert{queue: st.Queue, free: st.Free, at: now}
+		if st.Free && (!known || !prev.free) {
+			opened = true
+		}
+	}
+	return opened
+}
+
+// starNode builds node 0 of a four-arm star: arm nodes 1-4 at 200 m and
+// arm ends 5-8 at 400 m, so an end is two hops away through its arm
+// node and an arm node is a final hop.
+func starNode(t testing.TB, cfg Config) (*Node, *sim.Scheduler) {
+	t.Helper()
+	pos := []geom.Point{{}, {X: 200}, {Y: 200}, {X: -200}, {Y: -200}, {X: 400}, {Y: 400}, {X: -400}, {Y: -400}}
+	topo, err := topology.New(pos, topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	return NewNode(0, sched, cfg, routing.Build(topo), nil, nil), sched
+}
+
+// TestAdvertOracle replays seeded random sequences of adverts from new
+// and known neighbors (subsets of each neighbor's queues, in its creation
+// order or shuffled), clock steps around StaleAfter, neighbor-state
+// resets and queue releases against advertModel. After every step it
+// checks NextOutgoing's gating (which queue is served, or that none is
+// and when the retry kick fires) and, after an advert, whether it opened
+// room.
+func TestAdvertOracle(t *testing.T) {
+	const (
+		flows    = 7
+		universe = 10 // queue IDs the neighbors advertise
+		stale    = 10 * time.Millisecond
+	)
+	// The arm nodes are the next hops; 6 and 9 are heard but are never
+	// a next hop.
+	senders := []topology.NodeID{1, 2, 3, 4, 6, 9}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := Config{Mode: PerFlow, QueueSlots: 4, CongestionAvoidance: true, StaleAfter: stale}
+			n, sched := starNode(t, cfg)
+			model := advertModel{}
+			// Flows 0-5 run to the arm ends, flow 6 to an arm node (a
+			// final hop, which no advert gates).
+			dstOf := func(f packet.FlowID) topology.NodeID {
+				if f == 6 {
+					return 2
+				}
+				return topology.NodeID(int(f)%4 + 5)
+			}
+			live := make([]bool, flows)
+			for f := range live {
+				live[f] = true
+			}
+			// Each sender's queues in creation order; a re-created queue
+			// moves to the end, as a real neighbor's would.
+			lists := make(map[topology.NodeID][]packet.QueueID)
+
+			checkGating := func(step int, what string) {
+				t.Helper()
+				for f, ok := range live {
+					if ok && n.QueueLen(packet.QueueForFlow(packet.FlowID(f))) == 0 {
+						n.Enqueue(pk(packet.FlowID(f), 0, dstOf(packet.FlowID(f)), int64(step)))
+					}
+				}
+				now := sched.Now()
+				ids := n.Queues()
+				want, retry := packet.QueueID(-1), time.Duration(-1)
+				for k := range ids {
+					qid := ids[(n.rrOffset+k)%len(ids)]
+					dst := dstOf(packet.FlowID(qid))
+					nh, _ := n.routes.NextHop(0, dst)
+					if e, known := model[nh][qid]; nh != dst && known && !e.free && now-e.at < stale {
+						if r := e.at + stale; retry < 0 || r < retry {
+							retry = r
+						}
+						continue
+					}
+					want = qid
+					break
+				}
+				n.kickTimer.Cancel()
+				out := n.NextOutgoing()
+				switch {
+				case want >= 0 && (out == nil || out.Queue != want):
+					t.Fatalf("step %d (%s): served %v, want queue %d", step, what, out, want)
+				case want < 0 && out != nil:
+					t.Fatalf("step %d (%s): served queue %d, want every queue blocked", step, what, out.Queue)
+				case want < 0 && len(ids) > 0:
+					if sched.Pending() != 1 {
+						t.Fatalf("step %d (%s): %d pending events, want the retry kick", step, what, sched.Pending())
+					}
+					if rng.Intn(2) == 0 {
+						n.kickTimer.Cancel()
+						break
+					}
+					sched.Step()
+					if sched.Now() != retry {
+						t.Fatalf("step %d (%s): retry kick at %v, want %v", step, what, sched.Now(), retry)
+					}
+				}
+			}
+
+			for step := 0; step < 3000; step++ {
+				var what string
+				switch r := rng.Intn(20); {
+				case r < 11:
+					from := senders[rng.Intn(len(senders))]
+					list := lists[from]
+					if len(list) < 8 && (len(list) == 0 || rng.Intn(3) == 0) {
+						q := packet.QueueID(rng.Intn(universe))
+						if !slices.Contains(list, q) {
+							list = append(list, q)
+						}
+					}
+					if len(list) > 0 && rng.Intn(6) == 0 {
+						k := rng.Intn(len(list))
+						list = slices.Delete(list, k, k+1)
+					}
+					lists[from] = list
+					var states []packet.QueueState
+					for _, q := range list {
+						if rng.Intn(5) > 0 {
+							states = append(states, packet.QueueState{Queue: q, Free: rng.Intn(3) == 0})
+						}
+					}
+					if rng.Intn(4) == 0 {
+						rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+					}
+					now := sched.Now()
+					want := model.hear(from, states, now)
+					if got := n.cacheAdvert(from, states); got != want {
+						t.Fatalf("step %d: advert %v from %d opened=%v, want %v", step, states, from, got, want)
+					}
+					what = fmt.Sprintf("advert from %d", from)
+				case r < 16:
+					// Step to just before, at or after some entry's expiry.
+					target := sched.Now() + time.Duration(rng.Intn(int(stale)))
+					from := senders[rng.Intn(len(senders))]
+					if list := lists[from]; len(list) > 0 {
+						e, known := model[from][list[rng.Intn(len(list))]]
+						if at := e.at + stale + time.Duration(rng.Intn(3)-1); known && at >= sched.Now() {
+							target = at
+						}
+					}
+					sched.Run(target)
+					what = "clock step"
+				case r < 18:
+					n.ResetNeighborState()
+					model = advertModel{}
+					what = "reset"
+				default:
+					// Bring a flow back (its queue is re-created last in
+					// the service order), or release it and a few others.
+					f := rng.Intn(flows)
+					if !live[f] {
+						live[f] = true
+						what = "flow back"
+						break
+					}
+					n.DropAll(DropNodeDown)
+					for g := range live {
+						if g == f || rng.Intn(4) == 0 {
+							if !n.ReleaseQueueIfIdle(packet.QueueForFlow(packet.FlowID(g))) {
+								t.Fatalf("step %d: empty queue %d not released", step, g)
+							}
+							live[g] = false
+						}
+					}
+					what = "release"
+				}
+				checkGating(step, what)
+			}
+		})
+	}
+}
+
+// TestWarmCycleAllocs pins the per-frame forwarding work at zero
+// allocations once warm: adverts overheard from known neighbors and,
+// after a reset, from neighbors heard anew, the node's own advert, a
+// dequeue and its acknowledgement.
+func TestWarmCycleAllocs(t *testing.T) {
+	n, _ := starNode(t, DefaultConfig())
+	p := pk(0, 0, 5, 0)
+	states := []packet.QueueState{
+		{Queue: packet.QueueForDest(5), Free: true},
+		{Queue: packet.QueueForDest(6), Free: false},
+		{Queue: packet.QueueForDest(7), Free: true},
+	}
+	buf := make([]packet.QueueState, 0, 4)
+	i := 0
+	cycle := func() {
+		if i++; i%8 == 0 {
+			n.ResetNeighborState()
+		}
+		n.Enqueue(p)
+		for _, from := range []topology.NodeID{3, 1, 2} {
+			states[1].Free = i%2 == 0
+			n.OnOverhear(from, states)
+		}
+		buf = n.AppendPiggyback(buf[:0])
+		out := n.NextOutgoing()
+		if out == nil {
+			t.Fatal("warm node sent nothing")
+		}
+		n.OnSendComplete(out, true)
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("warm overhear/advertise/send cycle: %v allocs, want 0", allocs)
+	}
+}
+
+// BenchmarkOnOverhear times one advert heard by a node that knows eight
+// neighbors, at 1, 8 and 64 advertised queues, and at 4 live queues
+// listed after 64 stale entries that churn left behind.
+func BenchmarkOnOverhear(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		live, stale int
+	}{
+		{"queues=1", 1, 0},
+		{"queues=8", 8, 0},
+		{"queues=64", 64, 0},
+		{"live=4/stale=64", 4, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n, _ := starNode(b, DefaultConfig())
+			senders := []topology.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
+			var all, live []packet.QueueState
+			for q := 0; q < bc.stale+bc.live; q++ {
+				all = append(all, packet.QueueState{Queue: packet.QueueID(q), Free: true})
+			}
+			live = all[bc.stale:]
+			for _, from := range senders {
+				n.OnOverhear(from, all)
+			}
+			flip := make([][]packet.QueueState, 2)
+			for k := range flip {
+				flip[k] = slices.Clone(live)
+				for j := range flip[k] {
+					flip[k][j].Free = (j+k)%2 == 0
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.OnOverhear(senders[i%len(senders)], flip[i/len(senders)%2])
+			}
+		})
+	}
+}

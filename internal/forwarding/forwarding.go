@@ -21,6 +21,7 @@ package forwarding
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gmp/internal/mac"
@@ -186,9 +187,30 @@ func (r DropReason) String() string {
 // DropFunc observes packet losses (for statistics).
 type DropFunc func(p *packet.Packet, reason DropReason)
 
-type nbrEntry struct {
-	free bool
-	at   time.Duration
+// nbrAdvert is a neighbor's last advertised buffer state for one queue.
+type nbrAdvert struct {
+	queue packet.QueueID
+	free  bool
+	at    time.Duration
+}
+
+// findAdvert returns the index of queue q's entry in ads, or -1. The
+// search starts at from (at most len(ads)) and wraps around once. A
+// neighbor lists its queues in creation order every time, so a search
+// that resumes after the previous match finds the next queue at once,
+// and a whole advert costs one pass over the entries.
+func findAdvert(ads []nbrAdvert, q packet.QueueID, from int) int {
+	for k := from; k < len(ads); k++ {
+		if ads[k].queue == q {
+			return k
+		}
+	}
+	for k := 0; k < from; k++ {
+		if ads[k].queue == q {
+			return k
+		}
+	}
+	return -1
 }
 
 // queue is one packet queue. In plain mode it is a single FIFO; with
@@ -339,10 +361,15 @@ type Node struct {
 	drop   DropFunc
 
 	queues   map[packet.QueueID]*queue
-	order    []packet.QueueID // round-robin order (creation order)
+	order    []*queue // round-robin order (creation order)
 	rrOffset int
 
-	nbrState map[topology.NodeID]map[packet.QueueID]nbrEntry
+	// Neighbor adverts: nbrIDs lists the neighbors heard since the last
+	// ResetNeighborState in ascending order, and nbrAds[i] holds
+	// nbrIDs[i]'s per-queue states in first-heard order. An entry stays
+	// until the reset even after the neighbor stops listing its queue.
+	nbrIDs []topology.NodeID
+	nbrAds [][]nbrAdvert
 
 	kickTimer sim.Timer
 	kickFn    func() // scheduleKick's callback, bound once
@@ -396,7 +423,6 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 		sink:     sink,
 		drop:     drop,
 		queues:   make(map[packet.QueueID]*queue),
-		nbrState: make(map[topology.NodeID]map[packet.QueueID]nbrEntry),
 		meters:   make(map[VLinkKey]*VLinkMeter),
 		received: make(map[VLinkKey]*VLinkMeter),
 
@@ -455,8 +481,7 @@ func (n *Node) SetRoutes(t *routing.Table) {
 // survive. Queue-open waiters may fire (the queues just opened); flow
 // sources must already be halted so they do not refill a dead node.
 func (n *Node) DropAll(reason DropReason) {
-	for _, qid := range n.order {
-		q := n.queues[qid]
+	for _, q := range n.order {
 		for q.length() > 0 {
 			p, _ := q.pop()
 			n.dropPkt(p, reason)
@@ -490,12 +515,8 @@ func (n *Node) ReleaseQueueIfIdle(id packet.QueueID) bool {
 	}
 	delete(n.queues, id)
 	delete(n.openWaiters, id)
-	for i, qid := range n.order {
-		if qid == id {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(n.order, q)
+	n.order = slices.Delete(n.order, i, i+1)
 	if len(n.order) == 0 {
 		n.rrOffset = 0
 	} else {
@@ -509,7 +530,21 @@ func (n *Node) ReleaseQueueIfIdle(id packet.QueueID) bool {
 // node that crashed (or from before a reroute) would otherwise suppress
 // transmissions toward neighbors whose state is simply unknown now.
 func (n *Node) ResetNeighborState() {
-	n.nbrState = make(map[topology.NodeID]map[packet.QueueID]nbrEntry)
+	n.nbrIDs = n.nbrIDs[:0]
+	n.nbrAds = n.nbrAds[:0]
+}
+
+// advert returns neighbor nb's last advertised state for queue q.
+func (n *Node) advert(nb topology.NodeID, q packet.QueueID) (nbrAdvert, bool) {
+	i, ok := slices.BinarySearch(n.nbrIDs, nb)
+	if !ok {
+		return nbrAdvert{}, false
+	}
+	ads := n.nbrAds[i]
+	if k := findAdvert(ads, q, 0); k >= 0 {
+		return ads[k], true
+	}
+	return nbrAdvert{}, false
 }
 
 // SetBroadcastHandler routes decoded control broadcasts (link-state
@@ -536,7 +571,7 @@ func (n *Node) queueFor(id packet.QueueID) *queue {
 	if !ok {
 		q = &queue{id: id, fair: n.cfg.FairAggregation, fullSince: -1}
 		n.queues[id] = q
-		n.order = append(n.order, id)
+		n.order = append(n.order, q)
 	}
 	return q
 }
@@ -628,8 +663,8 @@ func (n *Node) QueueLen(id packet.QueueID) int {
 // this node across all queues (telemetry sampling).
 func (n *Node) TotalQueued() int {
 	total := 0
-	for _, qid := range n.order {
-		total += n.queues[qid].length()
+	for _, q := range n.order {
+		total += q.length()
 	}
 	return total
 }
@@ -638,7 +673,11 @@ func (n *Node) TotalQueued() int {
 // creation order. Under per-destination queueing these are the node's
 // served destinations (its virtual nodes).
 func (n *Node) Queues() []packet.QueueID {
-	return append([]packet.QueueID(nil), n.order...)
+	ids := make([]packet.QueueID, len(n.order))
+	for i, q := range n.order {
+		ids[i] = q.id
+	}
+	return ids
 }
 
 // Enqueue admits a locally generated packet into the appropriate queue.
@@ -677,8 +716,7 @@ func (n *Node) NextOutgoing() *mac.Outgoing {
 	var earliestRetry time.Duration = -1
 	now := n.sched.Now()
 	for k := 0; k < len(n.order); k++ {
-		qid := n.order[(n.rrOffset+k)%len(n.order)]
-		q := n.queues[qid]
+		q := n.order[(n.rrOffset+k)%len(n.order)]
 		head := q.peek()
 		if head == nil {
 			continue
@@ -692,7 +730,7 @@ func (n *Node) NextOutgoing() *mac.Outgoing {
 			continue
 		}
 		if n.cfg.CongestionAvoidance && nh != head.Dst {
-			if entry, known := n.nbrState[nh][qid]; known && !entry.free {
+			if entry, known := n.advert(nh, q.id); known && !entry.free {
 				age := now - entry.at
 				if age < n.cfg.StaleAfter {
 					retryAt := entry.at + n.cfg.StaleAfter
@@ -706,7 +744,7 @@ func (n *Node) NextOutgoing() *mac.Outgoing {
 		pkt, origin := q.pop()
 		n.touchFullState(q)
 		n.rrOffset = (n.rrOffset + k + 1) % len(n.order)
-		n.out = mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: qid, Origin: origin}
+		n.out = mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: q.id, Origin: origin}
 		return &n.out
 	}
 	if earliestRetry >= 0 {
@@ -847,10 +885,16 @@ func (n *Node) AcceptQueue(id packet.QueueID, from topology.NodeID) bool {
 }
 
 // AppendPiggyback implements mac.Client: advertise one free/full bit per
-// owned queue (§2.2).
+// owned queue (§2.2). Without congestion avoidance it advertises
+// nothing: no node of such a network gates on the bits, and an advert
+// that opens room can only Kick a MAC that has no work waiting, since
+// every enqueue and route change kicks already.
 func (n *Node) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
-	for _, qid := range n.order {
-		dst = append(dst, packet.QueueState{Queue: qid, Free: !n.full(n.queues[qid])})
+	if !n.cfg.CongestionAvoidance {
+		return dst
+	}
+	for _, q := range n.order {
+		dst = append(dst, packet.QueueState{Queue: q.id, Free: !n.full(q)})
 	}
 	return dst
 }
@@ -858,26 +902,46 @@ func (n *Node) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
 // OnOverhear implements mac.Client: cache a neighbor's advertised buffer
 // states and wake the MAC if new room opened downstream.
 func (n *Node) OnOverhear(from topology.NodeID, states []packet.QueueState) {
-	if len(states) == 0 {
-		return
-	}
-	cache := n.nbrState[from]
-	if cache == nil {
-		cache = make(map[packet.QueueID]nbrEntry)
-		n.nbrState[from] = cache
-	}
-	now := n.sched.Now()
-	opened := false
-	for _, st := range states {
-		prev, known := cache[st.Queue]
-		cache[st.Queue] = nbrEntry{free: st.Free, at: now}
-		if st.Free && (!known || !prev.free) {
-			opened = true
-		}
-	}
-	if opened && n.mac != nil {
+	if n.cacheAdvert(from, states) && n.mac != nil {
 		n.mac.Kick()
 	}
+}
+
+// cacheAdvert merges from's advert into the neighbor state, queue by
+// queue, and reports whether it opened room: a free state for a queue
+// that was unknown or last seen full.
+func (n *Node) cacheAdvert(from topology.NodeID, states []packet.QueueState) bool {
+	if len(states) == 0 {
+		return false
+	}
+	i, heard := slices.BinarySearch(n.nbrIDs, from)
+	if !heard {
+		// Reuse an entry list that a reset left beyond the end.
+		var ads []nbrAdvert
+		if spare := n.nbrAds[len(n.nbrAds):cap(n.nbrAds)]; len(spare) > 0 {
+			ads = spare[0][:0]
+		}
+		n.nbrIDs = slices.Insert(n.nbrIDs, i, from)
+		n.nbrAds = slices.Insert(n.nbrAds, i, ads)
+	}
+	ads := n.nbrAds[i]
+	now := n.sched.Now()
+	opened := false
+	next := 0
+	for _, st := range states {
+		k := findAdvert(ads, st.Queue, next)
+		if k < 0 {
+			k = len(ads)
+			ads = append(ads, nbrAdvert{queue: st.Queue})
+			opened = opened || st.Free
+		} else if st.Free && !ads[k].free {
+			opened = true
+		}
+		ads[k].free, ads[k].at = st.Free, now
+		next = k + 1
+	}
+	n.nbrAds[i] = ads
+	return opened
 }
 
 // TakeMeters returns the per-virtual-link send meters accumulated since

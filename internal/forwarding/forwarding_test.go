@@ -519,6 +519,19 @@ func TestPiggybackReflectsQueueState(t *testing.T) {
 	if byQueue[packet.QueueForDest(3)] {
 		t.Error("full queue advertised free")
 	}
+
+	// Without congestion avoidance (plain 802.11) nothing is advertised,
+	// and a "full" advert from the next hop holds nothing back.
+	cfg.CongestionAvoidance = false
+	plain, _, _ := testNode(t, 1, cfg)
+	plain.Enqueue(pk(0, 1, 4, 0))
+	if states := plain.AppendPiggyback(nil); len(states) != 0 {
+		t.Errorf("node without congestion avoidance advertised %v", states)
+	}
+	plain.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	if plain.NextOutgoing() == nil {
+		t.Error("node without congestion avoidance held a packet back")
+	}
 }
 
 func TestDropReasonStrings(t *testing.T) {

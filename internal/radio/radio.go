@@ -208,7 +208,9 @@ func (p Params) SaturationRate(dataBytes int, useRTS bool) float64 {
 // can add more than one when several receivers independently draw a
 // loss. Counters are updated atomically, so Stats() may be called from
 // goroutines other than the simulation goroutine (e.g. a progress
-// monitor) without a data race.
+// monitor) without a data race. The reception counters are published
+// once per frame, after the frame's last delivery: a snapshot taken
+// from a station callback mid-delivery lacks that frame's receptions.
 type Stats struct {
 	Transmissions  int64 // frames put on the air
 	Corrupted      int64 // frame deliveries that failed
@@ -816,10 +818,12 @@ func (m *Medium) finish(tx *transmission) {
 	}
 
 	// Deliver to every node in transmission range (receiver + overhearers).
+	// The counts are published once, after the loop.
+	var delivered, corrupted, downSkipped, injected int64
 	for _, n := range nbrs {
 		if m.down[n] {
 			// Crashed receivers hear nothing at all.
-			atomic.AddInt64(&m.stats.DownSkipped, 1)
+			downSkipped++
 			continue
 		}
 		ok := m.jamMark[n] != tx.seq
@@ -831,21 +835,33 @@ func (m *Medium) finish(tx *transmission) {
 		// faults consume the identical random sequence as before.
 		if p := m.lossAt(tx.src, n); ok && p > 0 && m.rng.Float64() < p {
 			ok = false
-			atomic.AddInt64(&m.stats.InjectedLosses, 1)
+			injected++
 		}
 		if ok {
-			atomic.AddInt64(&m.stats.Delivered, 1)
+			delivered++
 			if n == tx.frame.To {
 				m.emit(trace.KindDeliver, n, tx.src, tx.frame)
 			}
 		} else {
-			atomic.AddInt64(&m.stats.Corrupted, 1)
+			corrupted++
 			m.emit(trace.KindCorrupt, n, tx.src, tx.frame)
 			if m.probe != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
 				m.probe.Spans.DataCorrupted(tx.frame.Data, tx.src, n)
 			}
 		}
 		m.stations[n].OnFrame(tx.frame, ok)
+	}
+	if delivered > 0 {
+		atomic.AddInt64(&m.stats.Delivered, delivered)
+	}
+	if corrupted > 0 {
+		atomic.AddInt64(&m.stats.Corrupted, corrupted)
+	}
+	if downSkipped > 0 {
+		atomic.AddInt64(&m.stats.DownSkipped, downSkipped)
+	}
+	if injected > 0 {
+		atomic.AddInt64(&m.stats.InjectedLosses, injected)
 	}
 
 	for _, n := range nowIdle {
