@@ -286,6 +286,36 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// fig3Key returns the cache key of seed 1 of a fig3 job with the
+// default run spec under the given protocol spelling.
+func fig3Key(t *testing.T, protocol string) string {
+	t.Helper()
+	st, err := (&server{}).buildJob(&jobRequest{ScenarioName: "fig3", Protocol: protocol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.keys[0].String()
+}
+
+// TestJobKeysStable pins the cache keys: a changed key orphans every
+// cached result. Every spelling of one protocol shares one key.
+func TestJobKeysStable(t *testing.T) {
+	for protocol, want := range map[string]string{
+		"gmp":       "8b46508e6a9337548d160a47f8020b402ba3ca8ac0a689896ec3d13729114a9b",
+		"gmp-dist":  "abc249b452ccb14496a0dd632d65acd5af1847bc23fb71c10da4ab0c720e7de7",
+		"802.11":    "4b0519f8a386cf274c41e9b063590d44183d0829b4c713828d6ae21d577bc606",
+		"80211":     "4b0519f8a386cf274c41e9b063590d44183d0829b4c713828d6ae21d577bc606",
+		"dcf":       "4b0519f8a386cf274c41e9b063590d44183d0829b4c713828d6ae21d577bc606",
+		"2pp":       "a25ccbe21843f59a0396824bb5cbd50c98952476aee53f9048af9a9f3513998d",
+		"bp":        "217650ddb105c28d9f7a6afbd17fb6bcb5c2f3a829c6e2db933644908d508b99",
+		"bp-shared": "effcecf585a41a4b8298d19fc5c37541a1b8d8309f130ccdf7afe64a93d9987e",
+	} {
+		if got := fig3Key(t, protocol); got != want {
+			t.Errorf("%s: key %s, want %s", protocol, got, want)
+		}
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	for name, body := range map[string]string{
