@@ -80,6 +80,8 @@ type jobRequest struct {
 // JSON is deterministic. Workers is deliberately absent: worker count
 // never affects results.
 type canonicalSpec struct {
+	// Protocol is gmp.Protocol.Name, not the display name from String,
+	// so "80211" and "dcf" address the same content as "802.11".
 	Protocol   string  `json:"protocol"`
 	DurationNS int64   `json:"duration_ns"`
 	WarmupNS   int64   `json:"warmup_ns"`
@@ -329,7 +331,7 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	if protoName == "" {
 		protoName = "gmp"
 	}
-	proto, canonicalProto, err := parseProtocol(protoName)
+	proto, err := gmp.ParseProtocol(protoName)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +342,7 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	if seeds == 0 {
 		seeds = 1
 	}
-	if req.DurationS < 0 || req.WarmupS < 0 || req.WarmupS > req.DurationS && req.DurationS != 0 {
+	if req.DurationS < 0 || req.WarmupS < 0 {
 		return nil, fmt.Errorf("invalid duration %gs / warmup %gs", req.DurationS, req.WarmupS)
 	}
 	duration := time.Duration(req.DurationS * float64(time.Second))
@@ -351,12 +353,15 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	if warmup == 0 {
 		warmup = duration / 2 // gmp.Run's default
 	}
-	if req.LossProb < 0 || req.LossProb > 1 {
-		return nil, fmt.Errorf("loss_prob %g outside [0, 1]", req.LossProb)
+	if warmup >= duration {
+		return nil, fmt.Errorf("warmup %v is not before duration %v", warmup, duration)
+	}
+	if req.LossProb < 0 || req.LossProb >= 1 {
+		return nil, fmt.Errorf("loss_prob %g outside [0, 1)", req.LossProb)
 	}
 
 	spec := canonicalSpec{
-		Protocol:   canonicalProto,
+		Protocol:   proto.Name(),
 		DurationNS: int64(duration),
 		WarmupNS:   int64(warmup),
 		DisableRTS: req.DisableRTS,
@@ -817,28 +822,5 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
 		fmt.Fprintf(w, "%s %d\n", m.name, m.value)
-	}
-}
-
-// parseProtocol accepts cmd/gmpsim's protocol names and returns the
-// protocol plus its canonical API spelling. The canonical spelling —
-// not the display name from Protocol.String — goes into the cache key,
-// so "80211" and "dcf" address the same content as "802.11".
-func parseProtocol(name string) (gmp.Protocol, string, error) {
-	switch name {
-	case "gmp":
-		return gmp.ProtocolGMP, "gmp", nil
-	case "gmp-dist":
-		return gmp.ProtocolGMPDistributed, "gmp-dist", nil
-	case "802.11", "80211", "dcf":
-		return gmp.Protocol80211, "802.11", nil
-	case "2pp":
-		return gmp.Protocol2PP, "2pp", nil
-	case "bp":
-		return gmp.ProtocolBackpressure, "bp", nil
-	case "bp-shared":
-		return gmp.ProtocolBackpressureShared, "bp-shared", nil
-	default:
-		return 0, "", fmt.Errorf("unknown protocol %q", name)
 	}
 }

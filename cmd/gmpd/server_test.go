@@ -316,17 +316,28 @@ func TestJobKeysStable(t *testing.T) {
 	}
 }
 
+// TestShorthandSharesKey checks that "gmpd", a shorthand gmpd accepts
+// through gmp.ParseProtocol, addresses the gmp-dist content.
+func TestShorthandSharesKey(t *testing.T) {
+	if got, want := fig3Key(t, "gmpd"), fig3Key(t, "gmp-dist"); got != want {
+		t.Errorf("gmpd: key %s, want gmp-dist's %s", got, want)
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	for name, body := range map[string]string{
-		"no scenario":      `{"seeds":2}`,
-		"both scenarios":   `{"scenario_name":"fig3","scenario":{"name":"x","nodes":[[0,0],[1,1]]},"seeds":1}`,
-		"unknown scenario": `{"scenario_name":"nope"}`,
-		"unknown protocol": `{"scenario_name":"fig3","protocol":"tcp"}`,
-		"unknown field":    `{"scenario_name":"fig3","bogus":1}`,
-		"too many seeds":   fmt.Sprintf(`{"scenario_name":"fig3","seeds":%d}`, maxSeeds+1),
-		"bad loss prob":    `{"scenario_name":"fig3","loss_prob":1.5}`,
-		"negative warmup":  `{"scenario_name":"fig3","warmup_s":-1}`,
+		"no scenario":               `{"seeds":2}`,
+		"both scenarios":            `{"scenario_name":"fig3","scenario":{"name":"x","nodes":[[0,0],[1,1]]},"seeds":1}`,
+		"unknown scenario":          `{"scenario_name":"nope"}`,
+		"unknown protocol":          `{"scenario_name":"fig3","protocol":"tcp"}`,
+		"unknown field":             `{"scenario_name":"fig3","bogus":1}`,
+		"too many seeds":            fmt.Sprintf(`{"scenario_name":"fig3","seeds":%d}`, maxSeeds+1),
+		"bad loss prob":             `{"scenario_name":"fig3","loss_prob":1.5}`,
+		"negative warmup":           `{"scenario_name":"fig3","warmup_s":-1}`,
+		"loss prob 1":               `{"scenario_name":"fig3","loss_prob":1}`,
+		"warmup = duration":         `{"scenario_name":"fig3","duration_s":4,"warmup_s":4}`,
+		"warmup > default duration": `{"scenario_name":"fig3","warmup_s":500}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -140,7 +140,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return f.Close()
 	}
-	protocol, err := parseProtocol(*protocolName)
+	protocol, err := gmp.ParseProtocol(*protocolName)
 	if err != nil {
 		return err
 	}
@@ -495,25 +495,6 @@ func buildScenario(name string, nodes, gateways, rows, cols, nflows, length int,
 		return gmp.CityScenario(nodes, gateways, nflows, spacing, seed)
 	default:
 		return gmp.Scenario{}, fmt.Errorf("unknown scenario %q", name)
-	}
-}
-
-func parseProtocol(name string) (gmp.Protocol, error) {
-	switch name {
-	case "gmp":
-		return gmp.ProtocolGMP, nil
-	case "gmp-dist", "gmpd":
-		return gmp.ProtocolGMPDistributed, nil
-	case "802.11", "80211", "dcf":
-		return gmp.Protocol80211, nil
-	case "2pp":
-		return gmp.Protocol2PP, nil
-	case "bp":
-		return gmp.ProtocolBackpressure, nil
-	case "bp-shared":
-		return gmp.ProtocolBackpressureShared, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", name)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command sweep runs a one-dimensional parameter sweep over repeated
 // simulations and writes the results as CSV, ready for plotting. It
-// automates the ablation studies listed in DESIGN.md.
+// automates the ablation studies listed in DESIGN.md and the fault
+// sweeps of the dynamics extension.
 //
 // The whole value × seed grid executes through the parallel experiment
 // runner (gmp.RunMany): -parallel sets the worker count (default all
@@ -17,12 +18,25 @@
 //	sweep -scenario fig3 -param beta -values 0.05,0.1 -seeds 16 -ci -parallel 8
 //	sweep -scenario fig3 -mobility random-waypoint -param speed -values 1,5,10,20
 //	sweep -scenario fig3 -churn poisson -admit 40 -param lambda -values 0.2,0.5,1,2 -ci
+//	sweep -scenario grid23 -param crash -node 1 -values 0,0.5,1 -duration 200s -warmup 40s -ci
+//	sweep -scenario fig3 -param link-loss -from 1 -to 2 -values 0,0.2,0.4 -ci
 //
 // Supported parameters: beta, period_s, additive, omega, queue, loss,
 // with -mobility set — speed (pins both speed bounds to the value), and
 // with -churn set — lambda (the churn arrival rate in flows/s; churn
 // runs add admitted/rejected/shed columns and report min_rate over the
 // static flows only, since refused arrivals deliver nothing by design).
+// gmp.Config runs a zero at the default, so beta, period_s, additive,
+// omega and queue must be positive, and queue whole.
+//
+// The fault axes crash and link-loss take an intensity v in [0,1], 0
+// being the fault-free baseline. From the warmup boundary W, crash
+// takes -node down for v × (duration − W) / 2, and link-loss drops
+// frames on the link -from → -to with probability v (0.99 for v = 1)
+// until the middle of the measured window. Their rows add recovery
+// columns after min_rate: recovered and recovery_s per run, or under
+// -ci recovered_frac and the mean and CI95 of recovery_s over the runs
+// that recovered.
 package main
 
 import (
@@ -32,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,15 +67,19 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	pf := prof.Register(fs)
-	scenarioName := fs.String("scenario", "fig3", "scenario: fig1|fig2|fig2w|fig3|fig4")
-	protocolName := fs.String("protocol", "gmp", "protocol: gmp|gmp-dist|802.11|2pp")
-	param := fs.String("param", "beta", "parameter to sweep: beta|period_s|additive|omega|queue|loss|speed|lambda")
+	scenarioName := fs.String("scenario", "fig3", "scenario: "+strings.Join(gmp.ScenarioNames(), "|"))
+	protocolName := fs.String("protocol", "gmp", "protocol: gmp|gmp-dist|802.11|2pp|bp|bp-shared")
+	param := fs.String("param", "beta", "parameter to sweep: beta|period_s|additive|omega|queue|loss|speed|lambda|crash|link-loss")
 	mobModel := fs.String("mobility", "", "move nodes during every run: random-waypoint|random-walk|group")
 	churnProc := fs.String("churn", "", "overlay a dynamic flow workload on every run: poisson|diurnal")
 	admitShare := fs.Float64("admit", 0, "churn admission control: minimum weighted per-flow share (pkt/s; 0 = admit everything)")
 	values := fs.String("values", "0.05,0.10,0.20", "comma-separated parameter values")
 	seeds := fs.Int("seeds", 3, "seeds per value")
 	duration := fs.Duration("duration", 400*time.Second, "session length")
+	warmup := fs.Duration("warmup", 0, "warmup excluded from the rates; fault axes start here (0 = duration/2)")
+	node := fs.Int("node", 1, "node to crash (crash parameter)")
+	from := fs.Int("from", 1, "degraded link source (link-loss parameter)")
+	to := fs.Int("to", 2, "degraded link destination (link-loss parameter)")
 	parallel := fs.Int("parallel", 0, "concurrent simulations (0 = all CPUs, 1 = serial)")
 	ci := fs.Bool("ci", false, "aggregate seeds: one row per value with mean and 95% CI columns")
 	timeout := fs.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
@@ -75,11 +94,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stopProf()
 
-	sc, err := pickScenario(*scenarioName)
+	sc, err := gmp.NamedScenario(*scenarioName)
 	if err != nil {
 		return err
 	}
-	protocol, err := pickProtocol(*protocolName)
+	protocol, err := gmp.ParseProtocol(*protocolName)
 	if err != nil {
 		return err
 	}
@@ -92,6 +111,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("negative parallelism %d", *parallel)
+	}
+	warm := *warmup
+	if warm == 0 {
+		warm = *duration / 2
+	}
+	if warm < 0 || warm >= *duration {
+		return fmt.Errorf("warmup %v outside [0, duration %v)", warm, *duration)
 	}
 
 	mob, err := baseMobility(*mobModel)
@@ -108,6 +134,7 @@ func run(args []string, stdout io.Writer) error {
 	if *param == "lambda" && ch == nil {
 		return fmt.Errorf("the lambda parameter needs -churn")
 	}
+	site := faultSite{node: gmp.NodeID(*node), from: gmp.NodeID(*from), to: gmp.NodeID(*to)}
 
 	// Build the full value × seed grid, then fan it out in one batch so
 	// the worker pool stays busy across value boundaries.
@@ -118,6 +145,7 @@ func run(args []string, stdout io.Writer) error {
 				Scenario: sc,
 				Protocol: protocol,
 				Duration: *duration,
+				Warmup:   warm,
 				Seed:     int64(seed),
 			}
 			if mob != nil {
@@ -132,7 +160,7 @@ func run(args []string, stdout io.Writer) error {
 				}
 				cfg.Churn = &c
 			}
-			if err := applyParam(&cfg, *param, v); err != nil {
+			if err := applyParam(&cfg, *param, v, site); err != nil {
 				return err
 			}
 			if *telemetry != "" {
@@ -172,10 +200,11 @@ func run(args []string, stdout io.Writer) error {
 	if ch != nil {
 		staticN = len(sc.Flows)
 	}
+	fault := *param == "crash" || *param == "link-loss"
 	if *ci {
-		err = writeAggregated(cw, sc.Name, protocol.String(), *param, vals, *seeds, staticN, results)
+		err = writeAggregated(cw, *scenarioName, protocol.String(), *param, vals, *seeds, staticN, fault, results)
 	} else {
-		err = writePerRun(cw, sc.Name, protocol.String(), *param, vals, *seeds, staticN, results)
+		err = writePerRun(cw, *scenarioName, protocol.String(), *param, vals, *seeds, staticN, fault, results)
 	}
 	if err != nil {
 		return err
@@ -233,10 +262,13 @@ func minRate(res *gmp.Result, staticN int) float64 {
 	return min
 }
 
-// writePerRun emits the historical one-row-per-run format. Churn runs
-// (staticN > 0) append the admission counters to every row.
-func writePerRun(cw *csv.Writer, scenario, protocol, param string, vals []float64, seeds, staticN int, results []*gmp.Result) error {
+// writePerRun emits the historical one-row-per-run format. Fault axes
+// append the recovery columns and churn runs the admission counters.
+func writePerRun(cw *csv.Writer, scenario, protocol, param string, vals []float64, seeds, staticN int, fault bool, results []*gmp.Result) error {
 	header := []string{"scenario", "protocol", "param", "value", "seed", "i_mm", "i_eq", "u_pps", "min_rate_pps"}
+	if fault {
+		header = append(header, "recovered", "recovery_s")
+	}
 	if staticN > 0 {
 		header = append(header, "arrivals", "admitted", "rejected", "shed")
 	}
@@ -255,6 +287,9 @@ func writePerRun(cw *csv.Writer, scenario, protocol, param string, vals []float6
 				fmt.Sprintf("%.2f", res.U),
 				fmt.Sprintf("%.2f", minRate(res, staticN)),
 			}
+			if fault {
+				row = append(row, strconv.FormatBool(res.Recovered), fmt.Sprintf("%.2f", res.RecoveryTime.Seconds()))
+			}
 			if staticN > 0 {
 				c := res.Churn
 				row = append(row,
@@ -272,12 +307,17 @@ func writePerRun(cw *csv.Writer, scenario, protocol, param string, vals []float6
 // writeAggregated emits one row per parameter value: across-seed means
 // with Student-t 95% confidence half-widths. Static runs go through
 // gmp.Summarize; churn runs aggregate scalar-by-scalar instead, because
-// arrival counts (and therefore flow counts) differ between seeds.
-func writeAggregated(cw *csv.Writer, scenario, protocol, param string, vals []float64, seeds, staticN int, results []*gmp.Result) error {
+// arrival counts (and therefore flow counts) differ between seeds. A
+// fault axis adds the fraction of runs whose post-fault trace
+// re-settled and the recovery time over those runs.
+func writeAggregated(cw *csv.Writer, scenario, protocol, param string, vals []float64, seeds, staticN int, fault bool, results []*gmp.Result) error {
 	header := []string{
 		"scenario", "protocol", "param", "value", "seeds",
 		"i_mm", "i_mm_ci95", "i_eq", "i_eq_ci95",
 		"u_pps", "u_pps_ci95", "min_rate_pps", "min_rate_ci95",
+	}
+	if fault {
+		header = append(header, "recovered_frac", "recovery_s", "recovery_s_ci95")
 	}
 	if staticN > 0 {
 		header = append(header,
@@ -302,22 +342,26 @@ func writeAggregated(cw *csv.Writer, scenario, protocol, param string, vals []fl
 				fmt.Sprintf("%.2f", sum.U.Mean), fmt.Sprintf("%.2f", sum.U.CI95),
 				fmt.Sprintf("%.2f", sum.MinRate.Mean), fmt.Sprintf("%.2f", sum.MinRate.CI95))
 		} else {
-			cols := make([][]float64, 8)
+			row = appendCI(row, block, []string{"%.4f", "%.4f", "%.2f", "%.2f"}, func(res *gmp.Result) []float64 {
+				return []float64{res.Imm, res.Ieq, res.U, minRate(res, staticN)}
+			})
+		}
+		if fault {
+			var rec []float64
 			for _, res := range block {
-				c := res.Churn
-				for j, x := range []float64{
-					res.Imm, res.Ieq, res.U, minRate(res, staticN),
-					float64(c.Arrivals), float64(c.Admitted),
-					float64(c.Rejected), float64(c.Shed),
-				} {
-					cols[j] = append(cols[j], x)
+				if res.Recovered {
+					rec = append(rec, res.RecoveryTime.Seconds())
 				}
 			}
-			prec := []string{"%.4f", "%.4f", "%.2f", "%.2f", "%.2f", "%.2f", "%.2f", "%.2f"}
-			for j, xs := range cols {
-				s := stats.Summarize(xs)
-				row = append(row, fmt.Sprintf(prec[j], s.Mean), fmt.Sprintf(prec[j], s.CI95))
-			}
+			s := stats.Summarize(rec)
+			row = append(row, fmt.Sprintf("%.2f", float64(len(rec))/float64(len(block))),
+				fmt.Sprintf("%.2f", s.Mean), fmt.Sprintf("%.2f", s.CI95))
+		}
+		if staticN > 0 {
+			row = appendCI(row, block, []string{"%.2f", "%.2f", "%.2f", "%.2f"}, func(res *gmp.Result) []float64 {
+				c := res.Churn
+				return []float64{float64(c.Arrivals), float64(c.Admitted), float64(c.Rejected), float64(c.Shed)}
+			})
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -326,36 +370,21 @@ func writeAggregated(cw *csv.Writer, scenario, protocol, param string, vals []fl
 	return nil
 }
 
-func pickScenario(name string) (gmp.Scenario, error) {
-	switch name {
-	case "fig1":
-		return gmp.Fig1Scenario(), nil
-	case "fig2":
-		return gmp.Fig2Scenario(), nil
-	case "fig2w":
-		return gmp.Fig2WeightedScenario(), nil
-	case "fig3":
-		return gmp.Fig3Scenario(), nil
-	case "fig4":
-		return gmp.Fig4Scenario(), nil
-	default:
-		return gmp.Scenario{}, fmt.Errorf("unknown scenario %q", name)
+// appendCI appends, for each value that metrics returns per run, its
+// mean and Student-t 95% half-width over the block, formatted with the
+// matching prec.
+func appendCI(row []string, block []*gmp.Result, prec []string, metrics func(*gmp.Result) []float64) []string {
+	cols := make([][]float64, len(prec))
+	for _, res := range block {
+		for j, x := range metrics(res) {
+			cols[j] = append(cols[j], x)
+		}
 	}
-}
-
-func pickProtocol(name string) (gmp.Protocol, error) {
-	switch name {
-	case "gmp":
-		return gmp.ProtocolGMP, nil
-	case "gmp-dist":
-		return gmp.ProtocolGMPDistributed, nil
-	case "802.11":
-		return gmp.Protocol80211, nil
-	case "2pp":
-		return gmp.Protocol2PP, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", name)
+	for j, xs := range cols {
+		s := stats.Summarize(xs)
+		row = append(row, fmt.Sprintf(prec[j], s.Mean), fmt.Sprintf(prec[j], s.CI95))
 	}
+	return row
 }
 
 func parseValues(s string) ([]float64, error) {
@@ -374,7 +403,21 @@ func parseValues(s string) ([]float64, error) {
 	return vals, nil
 }
 
-func applyParam(cfg *gmp.Config, param string, v float64) error {
+// faultSite is where the fault axes inject: the node crash takes down
+// and the directed link link-loss degrades.
+type faultSite struct{ node, from, to gmp.NodeID }
+
+func applyParam(cfg *gmp.Config, param string, v float64, site faultSite) error {
+	switch param {
+	case "beta", "period_s", "additive", "omega", "queue":
+		if v == 0 {
+			return fmt.Errorf("%s 0 would run at the default %s", param, param)
+		}
+	case "crash", "link-loss":
+		if v < 0 || v > 1 {
+			return fmt.Errorf("%s intensity %v outside [0,1]", param, v)
+		}
+	}
 	switch param {
 	case "beta":
 		cfg.Beta = v
@@ -385,6 +428,9 @@ func applyParam(cfg *gmp.Config, param string, v float64) error {
 	case "omega":
 		cfg.OmegaThreshold = v
 	case "queue":
+		if v != math.Trunc(v) {
+			return fmt.Errorf("queue %v is not a whole number of slots", v)
+		}
 		cfg.QueueSlots = int(v)
 	case "loss":
 		cfg.LossProb = v
@@ -395,10 +441,37 @@ func applyParam(cfg *gmp.Config, param string, v float64) error {
 	case "lambda":
 		// baseChurn guarantees cfg.Churn is set on this path.
 		cfg.Churn.Rate = v
+	case "crash", "link-loss":
+		cfg.Faults = schedule(param, v, site, cfg.Warmup, cfg.Duration)
 	default:
 		return fmt.Errorf("unknown parameter %q", param)
 	}
 	return nil
+}
+
+// schedule builds a fault axis's schedule for intensity v in [0,1]:
+// nothing at 0, the fault-free baseline; otherwise a fault from the
+// warmup boundary (see the package comment).
+func schedule(param string, v float64, site faultSite, warmup, duration time.Duration) []gmp.FaultEvent {
+	if v == 0 {
+		return nil
+	}
+	if param == "crash" {
+		window := time.Duration(v * 0.5 * float64(duration-warmup))
+		return []gmp.FaultEvent{
+			{At: warmup, Kind: gmp.FaultNodeDown, Node: site.node},
+			{At: warmup + window, Kind: gmp.FaultNodeUp, Node: site.node},
+		}
+	}
+	// Loss probabilities live in [0,1); cap just below 1.
+	p := v
+	if p >= 1 {
+		p = 0.99
+	}
+	return []gmp.FaultEvent{
+		{At: warmup, Kind: gmp.FaultLinkDegrade, From: site.from, To: site.to, LossProb: p},
+		{At: warmup + (duration-warmup)/2, Kind: gmp.FaultLinkRestore, From: site.from, To: site.to},
+	}
 }
 
 // baseMobility returns the sweep's shared mobility template: the chosen

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,37 @@ func TestSweepAggregatedCI(t *testing.T) {
 			t.Errorf("seeds column = %q, want 3", fields[4])
 		}
 	}
+
+	// A relay crash: the baseline (value 0) runs fault-free and keeps
+	// every flow alive; the crash starves <0,3> during the outage, so
+	// the faulted maxmin floor cannot exceed the baseline's.
+	buf.Reset()
+	err = run([]string{
+		"-scenario", "fig3", "-param", "crash", "-node", "1", "-values", "0,0.5",
+		"-seeds", "2", "-duration", "48s", "-warmup", "12s", "-ci",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[0][13] != "recovered_frac" || len(rows[0]) != 16 {
+		t.Fatalf("crash sweep: %v", rows)
+	}
+	for _, row := range rows[1:] {
+		if frac, err := strconv.ParseFloat(row[13], 64); err != nil || frac < 0 || frac > 1 {
+			t.Errorf("recovered_frac %q", row[13])
+		}
+	}
+	base, err := strconv.ParseFloat(rows[1][11], 64)
+	if err != nil || base <= 0 {
+		t.Fatalf("baseline min rate %q", rows[1][11])
+	}
+	if faulted, err := strconv.ParseFloat(rows[2][11], 64); err != nil || faulted > base {
+		t.Errorf("min rate under a crash %q, baseline %.2f", rows[2][11], base)
+	}
 }
 
 func TestSweepRejectsBadInput(t *testing.T) {
@@ -101,6 +134,15 @@ func TestSweepRejectsBadInput(t *testing.T) {
 		{"-values", "abc"},
 		{"-seeds", "0"},
 		{"-parallel", "-1"},
+		{"-param", "crash", "-values", "2"},
+		{"-param", "crash", "-values", "x"},
+		{"-duration", "10s", "-warmup", "20s"},
+		{"-param", "beta", "-values", "0"},
+		{"-param", "period_s", "-values", "0"},
+		{"-param", "additive", "-values", "0"},
+		{"-param", "omega", "-values", "0"},
+		{"-param", "queue", "-values", "0"},
+		{"-param", "queue", "-values", "2.7"},
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

@@ -178,6 +178,24 @@ const (
 // "random-walk" or "group" ("rwp" and "walk" are accepted shorthands).
 func ParseMobilityModel(s string) (MobilityModel, error) { return mobility.ParseModel(s) }
 
+// ParseProtocol parses a protocol name as Protocol.Name spells it:
+// "gmp", "gmp-dist", "802.11", "2pp", "bp" or "bp-shared" ("gmpd",
+// "80211" and "dcf" are accepted shorthands).
+func ParseProtocol(s string) (Protocol, error) {
+	switch s {
+	case "gmpd":
+		return ProtocolGMPDistributed, nil
+	case "80211", "dcf":
+		return Protocol80211, nil
+	}
+	for p := ProtocolGMP; p <= ProtocolGMPDistributed; p++ {
+		if p.Name() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("gmp: unknown protocol %q", s)
+}
+
 // Drop reasons, re-exported for FlowResult.DropsByReason.
 const (
 	DropOverflow = forwarding.DropOverflow
@@ -233,6 +251,27 @@ func (p Protocol) String() string {
 		return "backpressure/shared"
 	case ProtocolGMPDistributed:
 		return "GMP/distributed"
+	default:
+		return fmt.Sprintf("Protocol(%d)", int(p))
+	}
+}
+
+// Name returns the protocol's canonical command-line spelling, the one
+// ParseProtocol accepts and gmpd puts in its cache keys.
+func (p Protocol) Name() string {
+	switch p {
+	case ProtocolGMP:
+		return "gmp"
+	case Protocol80211:
+		return "802.11"
+	case Protocol2PP:
+		return "2pp"
+	case ProtocolBackpressure:
+		return "bp"
+	case ProtocolBackpressureShared:
+		return "bp-shared"
+	case ProtocolGMPDistributed:
+		return "gmp-dist"
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
@@ -424,6 +463,9 @@ func (c *Config) validate() error {
 	}
 	if c.Warmup >= c.Duration {
 		return fmt.Errorf("gmp: warmup %v is not before duration %v", c.Warmup, c.Duration)
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("gmp: negative warmup %v", c.Warmup)
 	}
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("gmp: loss probability %v outside [0,1)", c.LossProb)
@@ -910,6 +952,9 @@ func (s *session) startProtocol() error {
 		}
 		s.rt = dist
 	case ProtocolGMP:
+		if err := params.Validate(); err != nil {
+			return fmt.Errorf("gmp: %w", err)
+		}
 		collector := measure.NewCollector(s.nodes, s.medium, cfg.OmegaThreshold)
 		engine, err := core.NewEngine(s.sched, s.topo, s.cliques, s.registry, collector, params)
 		if err != nil {
@@ -1246,34 +1291,38 @@ func refSpec(spec flow.Spec) maxminref.FlowSpec {
 }
 
 func forwardingConfig(cfg Config) (forwarding.Config, error) {
+	var fc forwarding.Config
 	switch cfg.Protocol {
 	case ProtocolGMP, ProtocolGMPDistributed, ProtocolBackpressure:
-		return forwarding.Config{
+		fc = forwarding.Config{
 			Mode:                forwarding.PerDestination,
 			QueueSlots:          cfg.QueueSlots,
 			CongestionAvoidance: true,
 			StaleAfter:          cfg.StaleAfter,
 			RequeueOnFailure:    true,
 			FairAggregation:     cfg.FairAggregation,
-		}, nil
+		}
 	case Protocol2PP:
-		fc := baseline.TwoPPForwarding(cfg.QueueSlots)
+		fc = baseline.TwoPPForwarding(cfg.QueueSlots)
 		fc.StaleAfter = cfg.StaleAfter
 		fc.RequeueOnFailure = true
-		return fc, nil
 	case Protocol80211:
-		return baseline.Plain80211Forwarding(cfg.SharedQueueSlots), nil
+		fc = baseline.Plain80211Forwarding(cfg.SharedQueueSlots)
 	case ProtocolBackpressureShared:
-		return forwarding.Config{
+		fc = forwarding.Config{
 			Mode:                forwarding.Shared,
 			QueueSlots:          cfg.QueueSlots,
 			CongestionAvoidance: true,
 			StaleAfter:          cfg.StaleAfter,
 			RequeueOnFailure:    true,
-		}, nil
+		}
 	default:
 		return forwarding.Config{}, fmt.Errorf("gmp: unknown protocol %d", int(cfg.Protocol))
 	}
+	if fc.QueueSlots <= 0 {
+		return forwarding.Config{}, fmt.Errorf("gmp: non-positive queue capacity %d", fc.QueueSlots)
+	}
+	return fc, nil
 }
 
 func referenceAllocation(flows []maxminref.FlowSpec, routes *routing.Table, cliques *clique.Set, capacity float64) ([]float64, error) {

@@ -23,25 +23,26 @@ func run(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// TestConfigValidation checks that Run refuses each bad config with an
+// error, never a panic.
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Error("empty config accepted")
-	}
-	if _, err := Run(Config{Scenario: Fig3Scenario()}); err == nil {
-		t.Error("missing protocol accepted")
-	}
-	bad := Config{Scenario: Fig3Scenario(), Protocol: ProtocolGMP, Duration: time.Second, Warmup: 2 * time.Second}
-	if _, err := Run(bad); err == nil {
-		t.Error("warmup beyond duration accepted")
-	}
-	bad2 := Config{Scenario: Fig3Scenario(), Protocol: ProtocolGMP, LossProb: 1.5}
-	if _, err := Run(bad2); err == nil {
-		t.Error("loss probability over 1 accepted")
-	}
 	noFlows := Fig3Scenario()
 	noFlows.Flows = nil
-	if _, err := Run(Config{Scenario: noFlows, Protocol: ProtocolGMP}); err == nil {
-		t.Error("scenario without flows accepted")
+	fig3 := Fig3Scenario()
+	for name, cfg := range map[string]Config{
+		"empty config":            {},
+		"missing protocol":        {Scenario: fig3},
+		"warmup beyond duration":  {Scenario: fig3, Protocol: ProtocolGMP, Duration: time.Second, Warmup: 2 * time.Second},
+		"negative warmup":         {Scenario: fig3, Protocol: ProtocolGMP, Warmup: -time.Second},
+		"loss probability over 1": {Scenario: fig3, Protocol: ProtocolGMP, LossProb: 1.5},
+		"scenario without flows":  {Scenario: noFlows, Protocol: ProtocolGMP},
+		"negative queue":          {Scenario: fig3, Protocol: ProtocolGMP, QueueSlots: -1},
+		"negative shared queue":   {Scenario: fig3, Protocol: Protocol80211, SharedQueueSlots: -1},
+		"omega above 1":           {Scenario: fig3, Protocol: ProtocolGMP, OmegaThreshold: 1.5},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -352,6 +353,32 @@ func TestProtocolStrings(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d = %q", int(p), p.String())
 		}
+	}
+}
+
+func TestParseProtocol(t *testing.T) {
+	for name, want := range map[string]Protocol{
+		"gmp":       ProtocolGMP,
+		"gmp-dist":  ProtocolGMPDistributed,
+		"gmpd":      ProtocolGMPDistributed,
+		"802.11":    Protocol80211,
+		"80211":     Protocol80211,
+		"dcf":       Protocol80211,
+		"2pp":       Protocol2PP,
+		"bp":        ProtocolBackpressure,
+		"bp-shared": ProtocolBackpressureShared,
+	} {
+		if p, err := ParseProtocol(name); err != nil || p != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, p, err, want)
+		}
+	}
+	for p := ProtocolGMP; p <= ProtocolGMPDistributed; p++ {
+		if got, err := ParseProtocol(p.Name()); err != nil || got != p {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", p.Name(), got, err, p)
+		}
+	}
+	if _, err := ParseProtocol("bogus"); err == nil {
+		t.Error("bogus protocol accepted")
 	}
 }
 

@@ -16,6 +16,7 @@ var builders = map[string]func() (Scenario, error){
 	"fig3":          func() (Scenario, error) { return Fig3(), nil },
 	"fig4":          func() (Scenario, error) { return Fig4(), nil },
 	"chain":         func() (Scenario, error) { return Chain(5, 200) },
+	"grid23":        grid23,
 	"cross":         func() (Scenario, error) { return Cross(2, 200) },
 	"star":          func() (Scenario, error) { return Star(4, 200) },
 	"mesh-gateway":  func() (Scenario, error) { return MeshGateway(4, 4, 6, 220, 1) },
@@ -24,8 +25,17 @@ var builders = map[string]func() (Scenario, error){
 	"drones":        func() (Scenario, error) { return DroneSwarm(9, 3, 80) },
 }
 
+// grid23 is the 2x3 grid at 200 m with flow 0→2: crashing node 1
+// leaves the alternate path 0-3-4-5-2, so a crash exercises route
+// repair rather than a partition.
+func grid23() (Scenario, error) {
+	s, err := Grid(2, 3, 200)
+	return s.WithFlows([][3]int{{0, 2, 1}}), err
+}
+
 // Named builds the registered scenario with the given name. It is the
-// lookup behind gmpd's scenario-by-name job submissions.
+// lookup behind gmpd's scenario-by-name job submissions and sweep's
+// -scenario.
 func Named(name string) (Scenario, error) {
 	b, ok := builders[name]
 	if !ok {
