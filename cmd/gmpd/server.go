@@ -9,6 +9,7 @@
 //	GET    /v1/jobs/{id}           job status and progress counters
 //	GET    /v1/jobs/{id}/result    aggregated CI95 summary (done jobs)
 //	GET    /v1/jobs/{id}/telemetry live JSONL stream (obs schema)
+//	GET    /v1/jobs/{id}/spans     first seed's span JSONL (spans jobs only)
 //	DELETE /v1/jobs/{id}           cancel (cooperative, like RunContext)
 //	GET    /healthz                liveness
 //	GET    /metrics                text counters (jobs + cache + topology builds)
@@ -22,10 +23,16 @@
 // a sweep that extends an earlier one only runs the new seeds. Result
 // JSON is built from the records through the same code path either
 // way, so cached and live responses are byte-identical.
+//
+// A request is checked by gmp.Config.Validate, the check gmp.Run makes,
+// so a job that is accepted fails only where the built topology refuses
+// it. Status, result and telemetry meta name the scenario as submitted:
+// the registry name, or an inline scenario's own name.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,8 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"gmp"
 	"gmp/internal/jobs"
@@ -157,20 +162,19 @@ type runMetrics struct {
 	U    float64 `json:"u"`
 }
 
-// jobState is the server-side record of one job, beyond what the queue
-// tracks: cache keys, progress counters, the accumulated telemetry
-// stream, and the final result document.
+// jobState is the server-side record of one job: the queue's handle,
+// the resolved run config, cache keys, progress counters, the two
+// streams, and the final result document.
 type jobState struct {
-	id         string
-	scenario   gmp.Scenario
-	spec       canonicalSpec
-	protocol   gmp.Protocol
-	seeds      int
-	workers    int
-	spans      bool
-	spanSample int
-	keys       []resultcache.Key
-	submitted  time.Time
+	id      string
+	job     *jobs.Job
+	label   string     // the scenario as submitted: registry name or Scenario.Name
+	cfg     gmp.Config // resolved by WithDefaults; runJob copies it per seed
+	spec    canonicalSpec
+	seeds   int
+	workers int
+	spans   *gmp.SpanConfig // traces the first seed; nil when not requested
+	keys    []resultcache.Key
 
 	mu        sync.Mutex
 	runsDone  int // runs accounted for (cache or simulation)
@@ -178,59 +182,77 @@ type jobState struct {
 	cacheHits int
 	result    []byte
 
-	stream     bytes.Buffer // telemetry JSONL emitted so far
-	streamDone bool
-	// spanStream is the span JSONL from the first seed (spans jobs only);
-	// it shares the changed channel so followers of either stream wake.
-	spanStream bytes.Buffer
-	spanDone   bool
-	changed    chan struct{} // replaced (and closed) on every append
+	telemetry tail // run summaries as obs JSONL, closed when the job ends
+	spanLog   tail // the first seed's span JSONL, closed once it is written
 }
 
-func (st *jobState) bumpLocked() {
-	close(st.changed)
-	st.changed = make(chan struct{})
+// tail is an append-only stream that readers follow while it grows
+// (tail -f). Its zero value is an open, empty stream.
+type tail struct {
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	done    bool
+	changed chan struct{} // closed on the next Write or Close
 }
 
-// Write appends to the telemetry stream and wakes followers. It is the
-// io.Writer under the job's obs.StreamWriter.
-func (st *jobState) Write(p []byte) (int, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.streamDone {
-		return 0, errors.New("gmpd: telemetry stream already closed")
+// Write appends p and wakes followers.
+func (t *tail) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return 0, errors.New("gmpd: stream already closed")
 	}
-	n, err := st.stream.Write(p)
-	st.bumpLocked()
+	n, err := t.buf.Write(p)
+	t.wakeLocked()
 	return n, err
 }
 
-func (st *jobState) closeStream() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.streamDone {
-		st.streamDone = true
-		st.bumpLocked()
+// Close ends the stream; followers return once they have sent it all.
+func (t *tail) Close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.done = true
+	t.wakeLocked()
+}
+
+func (t *tail) wakeLocked() {
+	if t.changed != nil {
+		close(t.changed)
+		t.changed = nil
 	}
 }
 
-// appendSpans adds span JSONL to the span stream and wakes followers.
-func (st *jobState) appendSpans(p []byte) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.spanDone {
-		return
-	}
-	st.spanStream.Write(p)
-	st.bumpLocked()
-}
-
-func (st *jobState) closeSpanStream() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.spanDone {
-		st.spanDone = true
-		st.bumpLocked()
+// follow sends the stream to w as JSONL, flushing as it grows, until
+// the stream is closed or the client goes away. The stream only ever
+// grows, so the bytes before its length are safe to send unlocked.
+func (t *tail) follow(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	for offset := 0; ; {
+		t.mu.Lock()
+		buf, done := t.buf.Bytes(), t.done
+		if t.changed == nil {
+			t.changed = make(chan struct{})
+		}
+		ch := t.changed
+		t.mu.Unlock()
+		if offset < len(buf) {
+			if _, err := w.Write(buf[offset:]); err != nil {
+				return
+			}
+			offset = len(buf)
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if done {
+			return
+		}
+		select {
+		case <-ch:
+		case <-r.Context().Done():
+			return
+		}
 	}
 }
 
@@ -308,10 +330,11 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // buildJob validates a request into a ready-to-run jobState (without an
-// ID — the caller assigns one at submission).
+// ID or a job handle; the caller adds both at submission).
 func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	var sc gmp.Scenario
 	var err error
+	label := req.ScenarioName
 	switch {
 	case req.ScenarioName != "" && len(req.Scenario) > 0:
 		return nil, fmt.Errorf("scenario_name and scenario are mutually exclusive")
@@ -323,6 +346,7 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 		if sc, err = gmp.LoadScenario(bytes.NewReader(req.Scenario)); err != nil {
 			return nil, err
 		}
+		label = sc.Name
 	default:
 		return nil, fmt.Errorf("one of scenario_name or scenario is required (names: %v)", gmp.ScenarioNames())
 	}
@@ -342,31 +366,25 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	if seeds == 0 {
 		seeds = 1
 	}
-	if req.DurationS < 0 || req.WarmupS < 0 {
-		return nil, fmt.Errorf("invalid duration %gs / warmup %gs", req.DurationS, req.WarmupS)
+	if req.SpanSample < 0 {
+		return nil, fmt.Errorf("span_sample %d must be >= 0", req.SpanSample)
 	}
-	duration := time.Duration(req.DurationS * float64(time.Second))
-	if duration == 0 {
-		duration = 400 * time.Second // gmp.Run's default session length
+	if req.SpanSample > 0 && !req.Spans {
+		return nil, fmt.Errorf("span_sample requires spans")
 	}
-	warmup := time.Duration(req.WarmupS * float64(time.Second))
-	if warmup == 0 {
-		warmup = duration / 2 // gmp.Run's default
-	}
-	if warmup >= duration {
-		return nil, fmt.Errorf("warmup %v is not before duration %v", warmup, duration)
-	}
-	if req.LossProb < 0 || req.LossProb >= 1 {
-		return nil, fmt.Errorf("loss_prob %g outside [0, 1)", req.LossProb)
-	}
-
-	spec := canonicalSpec{
-		Protocol:   proto.Name(),
-		DurationNS: int64(duration),
-		WarmupNS:   int64(warmup),
+	cfg := gmp.Config{
+		Scenario:   sc,
+		Protocol:   proto,
+		Duration:   time.Duration(req.DurationS * float64(time.Second)),
+		Warmup:     time.Duration(req.WarmupS * float64(time.Second)),
 		DisableRTS: req.DisableRTS,
 		LossProb:   req.LossProb,
+		Telemetry:  &gmp.TelemetryConfig{},
+	}.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+
 	// Build the topology once at admission: scenarios that cannot build
 	// are rejected before they enter the queue, and the timed build
 	// feeds the gmpd_topology_build_* counters on /metrics.
@@ -379,23 +397,23 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	s.topoBuildNS.Add(buildNS)
 	s.topoBuildLastNS.Store(buildNS)
 
-	if req.SpanSample < 0 {
-		return nil, fmt.Errorf("span_sample %d must be >= 0", req.SpanSample)
-	}
-	if req.SpanSample > 0 && !req.Spans {
-		return nil, fmt.Errorf("span_sample requires spans")
-	}
 	st := &jobState{
-		scenario:   sc,
-		spec:       spec,
-		protocol:   proto,
-		seeds:      seeds,
-		workers:    req.Workers,
-		spans:      req.Spans,
-		spanSample: req.SpanSample,
-		changed:    make(chan struct{}),
+		label: label,
+		cfg:   cfg,
+		spec: canonicalSpec{
+			Protocol:   proto.Name(),
+			DurationNS: int64(cfg.Duration),
+			WarmupNS:   int64(cfg.Warmup),
+			DisableRTS: cfg.DisableRTS,
+			LossProb:   cfg.LossProb,
+		},
+		seeds:   seeds,
+		workers: req.Workers,
 	}
-	st.keys, err = jobKeys(sc, spec, seeds)
+	if req.Spans {
+		st.spans = &gmp.SpanConfig{SampleEvery: req.SpanSample}
+	}
+	st.keys, err = jobKeys(sc, st.spec, seeds)
 	return st, err
 }
 
@@ -434,18 +452,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.id = fmt.Sprintf("job-%d", s.nextID.Add(1))
-	st.submitted = time.Now()
-
-	s.mu.Lock()
-	s.states[st.id] = st
-	s.mu.Unlock()
-
-	if _, err := s.queue.Submit(st.id, func(ctx context.Context) error {
+	if st.job, err = s.queue.Submit(func(ctx context.Context) error {
 		return s.runJob(ctx, st)
 	}); err != nil {
-		s.mu.Lock()
-		delete(s.states, st.id)
-		s.mu.Unlock()
 		code := http.StatusInternalServerError
 		if errors.Is(err, jobs.ErrDraining) {
 			code = http.StatusServiceUnavailable
@@ -453,25 +462,28 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "%v", err)
 		return
 	}
-	if st.spans {
+	s.mu.Lock()
+	s.states[st.id] = st
+	s.mu.Unlock()
+	if st.spans != nil {
 		s.spanJobs.Add(1)
 	}
-	s.writeStatus(w, http.StatusAccepted, st)
+	writeStatus(w, http.StatusAccepted, st)
 }
 
 // runJob executes one sweep: satisfy what it can from the cache,
 // simulate the missing seeds, stream per-run summaries in seed order
 // as they become available, and store the aggregated result document.
 func (s *server) runJob(ctx context.Context, st *jobState) error {
-	defer st.closeStream()
-	defer st.closeSpanStream()
+	defer st.telemetry.Close()
+	defer st.spanLog.Close()
 
-	sw := obs.NewStreamWriter(st)
+	sw := obs.NewStreamWriter(&st.telemetry)
 	if err := sw.WriteMeta(obs.Meta{
-		Scenario:     st.scenario.Name,
+		Scenario:     st.label,
 		Protocol:     st.spec.Protocol,
-		Flows:        len(st.scenario.Flows),
-		Nodes:        len(st.scenario.Positions),
+		Flows:        len(st.cfg.Scenario.Flows),
+		Nodes:        len(st.cfg.Scenario.Positions),
 		BucketBounds: obs.DefaultLatencyBounds,
 	}); err != nil {
 		return err
@@ -483,7 +495,7 @@ func (s *server) runJob(ctx context.Context, st *jobState) error {
 	for i := range records {
 		// A spans job must really simulate its first seed: cached records
 		// are condensed results without the causal trace.
-		if !(st.spans && i == 0) {
+		if !(st.spans != nil && i == 0) {
 			if data, ok := s.cache.Get(st.keys[i]); ok {
 				var rec runRecord
 				if err := json.Unmarshal(data, &rec); err == nil {
@@ -525,21 +537,12 @@ func (s *server) runJob(ctx context.Context, st *jobState) error {
 	}
 
 	if len(missing) > 0 {
-		base := gmp.Config{
-			Scenario:   st.scenario,
-			Protocol:   st.protocol,
-			Duration:   time.Duration(st.spec.DurationNS),
-			Warmup:     time.Duration(st.spec.WarmupNS),
-			DisableRTS: st.spec.DisableRTS,
-			LossProb:   st.spec.LossProb,
-			Telemetry:  &gmp.TelemetryConfig{},
-		}
 		cfgs := make([]gmp.Config, len(missing))
 		for j, idx := range missing {
-			cfgs[j] = base
+			cfgs[j] = st.cfg
 			cfgs[j].Seed = int64(idx + 1)
-			if st.spans && idx == 0 {
-				cfgs[j].Spans = &gmp.SpanConfig{SampleEvery: st.spanSample}
+			if idx == 0 {
+				cfgs[j].Spans = st.spans
 			}
 		}
 		_, err := gmp.RunMany(ctx, cfgs, gmp.RunManyOptions{
@@ -549,10 +552,10 @@ func (s *server) runJob(ctx context.Context, st *jobState) error {
 				if res.Spans != nil {
 					var sb bytes.Buffer
 					if werr := res.Spans.WriteJSONL(&sb); werr == nil {
-						st.appendSpans(sb.Bytes())
+						st.spanLog.Write(sb.Bytes())
 						s.spanBytes.Add(int64(sb.Len()))
 					}
-					st.closeSpanStream()
+					st.spanLog.Close()
 				}
 				rec := recordFromResult(int64(idx+1), res)
 				if data, merr := json.Marshal(rec); merr == nil {
@@ -574,7 +577,7 @@ func (s *server) runJob(ctx context.Context, st *jobState) error {
 
 	// Aggregate through the same path for cached and simulated runs.
 	doc := jobResult{
-		Scenario: st.scenario.Name,
+		Scenario: st.label,
 		Protocol: st.spec.Protocol,
 		Seeds:    st.seeds,
 	}
@@ -608,34 +611,30 @@ type statusResponse struct {
 	CancelReason string `json:"cancel_reason,omitempty"`
 }
 
-func (s *server) lookup(r *http.Request) (*jobState, *jobs.Job, bool) {
+// job resolves the {id} in the path, answering 404 itself when there
+// is no such job.
+func (s *server) job(w http.ResponseWriter, r *http.Request) *jobState {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	st, ok := s.states[id]
+	st := s.states[id]
 	s.mu.Unlock()
-	if !ok {
-		return nil, nil, false
+	if st == nil {
+		httpError(w, http.StatusNotFound, "unknown job %q", id)
 	}
-	j, ok := s.queue.Get(id)
-	if !ok {
-		return nil, nil, false
-	}
-	return st, j, true
+	return st
 }
 
-func (s *server) status(st *jobState) statusResponse {
+func (st *jobState) status() statusResponse {
 	resp := statusResponse{
-		ID:       st.id,
-		Scenario: st.scenario.Name,
-		Protocol: st.spec.Protocol,
-		Seeds:    st.seeds,
+		ID:           st.id,
+		Status:       st.job.Status().String(),
+		Scenario:     st.label,
+		Protocol:     st.spec.Protocol,
+		Seeds:        st.seeds,
+		CancelReason: string(st.job.Reason()),
 	}
-	if j, ok := s.queue.Get(st.id); ok {
-		resp.Status = j.Status().String()
-		if err := j.Err(); err != nil {
-			resp.Error = err.Error()
-		}
-		resp.CancelReason = string(j.Reason())
+	if err := st.job.Err(); err != nil {
+		resp.Error = err.Error()
 	}
 	st.mu.Lock()
 	resp.RunsDone = st.runsDone
@@ -645,28 +644,24 @@ func (s *server) status(st *jobState) statusResponse {
 	return resp
 }
 
-func (s *server) writeStatus(w http.ResponseWriter, code int, st *jobState) {
+func writeStatus(w http.ResponseWriter, code int, st *jobState) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(s.status(st))
+	json.NewEncoder(w).Encode(st.status())
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, _, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if st := s.job(w, r); st != nil {
+		writeStatus(w, http.StatusOK, st)
 	}
-	s.writeStatus(w, http.StatusOK, st)
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	st := s.job(w, r)
+	if st == nil {
 		return
 	}
-	switch j.Status() {
+	switch j := st.job; j.Status() {
 	case jobs.Done:
 		st.mu.Lock()
 		out := st.result
@@ -683,98 +678,39 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTelemetry streams the job's telemetry JSONL, following a
-// running job until it reaches a terminal state (tail -f semantics).
-// Every flushed prefix ends on a record boundary and validates under
-// the obs schema.
+// running job until it reaches a terminal state. Every flushed prefix
+// ends on a record boundary and validates under the obs schema.
 func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	st, _, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	offset := 0
-	for {
-		st.mu.Lock()
-		buf := st.stream.Bytes()
-		done := st.streamDone
-		ch := st.changed
-		st.mu.Unlock()
-		if offset < len(buf) {
-			if _, err := w.Write(buf[offset:]); err != nil {
-				return
-			}
-			offset = len(buf)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if done {
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
+	if st := s.job(w, r); st != nil {
+		st.telemetry.follow(w, r)
 	}
 }
 
 // handleSpans streams the job's span JSONL (the first seed's causal
-// trace), following a running job until the trace is complete — the
-// same tail-f semantics as the telemetry stream. The body validates
-// under the span schema once complete.
+// trace), following a running job until the trace is complete. The
+// body validates under the span schema once complete.
 func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	st, _, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	st := s.job(w, r)
+	if st == nil {
 		return
 	}
-	if !st.spans {
+	if st.spans == nil {
 		httpError(w, http.StatusNotFound, "job %s did not request spans (submit with \"spans\": true)", st.id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	offset := 0
-	for {
-		st.mu.Lock()
-		buf := st.spanStream.Bytes()
-		done := st.spanDone
-		ch := st.changed
-		st.mu.Unlock()
-		if offset < len(buf) {
-			if _, err := w.Write(buf[offset:]); err != nil {
-				return
-			}
-			offset = len(buf)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if done {
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	st.spanLog.follow(w, r)
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	st := s.job(w, r)
+	if st == nil {
 		return
 	}
-	if !s.queue.Cancel(st.id, jobs.ReasonRequested) {
-		httpError(w, http.StatusConflict, "job already %s", j.Status())
+	if !st.job.Cancel(jobs.ReasonRequested) {
+		httpError(w, http.StatusConflict, "job already %s", st.job.Status())
 		return
 	}
-	s.writeStatus(w, http.StatusAccepted, st)
+	writeStatus(w, http.StatusAccepted, st)
 }
 
 // metricFamily is one /metrics family in the Prometheus text exposition

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,6 +339,7 @@ func TestRequestValidation(t *testing.T) {
 		"loss prob 1":               `{"scenario_name":"fig3","loss_prob":1}`,
 		"warmup = duration":         `{"scenario_name":"fig3","duration_s":4,"warmup_s":4}`,
 		"warmup > default duration": `{"scenario_name":"fig3","warmup_s":500}`,
+		"no flows":                  `{"scenario":{"name":"x","nodes":[[0,0],[100,0]]}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -349,14 +351,49 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/telemetry"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, route := range []string{
+		"GET /v1/jobs/nope", "GET /v1/jobs/nope/result", "GET /v1/jobs/nope/telemetry",
+		"GET /v1/jobs/nope/spans", "DELETE /v1/jobs/nope",
+	} {
+		method, path, _ := strings.Cut(route, " ")
+		req, _ := http.NewRequest(method, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s: status %d, want 404", route, resp.StatusCode)
+		}
+	}
+}
+
+// TestScenarioLabel checks that a job is named as it was submitted: by
+// its registry name, which for fig2-weighted differs from the name of
+// the scenario it builds, or by an inline scenario's own name.
+func TestScenarioLabel(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	for body, want := range map[string]string{
+		`{"scenario_name":"fig2-weighted","duration_s":2,"warmup_s":1}`:                                                "fig2-weighted",
+		`{"scenario":{"name":"pair","nodes":[[0,0],[200,0]],"flows":[{"src":0,"dst":1}]},"duration_s":2,"warmup_s":1}`: "pair",
+	} {
+		st := waitTerminal(t, ts, submit(t, ts, body).ID)
+		if st.Status != "done" || st.Scenario != want {
+			t.Errorf("%s: status %+v, want scenario %q", body, st, want)
+		}
+		var doc jobResult
+		if err := json.Unmarshal(getResult(t, ts, st.ID), &doc); err != nil || doc.Scenario != want {
+			t.Errorf("%s: result scenario %q (%v), want %q", body, doc.Scenario, err, want)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/telemetry")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta obs.Meta
+		err = json.NewDecoder(resp.Body).Decode(&meta)
+		resp.Body.Close()
+		if err != nil || meta.Scenario != want {
+			t.Errorf("%s: telemetry meta scenario %q (%v), want %q", body, meta.Scenario, err, want)
 		}
 	}
 }
@@ -573,4 +610,51 @@ func TestPprofGatedAndTopologyMetrics(t *testing.T) {
 			t.Errorf("metrics missing %s:\n%s", name, metrics)
 		}
 	}
+}
+
+// TestTailFollowers follows one tail from several readers at once:
+// each one, whether it joins before, during or after the writes,
+// receives every byte and returns when the stream closes; a reader
+// whose client has gone returns at once.
+func TestTailFollowers(t *testing.T) {
+	var tl tail
+	var want strings.Builder
+	bodies := make(chan string, 4)
+	var wg sync.WaitGroup
+	wg.Add(4)
+	follow := func() {
+		defer wg.Done()
+		rec := httptest.NewRecorder()
+		tl.follow(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		bodies <- rec.Body.String()
+	}
+	go follow()
+	go follow()
+	for i := 0; i < 100; i++ {
+		line := fmt.Sprintf("{\"n\":%d}\n", i)
+		want.WriteString(line)
+		if _, err := tl.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 50 {
+			go follow()
+		}
+	}
+	tl.Close()
+	go follow()
+	wg.Wait()
+	close(bodies)
+	for body := range bodies {
+		if body != want.String() {
+			t.Errorf("follower got %d bytes, want %d", len(body), want.Len())
+		}
+	}
+	if _, err := tl.Write([]byte("late\n")); err == nil {
+		t.Error("write after Close accepted")
+	}
+
+	var open tail
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	open.follow(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ctx))
 }

@@ -199,12 +199,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	shownEvents := trace.Filter(res.Events, gmp.NodeID(*eventsNode), evKind)
 	if *telemetry != "" {
-		if err := writeTelemetry(*telemetry, res.Telemetry); err != nil {
+		if err := writeJSONL(*telemetry, res.Telemetry); err != nil {
 			return err
 		}
 	}
 	if *spanOut != "" {
-		if err := writeSpans(*spanOut, res.Spans); err != nil {
+		if err := writeJSONL(*spanOut, res.Spans); err != nil {
 			return err
 		}
 	}
@@ -229,24 +229,13 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func writeTelemetry(path string, t *gmp.Telemetry) error {
+// writeJSONL writes a recording (telemetry or spans) to path as JSONL.
+func writeJSONL(path string, rec interface{ WriteJSONL(io.Writer) error }) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if werr := t.WriteJSONL(f); werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
-}
-
-func writeSpans(path string, t *gmp.SpanTrace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if werr := t.WriteJSONL(f); werr != nil {
+	if werr := rec.WriteJSONL(f); werr != nil {
 		f.Close()
 		return werr
 	}

@@ -112,13 +112,8 @@ func run(args []string, stdout io.Writer) error {
 	if *parallel < 0 {
 		return fmt.Errorf("negative parallelism %d", *parallel)
 	}
-	warm := *warmup
-	if warm == 0 {
-		warm = *duration / 2
-	}
-	if warm < 0 || warm >= *duration {
-		return fmt.Errorf("warmup %v outside [0, duration %v)", warm, *duration)
-	}
+	// The fault axes anchor their schedules at the resolved warmup.
+	base := gmp.Config{Scenario: sc, Protocol: protocol, Duration: *duration, Warmup: *warmup}.WithDefaults()
 
 	mob, err := baseMobility(*mobModel)
 	if err != nil {
@@ -136,18 +131,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 	site := faultSite{node: gmp.NodeID(*node), from: gmp.NodeID(*from), to: gmp.NodeID(*to)}
 
-	// Build the full value × seed grid, then fan it out in one batch so
-	// the worker pool stays busy across value boundaries.
+	// Build the full value × seed grid, checking each config as Run
+	// will, then fan it out in one batch so the worker pool stays busy
+	// across value boundaries.
 	var cfgs []gmp.Config
 	for _, v := range vals {
 		for seed := 1; seed <= *seeds; seed++ {
-			cfg := gmp.Config{
-				Scenario: sc,
-				Protocol: protocol,
-				Duration: *duration,
-				Warmup:   warm,
-				Seed:     int64(seed),
-			}
+			cfg := base
+			cfg.Seed = int64(seed)
 			if mob != nil {
 				m := *mob
 				cfg.Mobility = &m
@@ -165,6 +156,9 @@ func run(args []string, stdout io.Writer) error {
 			}
 			if *telemetry != "" {
 				cfg.Telemetry = &gmp.TelemetryConfig{}
+			}
+			if err := cfg.Validate(); err != nil {
+				return err
 			}
 			cfgs = append(cfgs, cfg)
 		}

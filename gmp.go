@@ -418,7 +418,22 @@ func (c *Config) churnConfig() *ChurnConfig {
 	return c.Scenario.Churn
 }
 
-func (c *Config) setDefaults() {
+// coreParams is the parameter set of both GMP runtimes.
+func (c *Config) coreParams() core.Params {
+	return core.Params{
+		Period:           c.Period,
+		Beta:             c.Beta,
+		OmegaThreshold:   c.OmegaThreshold,
+		AdditiveIncrease: c.AdditiveIncrease,
+		HalveGap:         core.DefaultParams().HalveGap,
+	}
+}
+
+// WithDefaults returns c with every zero field that has a default
+// replaced by the paper's value (§7). Run resolves its Config this way,
+// so a front end that needs the values a run will use, such as a cache
+// key or a fault schedule anchored at the warmup, resolves them here.
+func (c Config) WithDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 400 * time.Second
 	}
@@ -449,9 +464,15 @@ func (c *Config) setDefaults() {
 	if c.StaleAfter == 0 {
 		c.StaleAfter = 50 * time.Millisecond
 	}
+	return c
 }
 
-func (c *Config) validate() error {
+// Validate reports why Run would refuse c, checking c as Run runs it,
+// with WithDefaults applied. The checks that need the built topology
+// (flow endpoints and routes, geographic dead ends, 2PP's allocation)
+// are left to Run.
+func (c Config) Validate() error {
+	c = c.WithDefaults()
 	if len(c.Scenario.Positions) == 0 {
 		return errors.New("gmp: config has no scenario")
 	}
@@ -469,6 +490,23 @@ func (c *Config) validate() error {
 	}
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("gmp: loss probability %v outside [0,1)", c.LossProb)
+	}
+	// Every protocol runs on the period: flow sources, the telemetry
+	// sampler's fallback interval and in-band control ticks use it.
+	if c.Period <= 0 {
+		return fmt.Errorf("gmp: non-positive period %v", c.Period)
+	}
+	slots := c.QueueSlots
+	if c.Protocol == Protocol80211 {
+		slots = c.SharedQueueSlots
+	}
+	if slots <= 0 {
+		return fmt.Errorf("gmp: non-positive queue capacity %d", slots)
+	}
+	if c.Protocol == ProtocolGMP || c.Protocol == ProtocolGMPDistributed {
+		if err := c.coreParams().Validate(); err != nil {
+			return fmt.Errorf("gmp: %w", err)
+		}
 	}
 	if err := faults.ValidateSchedule(c.faultSchedule(), len(c.Scenario.Positions)); err != nil {
 		return fmt.Errorf("gmp: fault schedule: %w", err)
@@ -613,8 +651,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gmp: run aborted before start: %w", err)
 	}
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s, err := newSession(cfg)
@@ -802,9 +840,7 @@ func newSession(cfg Config) (*session, error) {
 	par.LossProb = cfg.LossProb
 	s.medium = radio.NewMedium(s.sched, topo, par, sim.NewRand(s.master.Int63()))
 	s.capacity = par.SaturationRate(packetBytes(s.allFlows), !cfg.DisableRTS)
-	if s.fwdCfg, err = forwardingConfig(cfg); err != nil {
-		return nil, err
-	}
+	s.fwdCfg = forwardingConfig(cfg)
 	if s.registry, err = flow.NewRegistry(s.allFlows); err != nil {
 		return nil, fmt.Errorf("gmp: %w", err)
 	}
@@ -919,13 +955,7 @@ func (s *session) start() error {
 // or 2PP's precomputed limits. Plain 802.11 and backpressure have none.
 func (s *session) startProtocol() error {
 	cfg := s.cfg
-	params := core.Params{
-		Period:           cfg.Period,
-		Beta:             cfg.Beta,
-		OmegaThreshold:   cfg.OmegaThreshold,
-		AdditiveIncrease: cfg.AdditiveIncrease,
-		HalveGap:         core.DefaultParams().HalveGap,
-	}
+	params := cfg.coreParams()
 	switch cfg.Protocol {
 	case ProtocolGMPDistributed:
 		// Control messaging defaults to the out-of-band bus (reliable,
@@ -952,9 +982,6 @@ func (s *session) startProtocol() error {
 		}
 		s.rt = dist
 	case ProtocolGMP:
-		if err := params.Validate(); err != nil {
-			return fmt.Errorf("gmp: %w", err)
-		}
 		collector := measure.NewCollector(s.nodes, s.medium, cfg.OmegaThreshold)
 		engine, err := core.NewEngine(s.sched, s.topo, s.cliques, s.registry, collector, params)
 		if err != nil {
@@ -1290,11 +1317,27 @@ func refSpec(spec flow.Spec) maxminref.FlowSpec {
 	return maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate}
 }
 
-func forwardingConfig(cfg Config) (forwarding.Config, error) {
-	var fc forwarding.Config
+// forwardingConfig is the protocol's queueing discipline. Validate has
+// checked the protocol and its queue capacity.
+func forwardingConfig(cfg Config) forwarding.Config {
 	switch cfg.Protocol {
-	case ProtocolGMP, ProtocolGMPDistributed, ProtocolBackpressure:
-		fc = forwarding.Config{
+	case Protocol2PP:
+		fc := baseline.TwoPPForwarding(cfg.QueueSlots)
+		fc.StaleAfter = cfg.StaleAfter
+		fc.RequeueOnFailure = true
+		return fc
+	case Protocol80211:
+		return baseline.Plain80211Forwarding(cfg.SharedQueueSlots)
+	case ProtocolBackpressureShared:
+		return forwarding.Config{
+			Mode:                forwarding.Shared,
+			QueueSlots:          cfg.QueueSlots,
+			CongestionAvoidance: true,
+			StaleAfter:          cfg.StaleAfter,
+			RequeueOnFailure:    true,
+		}
+	default: // GMP, gmp-dist and backpressure: per-destination queues
+		return forwarding.Config{
 			Mode:                forwarding.PerDestination,
 			QueueSlots:          cfg.QueueSlots,
 			CongestionAvoidance: true,
@@ -1302,27 +1345,7 @@ func forwardingConfig(cfg Config) (forwarding.Config, error) {
 			RequeueOnFailure:    true,
 			FairAggregation:     cfg.FairAggregation,
 		}
-	case Protocol2PP:
-		fc = baseline.TwoPPForwarding(cfg.QueueSlots)
-		fc.StaleAfter = cfg.StaleAfter
-		fc.RequeueOnFailure = true
-	case Protocol80211:
-		fc = baseline.Plain80211Forwarding(cfg.SharedQueueSlots)
-	case ProtocolBackpressureShared:
-		fc = forwarding.Config{
-			Mode:                forwarding.Shared,
-			QueueSlots:          cfg.QueueSlots,
-			CongestionAvoidance: true,
-			StaleAfter:          cfg.StaleAfter,
-			RequeueOnFailure:    true,
-		}
-	default:
-		return forwarding.Config{}, fmt.Errorf("gmp: unknown protocol %d", int(cfg.Protocol))
 	}
-	if fc.QueueSlots <= 0 {
-		return forwarding.Config{}, fmt.Errorf("gmp: non-positive queue capacity %d", fc.QueueSlots)
-	}
-	return fc, nil
 }
 
 func referenceAllocation(flows []maxminref.FlowSpec, routes *routing.Table, cliques *clique.Set, capacity float64) ([]float64, error) {

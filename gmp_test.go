@@ -24,7 +24,8 @@ func run(t *testing.T, cfg Config) *Result {
 }
 
 // TestConfigValidation checks that Run refuses each bad config with an
-// error, never a panic.
+// error, never a panic, and that Config.Validate refuses it too, since
+// none of these checks needs the topology.
 func TestConfigValidation(t *testing.T) {
 	noFlows := Fig3Scenario()
 	noFlows.Flows = nil
@@ -39,7 +40,16 @@ func TestConfigValidation(t *testing.T) {
 		"negative queue":          {Scenario: fig3, Protocol: ProtocolGMP, QueueSlots: -1},
 		"negative shared queue":   {Scenario: fig3, Protocol: Protocol80211, SharedQueueSlots: -1},
 		"omega above 1":           {Scenario: fig3, Protocol: ProtocolGMP, OmegaThreshold: 1.5},
+		// Plain 802.11 runs on the period too: the telemetry sampler
+		// falls back to it, and in-band control ticks on it.
+		"negative period, telemetry": {Scenario: fig3, Protocol: Protocol80211, Duration: 4 * time.Second,
+			Period: -time.Second, Telemetry: &TelemetryConfig{}},
+		"negative period, in-band control": {Scenario: fig3, Protocol: Protocol80211, Duration: 4 * time.Second,
+			Period: -time.Second, InBandControl: true},
 	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -5,14 +5,16 @@
 // shutdown.
 //
 // Lifecycle: Submit places a job at the tail of the queue in state
-// Queued. A free worker moves it to Running and invokes its function
-// with a per-job context. The function's return decides the terminal
-// state: nil → Done; the job context's error (after Cancel) →
-// Cancelled; anything else (including a captured panic) → Failed.
-// Cancel on a queued job takes effect immediately without occupying a
-// worker. Drain stops intake and dispatch, cancels everything still
-// queued with the typed ReasonShutdown, and waits for running jobs to
-// finish — the running set is *drained*, not killed.
+// Queued and returns its handle; the queue keeps no index, so callers
+// that look jobs up keep their own. A free worker moves the job to
+// Running and invokes its function with a per-job context. The
+// function's return decides the terminal state: nil → Done; the job
+// context's error (after Cancel) → Cancelled; anything else (including
+// a captured panic) → Failed. Cancel on a queued job takes effect
+// immediately without occupying a worker. Drain stops intake and
+// dispatch, cancels everything still queued with the typed
+// ReasonShutdown, and waits for running jobs to finish — the running
+// set is *drained*, not killed.
 package jobs
 
 import (
@@ -69,27 +71,21 @@ const (
 // ErrDraining is returned by Submit once Drain has begun.
 var ErrDraining = errors.New("jobs: queue is draining")
 
-// Job is one tracked work item.
+// Job is one tracked work item, the handle Submit returns.
 type Job struct {
-	id  string
+	q   *Queue
 	run func(context.Context) error
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	status   Status
-	err      error
-	reason   CancelReason
-	created  time.Time
-	started  time.Time
-	finished time.Time
+	mu     sync.Mutex
+	status Status
+	err    error
+	reason CancelReason
 
 	done chan struct{}
 }
-
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
 
 // Status returns the job's current lifecycle state.
 func (j *Job) Status() Status {
@@ -113,22 +109,6 @@ func (j *Job) Reason() CancelReason {
 	return j.reason
 }
 
-// Times returns the submission, start and finish timestamps (zero when
-// the phase has not been reached).
-func (j *Job) Times() (created, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.created, j.started, j.finished
-}
-
-// Context returns the job's context, cancelled by Cancel/Drain. Job
-// functions receive it as their argument; auxiliary readers (e.g. a
-// telemetry stream following a running job) may also watch it.
-func (j *Job) Context() context.Context { return j.ctx }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Wait blocks until the job reaches a terminal state or ctx expires,
 // and returns the terminal status (0 on ctx expiry).
 func (j *Job) Wait(ctx context.Context) (Status, error) {
@@ -150,9 +130,36 @@ func (j *Job) finish(s Status, err error, reason CancelReason) {
 	j.status = s
 	j.err = err
 	j.reason = reason
-	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// Cancel cancels the job and reports whether it was still live. A
+// queued job is finalized immediately; a running job's context is
+// cancelled and the job reaches Cancelled when its function returns
+// (cooperative, like gmp.RunContext).
+func (j *Job) Cancel(reason CancelReason) bool {
+	j.mu.Lock()
+	switch j.status {
+	case Done, Failed, Cancelled:
+		j.mu.Unlock()
+		return false
+	case Queued:
+		j.status = Cancelled
+		j.err = context.Canceled
+		j.reason = reason
+		j.mu.Unlock()
+		j.cancel()
+		close(j.done)
+		j.q.mu.Lock()
+		j.q.cancelled++
+		j.q.mu.Unlock()
+		return true
+	default: // Running: the worker finalizes when run returns.
+		j.mu.Unlock()
+		j.cancel()
+		return true
+	}
 }
 
 // Stats are the queue's monotonic counters plus current occupancy.
@@ -174,7 +181,6 @@ type Queue struct {
 
 	mu       sync.Mutex
 	fifo     []*Job
-	byID     map[string]*Job
 	draining bool
 	wake     *sync.Cond
 	wg       sync.WaitGroup
@@ -189,11 +195,7 @@ func NewQueue(workers int, timeout time.Duration) *Queue {
 	if workers < 1 {
 		workers = 1
 	}
-	q := &Queue{
-		workers: workers,
-		timeout: timeout,
-		byID:    make(map[string]*Job),
-	}
+	q := &Queue{workers: workers, timeout: timeout}
 	q.wake = sync.NewCond(&q.mu)
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -202,21 +204,20 @@ func NewQueue(workers int, timeout time.Duration) *Queue {
 	return q
 }
 
-// Submit enqueues a job. IDs must be unique; resubmitting a live or
-// finished ID is an error. Fails with ErrDraining after Drain began.
-func (q *Queue) Submit(id string, run func(context.Context) error) (*Job, error) {
+// Submit enqueues a job and returns its handle. Fails with ErrDraining
+// after Drain began.
+func (q *Queue) Submit(run func(context.Context) error) (*Job, error) {
 	if run == nil {
-		return nil, fmt.Errorf("jobs: job %q has no function", id)
+		return nil, errors.New("jobs: job has no function")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:      id,
-		run:     run,
-		ctx:     ctx,
-		cancel:  cancel,
-		status:  Queued,
-		created: time.Now(),
-		done:    make(chan struct{}),
+		q:      q,
+		run:    run,
+		ctx:    ctx,
+		cancel: cancel,
+		status: Queued,
+		done:   make(chan struct{}),
 	}
 	q.mu.Lock()
 	if q.draining {
@@ -224,64 +225,11 @@ func (q *Queue) Submit(id string, run func(context.Context) error) (*Job, error)
 		cancel()
 		return nil, ErrDraining
 	}
-	if _, dup := q.byID[id]; dup {
-		q.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("jobs: duplicate job id %q", id)
-	}
-	q.byID[id] = j
 	q.fifo = append(q.fifo, j)
 	q.submitted++
 	q.wake.Signal()
 	q.mu.Unlock()
 	return j, nil
-}
-
-// Get returns the job with the given ID (queued, running or finished).
-func (q *Queue) Get(id string) (*Job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.byID[id]
-	return j, ok
-}
-
-// Cancel cancels the job with the given ID and reports whether it was
-// still live. A queued job is finalized immediately; a running job's
-// context is cancelled and the job reaches Cancelled when its function
-// returns (cooperative, like gmp.RunContext).
-func (q *Queue) Cancel(id string, reason CancelReason) bool {
-	q.mu.Lock()
-	j, ok := q.byID[id]
-	q.mu.Unlock()
-	if !ok {
-		return false
-	}
-	return q.cancelJob(j, reason)
-}
-
-func (q *Queue) cancelJob(j *Job, reason CancelReason) bool {
-	j.mu.Lock()
-	switch j.status {
-	case Done, Failed, Cancelled:
-		j.mu.Unlock()
-		return false
-	case Queued:
-		j.status = Cancelled
-		j.err = context.Canceled
-		j.reason = reason
-		j.finished = time.Now()
-		j.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		q.mu.Lock()
-		q.cancelled++
-		q.mu.Unlock()
-		return true
-	default: // Running: the worker finalizes when run returns.
-		j.mu.Unlock()
-		j.cancel()
-		return true
-	}
 }
 
 // Drain performs a graceful shutdown: new submissions fail, jobs still
@@ -296,7 +244,7 @@ func (q *Queue) Drain(ctx context.Context) error {
 	q.mu.Unlock()
 
 	for _, j := range pending {
-		q.cancelJob(j, ReasonShutdown)
+		j.Cancel(ReasonShutdown)
 	}
 
 	workersDone := make(chan struct{})
@@ -355,7 +303,6 @@ func (q *Queue) execute(j *Job) {
 		return
 	}
 	j.status = Running
-	j.started = time.Now()
 	j.mu.Unlock()
 
 	q.mu.Lock()

@@ -17,7 +17,7 @@ func waitStatus(t *testing.T, j *Job) Status {
 	defer cancel()
 	s, err := j.Wait(ctx)
 	if err != nil {
-		t.Fatalf("job %s never finished: %v", j.ID(), err)
+		t.Fatalf("job never finished: %v", err)
 	}
 	return s
 }
@@ -26,14 +26,17 @@ func TestSubmitRunsFIFO(t *testing.T) {
 	q := NewQueue(1, 0) // one worker => strict FIFO execution order
 	var order []string
 	ch := make(chan string, 3)
+	var last *Job
 	for _, id := range []string{"a", "b", "c"} {
 		id := id
-		if _, err := q.Submit(id, func(ctx context.Context) error {
+		j, err := q.Submit(func(ctx context.Context) error {
 			ch <- id
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		last = j
 	}
 	for i := 0; i < 3; i++ {
 		order = append(order, <-ch)
@@ -41,8 +44,7 @@ func TestSubmitRunsFIFO(t *testing.T) {
 	if fmt.Sprint(order) != "[a b c]" {
 		t.Fatalf("execution order %v, want [a b c]", order)
 	}
-	j, _ := q.Get("c")
-	if s := waitStatus(t, j); s != Done {
+	if s := waitStatus(t, last); s != Done {
 		t.Fatalf("job c finished %v, want done", s)
 	}
 	if st := q.Stats(); st.Submitted != 3 || st.Done != 3 {
@@ -50,20 +52,10 @@ func TestSubmitRunsFIFO(t *testing.T) {
 	}
 }
 
-func TestDuplicateID(t *testing.T) {
-	q := NewQueue(1, 0)
-	if _, err := q.Submit("x", func(context.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Submit("x", func(context.Context) error { return nil }); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-}
-
 func TestFailedJob(t *testing.T) {
 	q := NewQueue(1, 0)
 	boom := errors.New("boom")
-	j, err := q.Submit("f", func(context.Context) error { return boom })
+	j, err := q.Submit(func(context.Context) error { return boom })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +69,7 @@ func TestFailedJob(t *testing.T) {
 
 func TestPanicCapture(t *testing.T) {
 	q := NewQueue(1, 0)
-	j, err := q.Submit("p", func(context.Context) error { panic("kaboom") })
+	j, err := q.Submit(func(context.Context) error { panic("kaboom") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +81,7 @@ func TestPanicCapture(t *testing.T) {
 		t.Fatalf("err = %v, want PanicError(kaboom)", j.Err())
 	}
 	// The worker survived the panic.
-	j2, err := q.Submit("after", func(context.Context) error { return nil })
+	j2, err := q.Submit(func(context.Context) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +93,22 @@ func TestPanicCapture(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	q := NewQueue(1, 0)
 	gate := make(chan struct{})
-	if _, err := q.Submit("blocker", func(ctx context.Context) error {
+	blocker, err := q.Submit(func(ctx context.Context) error {
 		<-gate
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Bool
-	j, err := q.Submit("victim", func(ctx context.Context) error {
+	j, err := q.Submit(func(ctx context.Context) error {
 		ran.Store(true)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Cancel("victim", ReasonRequested) {
+	if !j.Cancel(ReasonRequested) {
 		t.Fatal("Cancel reported the queued job as not live")
 	}
 	if s := j.Status(); s != Cancelled {
@@ -124,8 +117,13 @@ func TestCancelQueued(t *testing.T) {
 	if r := j.Reason(); r != ReasonRequested {
 		t.Fatalf("reason %q, want %q", r, ReasonRequested)
 	}
+	if st := q.Stats(); st.Cancelled != 1 {
+		t.Fatalf("cancelled queued job not counted: %+v", st)
+	}
+	if j.Cancel(ReasonRequested) {
+		t.Fatal("second Cancel reported the cancelled job as live")
+	}
 	close(gate)
-	blocker, _ := q.Get("blocker")
 	waitStatus(t, blocker)
 	if ran.Load() {
 		t.Fatal("cancelled queued job still executed")
@@ -135,7 +133,7 @@ func TestCancelQueued(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	q := NewQueue(1, 0)
 	started := make(chan struct{})
-	j, err := q.Submit("r", func(ctx context.Context) error {
+	j, err := q.Submit(func(ctx context.Context) error {
 		close(started)
 		<-ctx.Done()
 		return ctx.Err()
@@ -144,7 +142,7 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if !q.Cancel("r", ReasonRequested) {
+	if !j.Cancel(ReasonRequested) {
 		t.Fatal("Cancel reported the running job as not live")
 	}
 	if s := waitStatus(t, j); s != Cancelled {
@@ -160,7 +158,7 @@ func TestDrain(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var finished atomic.Bool
-	running, err := q.Submit("running", func(ctx context.Context) error {
+	running, err := q.Submit(func(ctx context.Context) error {
 		close(started)
 		<-release
 		finished.Store(true)
@@ -169,7 +167,7 @@ func TestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := q.Submit("queued", func(ctx context.Context) error { return nil })
+	queued, err := q.Submit(func(ctx context.Context) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +190,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// New submissions are refused while draining.
-	if _, err := q.Submit("late", func(context.Context) error { return nil }); !errors.Is(err, ErrDraining) {
+	if _, err := q.Submit(func(context.Context) error { return nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit during drain: %v, want ErrDraining", err)
 	}
 
@@ -215,7 +213,7 @@ func TestDrainTimeout(t *testing.T) {
 	q := NewQueue(1, 0)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := q.Submit("stuck", func(ctx context.Context) error {
+	if _, err := q.Submit(func(ctx context.Context) error {
 		close(started)
 		<-release
 		return nil
@@ -234,23 +232,19 @@ func TestDrainTimeout(t *testing.T) {
 func TestManyWorkers(t *testing.T) {
 	q := NewQueue(4, 0)
 	var n atomic.Int64
-	var last *Job
 	for i := 0; i < 32; i++ {
-		j, err := q.Submit(fmt.Sprintf("j%d", i), func(ctx context.Context) error {
+		if _, err := q.Submit(func(ctx context.Context) error {
 			n.Add(1)
 			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		last = j
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := q.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_ = last
 	st := q.Stats()
 	if st.Done+st.Cancelled != 32 || st.Done != n.Load() {
 		t.Fatalf("stats = %+v with %d executions", st, n.Load())
