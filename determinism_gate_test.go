@@ -11,6 +11,7 @@ package gmp
 // Regenerate the goldens only for intentional behavior changes:
 //
 //	go test -run TestDeterminismGate -update-golden .
+//	go test -run TestTelemetryGate -update-golden .   # telemetry goldens
 
 import (
 	"bytes"
@@ -227,9 +228,11 @@ func TestDeterminismGate(t *testing.T) {
 // layer: enabling Config.Telemetry must reproduce the telemetry-off
 // Result byte-for-byte (the committed goldens above, which exclude the
 // Telemetry field), and the recorded telemetry itself must be schema-
-// valid and byte-identical across repeated runs. The repeat run turns
-// every observer on, so neither the Result nor the telemetry may move
-// when spans and the event ring share the probe.
+// valid, byte-identical to its own golden (<case>.telemetry.golden,
+// rewritten by -update-golden), and byte-identical across repeated
+// runs. The repeat run turns every observer on, so neither the Result
+// nor the telemetry may move when spans and the event ring share the
+// probe.
 func TestTelemetryGate(t *testing.T) {
 	for _, tc := range gateCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,6 +261,16 @@ func TestTelemetryGate(t *testing.T) {
 			}
 			if _, err := obs.ValidateJSONL(bytes.NewReader(j1.Bytes())); err != nil {
 				t.Fatalf("telemetry JSONL fails its schema: %v", err)
+			}
+			telPath := filepath.Join("testdata", "determinism", tc.name+".telemetry.golden")
+			if *updateGolden {
+				if err := os.WriteFile(telPath, j1.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if wantTel, err := os.ReadFile(telPath); err != nil {
+				t.Fatalf("missing telemetry golden (run with -update-golden): %v", err)
+			} else if got := j1.String(); got != string(wantTel) {
+				t.Fatalf("telemetry diverged from golden %s:\n%s", telPath, firstDiff(string(wantTel), got))
 			}
 
 			res2, err := Run(withAllObservers(cfg))
