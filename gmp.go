@@ -603,15 +603,10 @@ type Result struct {
 
 // AdmissionDecision is one recorded churn admission event: an arrival
 // admitted or refused, or an admitted flow shed later by the overload
-// watchdog (Admitted false, Reason "shed").
-type AdmissionDecision struct {
-	Flow     FlowID
-	At       time.Duration
-	Admitted bool
-	// Reason is the refusal class ("no-route", "clique-overload",
-	// "shed"); empty when admitted.
-	Reason string
-}
+// watchdog (Admitted false, Reason "shed"). Reason is the refusal class
+// ("no-route", "clique-overload", "shed"), empty when admitted. The
+// same records are the telemetry's admission events.
+type AdmissionDecision = obs.AdmissionEvent
 
 // ChurnOutcome reports a churn run's workload-level results.
 type ChurnOutcome struct {
@@ -854,7 +849,7 @@ func newSession(cfg Config) (*session, error) {
 		if interval <= 0 {
 			interval = cfg.Period
 		}
-		s.sinks.Tel = obs.NewRecorder(topo, len(s.allFlows), interval, s.sched.Now)
+		s.sinks.Tel = obs.NewRecorder(topo.NumNodes(), len(s.allFlows), interval, s.sched.Now)
 	}
 	if cfg.Spans != nil {
 		s.sinks.Spans = span.NewRecorder(topo.NumNodes(), len(s.allFlows), cfg.Seed, cfg.Spans.SampleEvery, s.sched.Now)
@@ -935,13 +930,14 @@ func (s *session) start() error {
 		// Periodic sampler: queue depths, per-link channel utilization,
 		// per-flow rate limits. Pure observation on the virtual clock.
 		interval := tel.SampleInterval()
+		meter := s.medium.NewAirtimeMeter()
 		var sample func()
 		sample = func() {
 			smp := obs.Sample{At: s.sched.Now(), Queues: make([]int, len(s.nodes))}
 			for i, n := range s.nodes {
 				smp.Queues[i] = n.TotalQueued()
 			}
-			smp.Links = tel.SampleLinkUtil(interval)
+			smp.Links = obs.LinkUtils(s.topo, meter.Take(), interval)
 			smp.Limits = s.registry.Limits()
 			tel.AddSample(smp)
 			s.sched.After(interval, sample)
@@ -1039,14 +1035,13 @@ func (s *session) rebuildRoutes(down []bool) *routing.Table {
 func (s *session) onEpoch(moved []topology.NodeID, newPos []geom.Point) {
 	// In-flight transmissions hold carrier-sense counts against the old
 	// neighbor lists: unwind them before mutating the topology in place,
-	// re-key the per-link accounting after.
+	// re-key the airtime ledger after.
 	s.medium.BeginTopologyChange()
 	diff, err := s.topo.MoveNodes(moved, newPos)
 	if err != nil {
 		panic(fmt.Sprintf("gmp: mobility epoch at %v: %v", s.sched.Now(), err))
 	}
 	s.medium.EndTopologyChange(diff.OldLinks)
-	s.sinks.Tel.OnTopologyChange(diff.OldLinks)
 	if diff.Changed() {
 		s.lastTopoChange = s.sched.Now()
 		s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Touched)
@@ -1093,21 +1088,11 @@ func (s *session) startChurn() {
 			}
 		}
 	}
-	tel := s.sinks.Tel
 	s.churnEng = churn.Start(s.sched, s.churnFlows, baseID, churn.Hooks{
-		Admit: s.admit,
-		OnAdmit: func(id packet.FlowID, f churn.Flow) {
-			s.registry.Source(id).StartNow()
-			tel.Admission(id, true, "")
-		},
-		OnReject: func(id packet.FlowID, f churn.Flow, reason admission.Reason) {
-			tel.Admission(id, false, reason.String())
-		},
+		Admit:    s.admit,
+		OnAdmit:  func(id packet.FlowID, f churn.Flow) { s.registry.Source(id).StartNow() },
 		OnDepart: s.teardown,
-		OnShed: func(id packet.FlowID, f churn.Flow) {
-			s.teardown(id, f)
-			tel.Admission(id, false, admission.Shed.String())
-		},
+		OnShed:   s.teardown,
 	})
 	if engine, ok := s.rt.(*core.Engine); ok && s.admCtrl != nil {
 		// Overload watchdog (central GMP only: the distributed runtime
@@ -1205,6 +1190,17 @@ func (s *session) collect() (*Result, error) {
 		reference = full
 	}
 
+	var decisions []AdmissionDecision
+	if s.churnEng != nil {
+		for _, d := range s.churnEng.Decisions() {
+			ad := AdmissionDecision{Flow: d.Flow, At: d.At, Admitted: d.Admitted}
+			if !d.Admitted {
+				ad.Reason = d.Reason.String()
+			}
+			decisions = append(decisions, ad)
+		}
+	}
+
 	rates := s.registry.MeasuredRates(cfg.Duration)
 	res := &Result{
 		Scenario:    cfg.Scenario.Name,
@@ -1213,7 +1209,7 @@ func (s *session) collect() (*Result, error) {
 		Reference:   reference,
 		TwoPPTarget: s.twoPPTarget,
 		Channel:     s.medium.Stats(),
-		Telemetry:   s.sinks.Tel.Finalize(cfg.Scenario.Name, cfg.Protocol.String()),
+		Telemetry:   s.sinks.Tel.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), decisions),
 		Spans:       s.sinks.Spans.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration),
 	}
 	for _, st := range s.stations {
@@ -1262,15 +1258,8 @@ func (s *session) collect() (*Result, error) {
 		res.Trace = s.rt.Trace()
 	}
 	if s.churnEng != nil {
-		out := &ChurnOutcome{}
+		out := &ChurnOutcome{Decisions: decisions}
 		out.Arrivals, out.Admitted, out.Rejected, out.Shed = s.churnEng.Counts()
-		for _, d := range s.churnEng.Decisions() {
-			ad := AdmissionDecision{Flow: d.Flow, At: d.At, Admitted: d.Admitted}
-			if !d.Admitted {
-				ad.Reason = d.Reason.String()
-			}
-			out.Decisions = append(out.Decisions, ad)
-		}
 		out.TimeToFairShare = make([]time.Duration, len(out.Decisions))
 		for i, d := range out.Decisions {
 			out.TimeToFairShare[i] = -1

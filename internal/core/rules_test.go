@@ -9,7 +9,6 @@ import (
 
 	"gmp/internal/clique"
 	"gmp/internal/conditions"
-	"gmp/internal/geom"
 	"gmp/internal/maxminref"
 	"gmp/internal/obs"
 	"gmp/internal/packet"
@@ -31,13 +30,8 @@ func primaries(ids ...packet.FlowID) map[packet.FlowID]topology.NodeID {
 }
 
 // newRecorder returns a telemetry recorder whose clock stands still.
-func newRecorder(t *testing.T) *obs.Recorder {
-	t.Helper()
-	topo, err := topology.New([]geom.Point{{X: 0}, {X: 200}}, topology.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return obs.NewRecorder(topo, 8, time.Second, func() time.Duration { return 0 })
+func newRecorder() *obs.Recorder {
+	return obs.NewRecorder(2, 8, time.Second, func() time.Duration { return 0 })
 }
 
 func TestAskRoutesEveryFlow(t *testing.T) {
@@ -52,13 +46,13 @@ func TestAskRoutesEveryFlow(t *testing.T) {
 
 	// Recording, the same requests go out in flow-ID order, each with
 	// its condition event.
-	r.probe = &obs.Probe{Tel: newRecorder(t)}
+	r.probe = &obs.Probe{Tel: newRecorder()}
 	var order []packet.FlowID
 	r.ask(func(f packet.FlowID, _ Request) { order = append(order, f) }, flows, 7, obs.CondBandwidth, req, provenance{})
 	if fmt.Sprint(order) != "[1 2 3]" {
 		t.Errorf("recorded routing order = %v, want [1 2 3]", order)
 	}
-	events := r.probe.Tel.Finalize("", "").Conditions
+	events := r.probe.Tel.Finalize("", "", nil).Conditions
 	if len(events) != len(order) {
 		t.Fatalf("%d conditions recorded for %d requests", len(events), len(order))
 	}
@@ -169,7 +163,7 @@ func TestSourceAndBufferRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRules(DefaultParams())
-			r.probe = &obs.Probe{Tel: newRecorder(t)}
+			r.probe = &obs.Probe{Tel: newRecorder()}
 			got := make(collect)
 			var reduced []topology.Link
 			r.sourceAndBuffer(0, tc.ups, tc.locals, got.add, func(l topology.Link) { reduced = append(reduced, l) })
@@ -179,7 +173,7 @@ func TestSourceAndBufferRule(t *testing.T) {
 			if fmt.Sprint(reduced) != fmt.Sprint(tc.reduced) {
 				t.Errorf("reduced links = %v, want %v", reduced, tc.reduced)
 			}
-			events := r.probe.Tel.Finalize("", "").Conditions
+			events := r.probe.Tel.Finalize("", "", nil).Conditions
 			if len(events) != len(got) {
 				t.Errorf("%d conditions recorded for %d requests", len(events), len(got))
 			}

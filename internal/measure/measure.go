@@ -168,7 +168,7 @@ func (s *Snapshot) UndirectedOccupancy(l topology.Link) float64 {
 // the bookkeeping while agents, by convention, read only the entries for
 // their own adjacent links.
 type OccupancyBoard struct {
-	medium *radio.Medium
+	meter  *radio.AirtimeMeter
 	period time.Duration
 	frac   map[topology.Link]float64
 }
@@ -179,17 +179,18 @@ func NewOccupancyBoard(medium *radio.Medium, period time.Duration) *OccupancyBoa
 		panic(fmt.Sprintf("measure: non-positive period %v", period))
 	}
 	return &OccupancyBoard{
-		medium: medium,
+		meter:  medium.NewAirtimeMeter(),
 		period: period,
 		frac:   make(map[topology.Link]float64),
 	}
 }
 
-// Sample closes the current period: it reads and resets the medium's
-// per-link airtime accumulators. Call exactly once per period boundary.
+// Sample closes the current period: it reads the per-link airtime
+// carried since the previous Sample. Call exactly once per period
+// boundary.
 func (b *OccupancyBoard) Sample() {
 	b.frac = make(map[topology.Link]float64)
-	for link, airtime := range b.medium.TakeOccupancy() {
+	for link, airtime := range b.meter.Take() {
 		b.frac[link] = float64(airtime) / float64(b.period)
 	}
 }
@@ -201,7 +202,7 @@ func (b *OccupancyBoard) Fraction(l topology.Link) float64 { return b.frac[l] }
 // Collector gathers one Snapshot per measurement period.
 type Collector struct {
 	nodes     []*forwarding.Node
-	medium    *radio.Medium
+	meter     *radio.AirtimeMeter
 	threshold float64
 }
 
@@ -211,7 +212,7 @@ func NewCollector(nodes []*forwarding.Node, medium *radio.Medium, threshold floa
 	if threshold <= 0 || threshold >= 1 {
 		panic(fmt.Sprintf("measure: Ω threshold %v outside (0,1)", threshold))
 	}
-	return &Collector{nodes: nodes, medium: medium, threshold: threshold}
+	return &Collector{nodes: nodes, meter: medium.NewAirtimeMeter(), threshold: threshold}
 }
 
 // Collect closes the current measurement period: reads and resets every
@@ -256,7 +257,7 @@ func (c *Collector) Collect(period time.Duration) *Snapshot {
 	}
 
 	// Wireless link occupancy and normalized rate.
-	for link, airtime := range c.medium.TakeOccupancy() {
+	for link, airtime := range c.meter.Take() {
 		s.WLinks[link] = &WLinkState{
 			Link:      link,
 			Occupancy: float64(airtime) / float64(period),

@@ -12,7 +12,7 @@ import (
 func sampleTelemetry(t *testing.T) *Telemetry {
 	t.Helper()
 	now := time.Duration(0)
-	r := NewRecorder(testTopo(t), 2, time.Second, func() time.Duration { return now })
+	r := NewRecorder(3, 2, time.Second, func() time.Duration { return now })
 
 	now = time.Second
 	r.HopForwarded(0, 0, 3*time.Millisecond)
@@ -28,7 +28,10 @@ func sampleTelemetry(t *testing.T) *Telemetry {
 	r.Condition(0, 0, CondRateLimit, false, 1.1)
 	r.LimitChange(0, ActionProbe, 36, 40)
 
-	return r.Finalize("test", "GMP")
+	return r.Finalize("test", "GMP", []AdmissionEvent{
+		{At: time.Second, Flow: 1, Admitted: true},
+		{At: 2 * time.Second, Flow: 1, Reason: "shed"},
+	})
 }
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
@@ -42,7 +45,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("ValidateJSONL rejected WriteJSONL output: %v\n%s", err, buf.String())
 	}
 	want := map[string]int{
-		"meta": 1, "flow": 2, "node": 3, "sample": 2, "condition": 2, "limit": 2,
+		"meta": 1, "flow": 2, "node": 3, "sample": 2, "condition": 2, "limit": 2, "admission": 2,
 	}
 	for k, n := range want {
 		if counts[k] != n {
@@ -116,8 +119,9 @@ func TestSummarize(t *testing.T) {
 	if s.Scenario != "test" || s.Protocol != "GMP" {
 		t.Errorf("meta = %q/%q", s.Scenario, s.Protocol)
 	}
-	if s.Samples != 2 || s.Conditions != 2 {
-		t.Errorf("samples/conditions = %d/%d, want 2/2", s.Samples, s.Conditions)
+	if s.Samples != 2 || s.Conditions != 2 || s.Admitted != 1 || s.Rejected != 1 {
+		t.Errorf("samples/conditions/admitted/rejected = %d/%d/%d/%d, want 2/2/1/1",
+			s.Samples, s.Conditions, s.Admitted, s.Rejected)
 	}
 	if len(s.Flows) != 2 {
 		t.Fatalf("flow summaries = %d, want 2", len(s.Flows))

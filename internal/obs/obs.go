@@ -21,7 +21,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -222,7 +224,7 @@ type Sample struct {
 	// Queues is the total queued packet count per node.
 	Queues []int `json:"queues"`
 	// Links lists the directed links that carried airtime since the
-	// previous sample, in dense link-index order.
+	// previous sample, in the order LinkUtils gives them.
 	Links []LinkUtil `json:"links"`
 	// Limits is the per-flow self-imposed rate limit in pkt/s (-1 when
 	// the flow is unlimited).
@@ -299,36 +301,25 @@ type Telemetry struct {
 // Recorder accumulates telemetry during a run. A nil *Recorder is the
 // disabled state: every method is a no-op on a nil receiver.
 type Recorder struct {
-	now  func() time.Duration
-	topo *topology.Topology
+	now func() time.Duration
 
 	flows []FlowStats
 	nodes []NodeStats
 
-	// linkAir accumulates on-air time per dense link index since the
-	// last SampleLinkUtil call. linkAirFar parks airtime whose link
-	// vanished in a topology change before the interval closed.
-	linkAir    []time.Duration
-	linkAirFar map[topology.Link]time.Duration
-
 	samples    []Sample
 	conditions []ConditionEvent
 	limits     []LimitEvent
-	admissions []AdmissionEvent
 
 	sampleInterval time.Duration
 }
 
-// NewRecorder builds an enabled recorder for a run over the given
-// topology with numFlows flows. now is the virtual clock (the
-// scheduler's Now).
-func NewRecorder(topo *topology.Topology, numFlows int, sampleInterval time.Duration, now func() time.Duration) *Recorder {
+// NewRecorder builds an enabled recorder for a run over numNodes nodes
+// with numFlows flows. now is the virtual clock (the scheduler's Now).
+func NewRecorder(numNodes, numFlows int, sampleInterval time.Duration, now func() time.Duration) *Recorder {
 	r := &Recorder{
 		now:            now,
-		topo:           topo,
 		flows:          make([]FlowStats, numFlows),
-		nodes:          make([]NodeStats, topo.NumNodes()),
-		linkAir:        make([]time.Duration, topo.NumLinks()),
+		nodes:          make([]NodeStats, numNodes),
 		sampleInterval: sampleInterval,
 	}
 	for i := range r.flows {
@@ -398,88 +389,28 @@ func (r *Recorder) PacketDropped(node topology.NodeID, flow packet.FlowID) {
 	r.nodes[node].Drops++
 }
 
-// LinkAirtime accumulates on-air time for the dense link index idx
-// (negative indices — off-topology test frames — are ignored).
-func (r *Recorder) LinkAirtime(idx int, d time.Duration) {
-	if r == nil || idx < 0 {
-		return
-	}
-	r.linkAir[idx] += d
-}
-
-// OnTopologyChange re-keys the per-link airtime accumulators after the
-// recorder's topology was mutated in place (node motion). oldLinks is
-// the pre-move dense link slice: airtime recorded under the old indices
-// moves to the link's new index, or — when the link vanished — into a
-// side map so the interval's sample still reports it.
-func (r *Recorder) OnTopologyChange(oldLinks []topology.Link) {
-	if r == nil {
-		return
-	}
-	newAir := make([]time.Duration, r.topo.NumLinks())
-	for idx, d := range r.linkAir {
-		if d == 0 {
-			continue
-		}
-		l := oldLinks[idx]
-		if ni := r.topo.LinkIndex(l.From, l.To); ni >= 0 {
-			newAir[ni] = d
-		} else {
-			if r.linkAirFar == nil {
-				r.linkAirFar = make(map[topology.Link]time.Duration)
-			}
-			r.linkAirFar[l] += d
-		}
-	}
-	for l, d := range r.linkAirFar {
-		if ni := r.topo.LinkIndex(l.From, l.To); ni >= 0 {
-			newAir[ni] += d
-			delete(r.linkAirFar, l)
-		}
-	}
-	r.linkAir = newAir
-}
-
-// SampleLinkUtil closes one sampling interval: it converts the per-link
-// airtime accumulated since the previous call into utilization
-// fractions, resets the accumulators, and returns the non-zero entries
-// in dense link-index order. Airtime of links that vanished mid-interval
-// (node motion) follows, ordered by (From, To).
-func (r *Recorder) SampleLinkUtil(interval time.Duration) []LinkUtil {
-	if r == nil || interval <= 0 {
-		return nil
-	}
+// LinkUtils converts one sampling interval's per-link airtime, a radio
+// airtime meter's reading, into utilization fractions: the current links
+// of topo in dense link-index order, then pairs that are no longer links
+// (their ends moved apart during the interval) ordered by (From, To).
+// It returns nil when no link carried airtime.
+func LinkUtils(topo *topology.Topology, air map[topology.Link]time.Duration, interval time.Duration) []LinkUtil {
 	var out []LinkUtil
-	for idx, d := range r.linkAir {
-		if d == 0 {
-			continue
+	for l, d := range air {
+		if d != 0 {
+			out = append(out, LinkUtil{From: l.From, To: l.To, Util: float64(d) / float64(interval)})
 		}
-		l := r.topo.LinkAt(idx)
-		out = append(out, LinkUtil{
-			From: l.From,
-			To:   l.To,
-			Util: float64(d) / float64(interval),
-		})
-		r.linkAir[idx] = 0
 	}
-	if len(r.linkAirFar) > 0 {
-		base := len(out)
-		for l, d := range r.linkAirFar {
-			out = append(out, LinkUtil{
-				From: l.From,
-				To:   l.To,
-				Util: float64(d) / float64(interval),
-			})
+	// Pairs that are not a link rank after every link.
+	rank := func(u LinkUtil) int {
+		if idx := topo.LinkIndex(u.From, u.To); idx >= 0 {
+			return idx
 		}
-		gone := out[base:]
-		sort.Slice(gone, func(i, j int) bool {
-			if gone[i].From != gone[j].From {
-				return gone[i].From < gone[j].From
-			}
-			return gone[i].To < gone[j].To
-		})
-		r.linkAirFar = nil
+		return topo.NumLinks()
 	}
+	slices.SortFunc(out, func(a, b LinkUtil) int {
+		return cmp.Or(cmp.Compare(rank(a), rank(b)), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	return out
 }
 
@@ -523,23 +454,10 @@ func (r *Recorder) LimitChange(flow packet.FlowID, action LimitAction, before, a
 	})
 }
 
-// Admission records one admission decision (or watchdog shed). Churn
-// flows are recorded by the single churn engine in event order, which
-// is already deterministic — no canonicalizing sort needed.
-func (r *Recorder) Admission(flow packet.FlowID, admitted bool, reason string) {
-	if r == nil {
-		return
-	}
-	r.admissions = append(r.admissions, AdmissionEvent{
-		At:       r.now(),
-		Flow:     flow,
-		Admitted: admitted,
-		Reason:   reason,
-	})
-}
-
-// Finalize assembles the accumulated telemetry. The recorder may keep
-// recording afterwards, but the returned value owns its slices.
+// Finalize assembles the accumulated telemetry, with admissions, the
+// run's churn admission decisions in event order (nil without churn).
+// The recorder may keep recording afterwards, but the returned value
+// owns its slices.
 //
 // Condition events are put into a canonical total order (time, flow,
 // node, condition, direction, factor): the protocol engines iterate Go
@@ -547,7 +465,7 @@ func (r *Recorder) Admission(flow packet.FlowID, admitted bool, reason string) {
 // same-instant events is not reproducible across runs even though the
 // event *set* is. Events identical under every key are interchangeable,
 // so the sorted stream is byte-deterministic.
-func (r *Recorder) Finalize(scenario, protocol string) *Telemetry {
+func (r *Recorder) Finalize(scenario, protocol string, admissions []AdmissionEvent) *Telemetry {
 	if r == nil {
 		return nil
 	}
@@ -585,7 +503,7 @@ func (r *Recorder) Finalize(scenario, protocol string) *Telemetry {
 		Samples:    append([]Sample(nil), r.samples...),
 		Conditions: conds,
 		Limits:     append([]LimitEvent(nil), r.limits...),
-		Admissions: append([]AdmissionEvent(nil), r.admissions...),
+		Admissions: append([]AdmissionEvent(nil), admissions...),
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -78,30 +79,15 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.MACRetry(0, 0)
 	r.Delivered(0, time.Millisecond)
 	r.PacketDropped(0, 0)
-	r.LinkAirtime(0, time.Millisecond)
 	r.AddSample(Sample{})
 	r.Condition(0, 0, CondBandwidth, true, 0.9)
 	r.LimitChange(0, ActionReduce, 10, 9)
-	if got := r.SampleLinkUtil(time.Second); got != nil {
-		t.Errorf("nil SampleLinkUtil = %v, want nil", got)
-	}
 	if got := r.SampleInterval(); got != 0 {
 		t.Errorf("nil SampleInterval = %v, want 0", got)
 	}
-	if got := r.Finalize("x", "y"); got != nil {
+	if got := r.Finalize("x", "y", nil); got != nil {
 		t.Errorf("nil Finalize = %v, want nil", got)
 	}
-}
-
-func testTopo(t *testing.T) *topology.Topology {
-	t.Helper()
-	topo, err := topology.New(
-		[]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}},
-		topology.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
 }
 
 // TestFinalizeCanonicalOrder checks that condition events recorded in a
@@ -109,7 +95,7 @@ func testTopo(t *testing.T) *topology.Topology {
 // (At, Flow, Node, Cond, Reduce, Factor) order.
 func TestFinalizeCanonicalOrder(t *testing.T) {
 	now := time.Duration(0)
-	r := NewRecorder(testTopo(t), 3, time.Second, func() time.Duration { return now })
+	r := NewRecorder(3, 3, time.Second, func() time.Duration { return now })
 
 	now = 2 * time.Second
 	r.Condition(2, 1, CondBandwidth, true, 0.9)
@@ -120,7 +106,7 @@ func TestFinalizeCanonicalOrder(t *testing.T) {
 	// clock, so this event is at t=1s and must sort first.
 	r.Condition(2, 2, CondBuffer, false, 1.1)
 
-	tel := r.Finalize("s", "p")
+	tel := r.Finalize("s", "p", nil)
 	want := []ConditionEvent{
 		{At: time.Second, Flow: 2, Node: 2, Cond: CondBuffer, Reduce: false, Factor: 1.1},
 		{At: 2 * time.Second, Flow: 0, Node: 1, Cond: CondBandwidth, Reduce: true, Factor: 0.9},
@@ -139,13 +125,13 @@ func TestFinalizeCanonicalOrder(t *testing.T) {
 
 func TestFlowConditionCountsAndBottleneck(t *testing.T) {
 	now := time.Duration(0)
-	r := NewRecorder(testTopo(t), 2, time.Second, func() time.Duration { return now })
+	r := NewRecorder(3, 2, time.Second, func() time.Duration { return now })
 	now = time.Second
 	r.Condition(0, 1, CondBandwidth, true, 0.9)
 	now = 2 * time.Second
 	r.Condition(0, 0, CondSource, true, 0.8)
 	r.Condition(0, 0, CondRateLimit, false, 1.1)
-	tel := r.Finalize("s", "p")
+	tel := r.Finalize("s", "p", nil)
 
 	counts := tel.FlowConditionCounts(0)
 	if counts != [4]int64{1, 0, 1, 1} {
@@ -159,24 +145,38 @@ func TestFlowConditionCountsAndBottleneck(t *testing.T) {
 	}
 }
 
-func TestSampleLinkUtil(t *testing.T) {
-	r := NewRecorder(testTopo(t), 1, time.Second, func() time.Duration { return 0 })
-	idx := r.topo.LinkIndex(0, 1)
-	if idx < 0 {
-		t.Fatal("no link 0-1 in test topology")
+// TestLinkUtils converts one meter reading: current links first in
+// dense link-index order, then pairs that are no longer links by
+// (From, To), with zero entries left out.
+func TestLinkUtils(t *testing.T) {
+	// Node 3 is out of everyone's range: no pair with it is a link.
+	topo, err := topology.New(
+		[]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}, {X: 1000, Y: 0}},
+		topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.LinkAirtime(idx, 250*time.Millisecond)
-	r.LinkAirtime(-1, time.Hour) // unknown link: ignored
-
-	links := r.SampleLinkUtil(time.Second)
-	if len(links) != 1 {
-		t.Fatalf("links = %v, want one entry", links)
+	if topo.LinkIndex(0, 3) >= 0 || topo.LinkIndex(0, 1) >= topo.LinkIndex(1, 0) {
+		t.Fatal("test topology does not have the assumed links")
 	}
-	if links[0].From != 0 || links[0].To != 1 || links[0].Util != 0.25 {
-		t.Errorf("links[0] = %+v, want {0 1 0.25}", links[0])
+	air := map[topology.Link]time.Duration{
+		{From: 3, To: 0}: 100 * time.Millisecond,
+		{From: 1, To: 0}: 500 * time.Millisecond,
+		{From: 0, To: 3}: 200 * time.Millisecond,
+		{From: 0, To: 1}: 250 * time.Millisecond,
+		{From: 2, To: 1}: 0,
 	}
-	// The accumulator resets on sampling.
-	if links = r.SampleLinkUtil(time.Second); len(links) != 0 {
-		t.Errorf("second sample = %v, want empty", links)
+	got := LinkUtils(topo, air, time.Second)
+	want := []LinkUtil{
+		{From: 0, To: 1, Util: 0.25},
+		{From: 1, To: 0, Util: 0.5},
+		{From: 0, To: 3, Util: 0.2},
+		{From: 3, To: 0, Util: 0.1},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("LinkUtils = %v, want %v", got, want)
+	}
+	if got := LinkUtils(topo, nil, time.Second); got != nil {
+		t.Errorf("LinkUtils of no airtime = %v, want nil", got)
 	}
 }

@@ -232,9 +232,9 @@ type Stats struct {
 // frames are on the air: propagation, carrier sensing and interference
 // marking all iterate the transmitter's precomputed neighbor lists
 // against per-node counters and stamps, never the set of in-flight
-// transmissions. Per-link state lives in dense slices keyed by the
-// topology's link index, frame airtimes are memoized per (kind, size),
-// and transmission records and frames are pooled across frames.
+// transmissions. The per-link airtime ledger is a dense slice keyed by
+// the topology's link index, frame airtimes are memoized per (kind,
+// size), and transmission records and frames are pooled across frames.
 //
 // Interference marking. A reception of frame t at receiver n fails when
 // some other carrier reaches n (n lies in its carrier-sense range, or n
@@ -265,21 +265,19 @@ type Medium struct {
 	// Fault-injection state (see internal/faults). down nodes neither
 	// transmit nor receive; linkLoss/nodeLoss add per-link and
 	// per-receiver loss probabilities on top of the global params.LossProb.
-	// linkLoss is indexed by the topology's dense link index, with
-	// linkLossCount gating the per-delivery lookup; linkLossFar holds
-	// entries for node pairs outside transmission range (settable for
-	// symmetry, but such pairs never see a delivery).
-	down          []bool
-	linkLoss      []float64
-	linkLossCount int
-	linkLossFar   map[topology.Link]float64
-	nodeLoss      []float64
+	// linkLoss is keyed by node pair, so motion never re-keys it, and a
+	// delivery consults it only while some loss is set.
+	down     []bool
+	linkLoss map[topology.Link]float64
+	nodeLoss []float64
 
-	// occupancy accumulates per-link airtime by dense link index;
-	// occupancyFar catches frames whose LinkFrom→LinkTo pair is not a
-	// topology link (the MAC never produces these, but tests may).
-	occupancy    []time.Duration
-	occupancyFar map[topology.Link]time.Duration
+	// airtime is the per-link airtime ledger: each directed link's total
+	// on-air time since the run began, by dense link index. airtimeFar
+	// holds the totals of node pairs that are not a link now: links that
+	// vanished in motion, and frames of an exchange whose ends were
+	// already out of range. Readers see the ledger through AirtimeMeters.
+	airtime    []time.Duration
+	airtimeFar map[topology.Link]time.Duration
 
 	// Memoized airtimes: control frames are constants of the Params;
 	// data and broadcast frames are cached per payload size.
@@ -297,10 +295,9 @@ type Medium struct {
 	busyBefore  []bool            // scratch for Begin/EndTopologyChange
 
 	stats Stats
-	// probe reaches the run's observers (nil when all are off): per-link
-	// airtime for telemetry, sampled data frames' airtime and corruption
-	// plus each node's carrier-sense holder for spans, and every channel
-	// event for the ring.
+	// probe reaches the run's observers (nil when all are off): sampled
+	// data frames' airtime and corruption plus each node's carrier-sense
+	// holder for spans, and every channel event for the ring.
 	probe *obs.Probe
 }
 
@@ -308,24 +305,23 @@ type Medium struct {
 // afterwards with Register, one per node, before any transmission.
 func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng *rand.Rand) *Medium {
 	return &Medium{
-		sched:     sched,
-		topo:      topo,
-		params:    params,
-		rng:       rng,
-		stations:  make([]Station, topo.NumNodes()),
-		onAir:     make([]*transmission, topo.NumNodes()),
-		busy:      make([]int, topo.NumNodes()),
-		lastHit:   make([]int64, topo.NumNodes()),
-		jamMark:   make([]int64, topo.NumNodes()),
-		down:      make([]bool, topo.NumNodes()),
-		nodeLoss:  make([]float64, topo.NumNodes()),
-		linkLoss:  make([]float64, topo.NumLinks()),
-		occupancy: make([]time.Duration, topo.NumLinks()),
-		rtsAir:    params.Airtime(FrameRTS, 0),
-		ctsAir:    params.Airtime(FrameCTS, 0),
-		ackAir:    params.Airtime(FrameAck, 0),
-		dataAir:   make(map[int]time.Duration),
-		bcastAir:  make(map[int]time.Duration),
+		sched:    sched,
+		topo:     topo,
+		params:   params,
+		rng:      rng,
+		stations: make([]Station, topo.NumNodes()),
+		onAir:    make([]*transmission, topo.NumNodes()),
+		busy:     make([]int, topo.NumNodes()),
+		lastHit:  make([]int64, topo.NumNodes()),
+		jamMark:  make([]int64, topo.NumNodes()),
+		down:     make([]bool, topo.NumNodes()),
+		nodeLoss: make([]float64, topo.NumNodes()),
+		airtime:  make([]time.Duration, topo.NumLinks()),
+		rtsAir:   params.Airtime(FrameRTS, 0),
+		ctsAir:   params.Airtime(FrameCTS, 0),
+		ackAir:   params.Airtime(FrameAck, 0),
+		dataAir:  make(map[int]time.Duration),
+		bcastAir: make(map[int]time.Duration),
 	}
 }
 
@@ -434,33 +430,21 @@ func (m *Medium) NodeDown(n topology.NodeID) bool { return m.down[n] }
 // SetLinkLoss sets an extra loss probability p in [0,1) for frames
 // received over the directed link from→to, composing independently
 // with the global LossProb and any per-node receive loss. p = 0 clears
-// the entry.
+// the entry. The entry belongs to the node pair, so it holds while the
+// pair moves out of range and back.
 func (m *Medium) SetLinkLoss(from, to topology.NodeID, p float64) {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("radio: link loss probability %v outside [0,1)", p))
 	}
-	if idx := m.topo.LinkIndex(from, to); idx >= 0 {
-		if (m.linkLoss[idx] > 0) != (p > 0) {
-			if p > 0 {
-				m.linkLossCount++
-			} else {
-				m.linkLossCount--
-			}
-		}
-		m.linkLoss[idx] = p
-		return
-	}
-	// The pair is outside transmission range: no delivery ever consults
-	// this entry, but keep it so lossAt answers consistently.
 	l := topology.Link{From: from, To: to}
 	if p == 0 {
-		delete(m.linkLossFar, l)
+		delete(m.linkLoss, l)
 		return
 	}
-	if m.linkLossFar == nil {
-		m.linkLossFar = make(map[topology.Link]float64)
+	if m.linkLoss == nil {
+		m.linkLoss = make(map[topology.Link]float64)
 	}
-	m.linkLossFar[l] = p
+	m.linkLoss[l] = p
 }
 
 // SetNodeLoss sets an extra loss probability p in [0,1) applied to
@@ -478,14 +462,8 @@ func (m *Medium) SetNodeLoss(n topology.NodeID, p float64) {
 // 1 − (1−global)·(1−link)·(1−node).
 func (m *Medium) lossAt(src, dst topology.NodeID) float64 {
 	p := m.params.LossProb
-	if m.linkLossCount > 0 || m.linkLossFar != nil {
-		var lp float64
-		if idx := m.topo.LinkIndex(src, dst); idx >= 0 {
-			lp = m.linkLoss[idx]
-		} else {
-			lp = m.linkLossFar[topology.Link{From: src, To: dst}]
-		}
-		if lp > 0 {
+	if len(m.linkLoss) > 0 {
+		if lp := m.linkLoss[topology.Link{From: src, To: dst}]; lp > 0 {
 			p = 1 - (1-p)*(1-lp)
 		}
 	}
@@ -495,22 +473,47 @@ func (m *Medium) lossAt(src, dst topology.NodeID) float64 {
 	return p
 }
 
-// TakeOccupancy returns the accumulated per-link airtime since the last
-// call and resets the accumulator. This feeds the per-measurement-period
-// channel-occupancy measurement (§6.2).
-func (m *Medium) TakeOccupancy() map[topology.Link]time.Duration {
+// AirtimeMeter is one reader's view of the medium's airtime ledger,
+// which feeds the per-measurement-period channel-occupancy measurement
+// (§6.2). Meters are independent: each reports every frame's airtime
+// exactly once, whatever its own cadence and whatever the others read.
+type AirtimeMeter struct {
+	m *Medium
+	// seen holds the ledger totals at the previous Take, keyed by node
+	// pair so that motion, which re-keys the ledger, leaves it valid.
+	seen map[topology.Link]time.Duration
+}
+
+// NewAirtimeMeter returns a meter whose first Take reports the airtime
+// carried since this call.
+func (m *Medium) NewAirtimeMeter() *AirtimeMeter {
+	a := &AirtimeMeter{m: m, seen: make(map[topology.Link]time.Duration)}
+	a.Take()
+	return a
+}
+
+// Take returns the non-zero airtime each directed link carried since
+// the meter's previous Take. Pairs that are no longer links report the
+// airtime they carried before their ends moved apart, and any frames of
+// an exchange aired between ends already out of range.
+func (a *AirtimeMeter) Take() map[topology.Link]time.Duration {
 	out := make(map[topology.Link]time.Duration)
-	for idx, d := range m.occupancy {
-		if d != 0 {
-			out[m.topo.LinkAt(idx)] = d
-			m.occupancy[idx] = 0
+	for idx, total := range a.m.airtime {
+		if total != 0 {
+			a.take(out, a.m.topo.LinkAt(idx), total)
 		}
 	}
-	for l, d := range m.occupancyFar {
-		out[l] = d
+	for l, total := range a.m.airtimeFar {
+		a.take(out, l, total)
 	}
-	m.occupancyFar = nil
 	return out
+}
+
+func (a *AirtimeMeter) take(out map[topology.Link]time.Duration, l topology.Link, total time.Duration) {
+	if d := total - a.seen[l]; d != 0 {
+		out[l] = d
+		a.seen[l] = total
+	}
 }
 
 // BeginTopologyChange must be called immediately before the medium's
@@ -558,60 +561,41 @@ func (m *Medium) inFlight() []*transmission {
 
 // EndTopologyChange completes a topology change opened with
 // BeginTopologyChange, after the topology was mutated. oldLinks is the
-// pre-move dense link slice (Diff.OldLinks): per-link state recorded
-// under the old indices — injected link loss and occupancy accounting —
-// is re-keyed through the Link values into the new index space, with
-// vanished links parked in the far maps and reappeared far entries
-// pulled back into the dense slices. In-flight transmissions then
-// re-raise carrier sense against the new CS neighbor lists, and any
-// node whose sensed state flipped (it walked into or out of an active
-// transmitter's CS range) gets the corresponding OnBusy/OnIdle edge.
-// Corruption already marked on in-flight frames is kept: interference
-// is assessed at transmit time, delivery at the new positions.
+// pre-move dense link slice (Diff.OldLinks): the airtime ledger, kept
+// under the old indices, is re-keyed through the Link values into the
+// new index space, with vanished links parked in the far map and far
+// pairs that became links again pulled back into the dense slice.
+// In-flight transmissions then re-raise carrier sense against the new
+// CS neighbor lists, and any node whose sensed state flipped (it walked
+// into or out of an active transmitter's CS range) gets the
+// corresponding OnBusy/OnIdle edge. Corruption already marked on
+// in-flight frames is kept: interference is assessed at transmit time,
+// delivery at the new positions.
 func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
-	nl := m.topo.NumLinks()
-	newLoss := make([]float64, nl)
-	newOcc := make([]time.Duration, nl)
-	count := 0
-	for idx, l := range oldLinks {
-		if p := m.linkLoss[idx]; p != 0 {
-			if ni := m.topo.LinkIndex(l.From, l.To); ni >= 0 {
-				newLoss[ni] = p
-				count++
-			} else {
-				if m.linkLossFar == nil {
-					m.linkLossFar = make(map[topology.Link]float64)
-				}
-				m.linkLossFar[l] = p
-			}
+	air := make([]time.Duration, m.topo.NumLinks())
+	for idx, d := range m.airtime {
+		if d == 0 {
+			continue
 		}
-		if d := m.occupancy[idx]; d != 0 {
-			if ni := m.topo.LinkIndex(l.From, l.To); ni >= 0 {
-				newOcc[ni] = d
-			} else {
-				if m.occupancyFar == nil {
-					m.occupancyFar = make(map[topology.Link]time.Duration)
-				}
-				m.occupancyFar[l] += d
-			}
-		}
-	}
-	// Far entries whose pair became a live link go dense again. A pair is
-	// never in both places, so no entry can collide with the remap above.
-	for l, p := range m.linkLossFar {
+		l := oldLinks[idx]
 		if ni := m.topo.LinkIndex(l.From, l.To); ni >= 0 {
-			newLoss[ni] = p
-			count++
-			delete(m.linkLossFar, l)
+			air[ni] = d
+			continue
 		}
+		if m.airtimeFar == nil {
+			m.airtimeFar = make(map[topology.Link]time.Duration)
+		}
+		m.airtimeFar[l] = d
 	}
-	for l, d := range m.occupancyFar {
+	// A pair is never in both places, so no far entry collides with the
+	// dense ones moved above.
+	for l, d := range m.airtimeFar {
 		if ni := m.topo.LinkIndex(l.From, l.To); ni >= 0 {
-			newOcc[ni] += d
-			delete(m.occupancyFar, l)
+			air[ni] = d
+			delete(m.airtimeFar, l)
 		}
 	}
-	m.linkLoss, m.linkLossCount, m.occupancy = newLoss, count, newOcc
+	m.airtime = air
 
 	for _, tx := range m.inFlight() {
 		for _, n := range m.topo.CSNeighbors(tx.src) {
@@ -739,15 +723,12 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 		atomic.AddInt64(&m.stats.ControlFrames, 1)
 		atomic.AddInt64((*int64)(&m.stats.ControlAirtime), int64(dur))
 	} else if idx := m.topo.LinkIndex(f.LinkFrom, f.LinkTo); idx >= 0 {
-		m.occupancy[idx] += dur
-		if m.probe != nil {
-			m.probe.Tel.LinkAirtime(idx, dur)
-		}
+		m.airtime[idx] += dur
 	} else {
-		if m.occupancyFar == nil {
-			m.occupancyFar = make(map[topology.Link]time.Duration)
+		if m.airtimeFar == nil {
+			m.airtimeFar = make(map[topology.Link]time.Duration)
 		}
-		m.occupancyFar[topology.Link{From: f.LinkFrom, To: f.LinkTo}] += dur
+		m.airtimeFar[topology.Link{From: f.LinkFrom, To: f.LinkTo}] += dur
 	}
 	m.emit(trace.KindTransmit, src, f.To, f)
 	if m.probe != nil && f.Kind == FrameData && f.Data != nil {

@@ -229,17 +229,18 @@ func TestTransmitWhileTransmittingPanics(t *testing.T) {
 
 func TestOccupancyAccounting(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}})
+	meter := h.medium.NewAirtimeMeter()
 	f := dataFrame(0, 1)
 	air := h.medium.Airtime(f)
 	h.medium.Transmit(0, f, nil)
 	h.sched.Run(time.Second)
-	occ := h.medium.TakeOccupancy()
-	if got := occ[topology.Link{From: 0, To: 1}]; got != air {
-		t.Errorf("occupancy = %v, want %v", got, air)
+	occ := meter.Take()
+	if got := occ[topology.Link{From: 0, To: 1}]; got != air || len(occ) != 1 {
+		t.Errorf("occupancy = %v, want %v on 0→1 only", occ, air)
 	}
-	// TakeOccupancy resets.
-	if len(h.medium.TakeOccupancy()) != 0 {
-		t.Error("occupancy not reset")
+	// A Take reports only what aired since the previous one.
+	if occ := meter.Take(); len(occ) != 0 {
+		t.Errorf("second Take = %v, want nothing", occ)
 	}
 }
 
@@ -329,6 +330,7 @@ func TestThreeWayBusyCounting(t *testing.T) {
 
 func TestBroadcastFrameAccounting(t *testing.T) {
 	h := newHarness(t, []geom.Point{{X: 0}, {X: 200}})
+	meter := h.medium.NewAirtimeMeter()
 	bc := &Frame{Kind: FrameBroadcast, To: Broadcast, LinkFrom: 0, LinkTo: 0, ControlBytes: 24}
 	air := h.medium.Airtime(bc)
 	h.medium.Transmit(0, bc, nil)
@@ -338,8 +340,8 @@ func TestBroadcastFrameAccounting(t *testing.T) {
 		t.Errorf("control accounting = %+v, want airtime %v", st, air)
 	}
 	// Broadcasts do not pollute per-link occupancy.
-	if len(h.medium.TakeOccupancy()) != 0 {
-		t.Error("broadcast airtime counted as link occupancy")
+	if occ := meter.Take(); len(occ) != 0 {
+		t.Errorf("broadcast airtime counted as link occupancy: %v", occ)
 	}
 	// But they are delivered like any frame.
 	if len(h.nodes[1].frames) != 1 || h.nodes[1].frames[0].Kind != FrameBroadcast {

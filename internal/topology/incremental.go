@@ -9,8 +9,8 @@ import (
 )
 
 // Diff records what one MoveNodes call changed. The mobility layer hands
-// it to the subsystems that index state by dense link number (radio
-// medium, telemetry recorder) and to the incremental clique updater.
+// it to the radio medium, whose airtime ledger is indexed by dense link
+// number, and to the incremental clique updater.
 type Diff struct {
 	// Moved lists the nodes whose positions changed, ascending.
 	Moved []NodeID
