@@ -46,58 +46,17 @@ func ConvergenceTime(trace []Round, tol float64) (time.Duration, bool) {
 // returns the settled per-flow tail means, so recovery-time analysis
 // does not recompute them.
 func Convergence(trace []Round, tol float64) ConvergenceReport {
-	if len(trace) < 4 || tol <= 0 {
+	if len(trace) < 4 || tol <= 0 || len(trace[0].Rates) == 0 {
 		return ConvergenceReport{}
 	}
-	flows := len(trace[0].Rates)
-	if flows == 0 {
-		return ConvergenceReport{}
+	flows := make([]int, len(trace[0].Rates))
+	for f := range flows {
+		flows[f] = f
 	}
-
-	// Tail means per flow, computed over the last half of the trace —
-	// the regime the run settled into, if it settled at all.
-	half := trace[len(trace)/2:]
-	means := make([]float64, flows)
-	for f := 0; f < flows; f++ {
-		vals := make([]float64, len(half))
-		for i, r := range half {
-			vals[i] = r.Rates[f]
-		}
-		means[f] = stats.Mean(vals)
-	}
+	means, at := settle(trace, flows, tol)
 	rep := ConvergenceReport{TailMeans: means}
-
-	inBand := func(r Round) bool {
-		for f := 0; f < flows; f++ {
-			m := means[f]
-			if m <= 0 {
-				if r.Rates[f] > tol*10 {
-					return false
-				}
-				continue
-			}
-			if math.Abs(r.Rates[f]-m) > tol*m {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Earliest suffix whose out-of-band fraction stays below 10%.
-	bad := make([]int, len(trace)+1)
-	for i := len(trace) - 1; i >= 0; i-- {
-		bad[i] = bad[i+1]
-		if !inBand(trace[i]) {
-			bad[i]++
-		}
-	}
-	for i := 0; i < len(trace)-2; i++ {
-		n := len(trace) - i
-		if float64(bad[i]) <= 0.1*float64(n) {
-			rep.Time = trace[i].Time
-			rep.Settled = true
-			return rep
-		}
+	if at >= 0 {
+		rep.Time, rep.Settled = trace[at].Time, true
 	}
 	return rep
 }
@@ -127,31 +86,53 @@ func FlowTimeToFairShare(trace []Round, flow int, from, until time.Duration, tol
 	if len(act) < 4 {
 		return 0, false
 	}
-	half := act[len(act)/2:]
+	if _, at := settle(act, []int{flow}, tol); at >= 0 {
+		return act[at].Time - from, true
+	}
+	return 0, false
+}
+
+// settle is the scan behind Convergence and FlowTimeToFairShare. It
+// takes each listed flow's settled mean over the second half of rounds,
+// calls a round in band when every listed flow's rate lies within tol
+// (fractionally) of its mean (a flow settled at zero may reach tol*10),
+// and returns the means with the index of the earliest round from which
+// at most 10% of the remaining rounds are out of band, or -1.
+func settle(rounds []Round, flows []int, tol float64) (means []float64, at int) {
+	half := rounds[len(rounds)/2:]
 	vals := make([]float64, len(half))
-	for i, r := range half {
-		vals[i] = r.Rates[flow]
-	}
-	mean := stats.Mean(vals)
-	inBand := func(r Round) bool {
-		if mean <= 0 {
-			return r.Rates[flow] <= tol*10
+	means = make([]float64, len(flows))
+	for j, f := range flows {
+		for i, r := range half {
+			vals[i] = r.Rates[f]
 		}
-		return math.Abs(r.Rates[flow]-mean) <= tol*mean
+		means[j] = stats.Mean(vals)
 	}
-	bad := make([]int, len(act)+1)
-	for i := len(act) - 1; i >= 0; i-- {
+	inBand := func(r Round) bool {
+		for j, f := range flows {
+			if m := means[j]; m <= 0 {
+				if r.Rates[f] > tol*10 {
+					return false
+				}
+			} else if math.Abs(r.Rates[f]-m) > tol*m {
+				return false
+			}
+		}
+		return true
+	}
+	bad := make([]int, len(rounds)+1)
+	for i := len(rounds) - 1; i >= 0; i-- {
 		bad[i] = bad[i+1]
-		if !inBand(act[i]) {
+		if !inBand(rounds[i]) {
 			bad[i]++
 		}
 	}
-	for i := 0; i < len(act)-2; i++ {
-		if float64(bad[i]) <= 0.1*float64(len(act)-i) {
-			return act[i].Time - from, true
+	for i := 0; i < len(rounds)-2; i++ {
+		if float64(bad[i]) <= 0.1*float64(len(rounds)-i) {
+			return means, i
 		}
 	}
-	return 0, false
+	return means, -1
 }
 
 // RecoveryReport measures re-convergence after a perturbation: it runs
