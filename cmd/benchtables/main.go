@@ -73,15 +73,16 @@ type options struct {
 
 // runSeeds executes the scenario under one protocol for seeds 1..N
 // through the parallel experiment runner and aggregates the cross-seed
-// statistics (Student-t 95% confidence half-widths).
-func runSeeds(sc gmp.Scenario, p gmp.Protocol, o options) (*gmp.SweepSummary, error) {
+// statistics (Student-t 95% confidence half-widths). It also returns
+// the per-seed results, in seed order.
+func runSeeds(sc gmp.Scenario, p gmp.Protocol, o options) (*gmp.SweepSummary, []*gmp.Result, error) {
 	cfgs := gmp.SeedSweep(gmp.Config{Scenario: sc, Protocol: p, Duration: o.duration}, o.seeds)
 	results, err := gmp.RunMany(context.Background(), cfgs, gmp.RunManyOptions{Workers: o.workers})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sum := gmp.Summarize(results)
-	return &sum, nil
+	return &sum, results, nil
 }
 
 func withCI(mean, ci float64) string {
@@ -93,21 +94,18 @@ func withCI(mean, ci float64) string {
 
 func table1(o options) error {
 	fmt.Println("Table 1 — GMP on the Figure 2 topology, unit weights")
-	sc := gmp.Fig2Scenario()
-	agg, err := runSeeds(sc, gmp.ProtocolGMP, o)
+	agg, results, err := runSeeds(gmp.Fig2Scenario(), gmp.ProtocolGMP, o)
 	if err != nil {
 		return err
 	}
-	ref, err := gmp.Run(gmp.Config{Scenario: sc, Protocol: gmp.ProtocolGMP,
-		Duration: time.Second, Warmup: time.Second / 2})
-	if err != nil {
-		return err
-	}
+	// The water-filling reference depends only on the static scenario,
+	// so every seed's Result carries the same one.
+	ref := results[0].Reference
 	w := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "flow\tpaper(pkt/s)\tmeasured(pkt/s)\treference(water-filling)")
 	for i, name := range paperdata.Table1.Flows {
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n",
-			name, paperdata.Table1.Rates[i], agg.FlowRates[i].Mean, ref.Reference[i])
+			name, paperdata.Table1.Rates[i], agg.FlowRates[i].Mean, ref[i])
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -120,7 +118,7 @@ func table1(o options) error {
 
 func table2(o options) error {
 	fmt.Println("Table 2 — weighted maxmin on Figure 2, weights (1,2,1,3)")
-	agg, err := runSeeds(gmp.Fig2WeightedScenario(), gmp.ProtocolGMP, o)
+	agg, _, err := runSeeds(gmp.Fig2WeightedScenario(), gmp.ProtocolGMP, o)
 	if err != nil {
 		return err
 	}
@@ -154,7 +152,7 @@ func comparisonTable(title string, sc gmp.Scenario, paper struct {
 	}
 	results := make(map[string]*gmp.SweepSummary, len(protocols))
 	for _, pr := range protocols {
-		agg, err := runSeeds(sc, pr.p, o)
+		agg, _, err := runSeeds(sc, pr.p, o)
 		if err != nil {
 			return err
 		}
