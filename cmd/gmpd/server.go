@@ -47,6 +47,7 @@ import (
 	"gmp/internal/jobs"
 	"gmp/internal/obs"
 	"gmp/internal/resultcache"
+	"gmp/internal/routing"
 )
 
 // resultVersion salts every cache key. Bump it when the simulator's
@@ -389,13 +390,21 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	// are rejected before they enter the queue, and the timed build
 	// feeds the gmpd_topology_build_* counters on /metrics.
 	buildStart := time.Now()
-	if _, err := sc.Topology(); err != nil {
+	topo, err := sc.Topology()
+	if err != nil {
 		return nil, fmt.Errorf("scenario topology: %w", err)
 	}
 	buildNS := time.Since(buildStart).Nanoseconds()
 	s.topoBuilds.Add(1)
 	s.topoBuildNS.Add(buildNS)
 	s.topoBuildLastNS.Store(buildNS)
+	// A flow without a route at t=0 fails every run: refuse it here.
+	routes := routing.BuildLazy(topo)
+	for _, f := range sc.Flows {
+		if routes.HopCount(f.Src, f.Dst) <= 0 {
+			return nil, fmt.Errorf("flow %d has no route from %d to %d", f.ID, f.Src, f.Dst)
+		}
+	}
 
 	st := &jobState{
 		label: label,

@@ -340,6 +340,7 @@ func TestRequestValidation(t *testing.T) {
 		"warmup = duration":         `{"scenario_name":"fig3","duration_s":4,"warmup_s":4}`,
 		"warmup > default duration": `{"scenario_name":"fig3","warmup_s":500}`,
 		"no flows":                  `{"scenario":{"name":"x","nodes":[[0,0],[100,0]]}}`,
+		"unroutable flow":           `{"scenario":{"name":"far","nodes":[[0,0],[5000,0]],"flows":[{"src":0,"dst":1}]},"duration_s":2,"warmup_s":1,"seeds":2}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -349,6 +350,18 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	// The unroutable flow is refused with the message a run would fail with.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"scenario":{"name":"far","nodes":[[0,0],[5000,0]],"flows":[{"src":0,"dst":1}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || body.Error != "flow 0 has no route from 0 to 1" {
+		t.Errorf("unroutable flow: error %q (%v), want %q", body.Error, err, "flow 0 has no route from 0 to 1")
 	}
 
 	for _, route := range []string{
