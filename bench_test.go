@@ -599,19 +599,19 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // network size on random connected topologies of constant density (~10
 // expected neighbors per node) and on city-regime street grids (4
 // neighbors per node, the spatial-grid pipeline's target workload),
-// under plain 802.11 and under GMP. Before the adjacency precomputation
-// the medium scanned all N nodes per transmission, making the per-frame
-// cost O(N); with neighbor lists it is O(degree), so ns/op should grow
-// roughly linearly in N (more nodes → more flows → more frames) rather
-// than quadratically.
+// under plain 802.11, GMP and in-band gmp-dist. Before the adjacency
+// precomputation the medium scanned all N nodes per transmission, making
+// the per-frame cost O(N); with neighbor lists it is O(degree), so ns/op
+// should grow roughly linearly in N (more nodes → more flows → more
+// frames) rather than quadratically.
 //
-// Three metrics are reported separately so setup and steady state cannot
-// mask each other: buildms times the static build pipeline (topology,
-// contention cliques, eager routes) on its own, frames/s reports kernel
-// throughput of the timed simulation runs, and ns/reception divides
-// their wall time by the radio's receptions (Delivered + Corrupted).
-// A frame costs O(degree), so frames/s may fall as the density grows;
-// ns/reception should not grow with N.
+// Three metrics are reported separately so set-up and steady state cannot
+// mask each other: setupms is the arm's set-up cost (setupMs), frames/s
+// reports kernel throughput of the timed simulation runs, and
+// ns/reception divides their wall time by the radio's receptions
+// (Delivered + Corrupted). A frame costs O(degree), so frames/s may fall
+// as the density grows; ns/reception should not grow with N. Each timed
+// run includes its own set-up, which setupms bounds.
 func BenchmarkScaling(b *testing.B) {
 	cases := []struct {
 		name string
@@ -629,41 +629,36 @@ func BenchmarkScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Static build pipeline, timed apart from the kernel loop.
-			bs := time.Now()
-			topo, err := topology.New(sc.Positions, sc.Radio)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clique.Build(topo)
-			routing.Build(topo)
-			buildMs := time.Since(bs).Seconds() * 1000
 			for _, arm := range []struct {
-				name  string
-				proto Protocol
+				name   string
+				proto  Protocol
+				inBand bool
 			}{
-				{"80211", Protocol80211},
-				{"gmp", ProtocolGMP},
+				{"80211", Protocol80211, false},
+				{"gmp", ProtocolGMP, false},
+				{"gmp-dist", ProtocolGMPDistributed, true},
 			} {
 				b.Run(arm.name, func(b *testing.B) {
+					cfg := Config{
+						Scenario:      sc,
+						Protocol:      arm.proto,
+						InBandControl: arm.inBand,
+						Duration:      30 * time.Second,
+						Warmup:        10 * time.Second,
+					}
 					var frames, receptions int64
 					var simSeconds float64
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res, err := Run(Config{
-							Scenario: sc,
-							Protocol: arm.proto,
-							Duration: 30 * time.Second,
-							Warmup:   10 * time.Second,
-							Seed:     int64(i + 1),
-						})
+						cfg.Seed = int64(i + 1)
+						res, err := Run(cfg)
 						if err != nil {
 							b.Fatal(err)
 						}
 						frames += res.Channel.Transmissions
 						receptions += res.Channel.Delivered + res.Channel.Corrupted
-						simSeconds += 30
+						simSeconds += cfg.Duration.Seconds()
 					}
 					b.StopTimer()
 					elapsed := b.Elapsed()
@@ -676,34 +671,56 @@ func BenchmarkScaling(b *testing.B) {
 					}
 					// After StopTimer/ResetTimer so the framework does not
 					// discard it (ResetTimer deletes user-reported metrics).
-					b.ReportMetric(buildMs, "buildms")
+					b.ReportMetric(setupMs(b, cfg), "setupms")
 				})
 			}
 		})
 	}
 }
 
+// setupMs returns a session's set-up cost in milliseconds: the median
+// wall time of five Runs of cfg cut to 1 ms of simulated time, which
+// build everything a session builds and run a negligible event loop. It
+// is the benchmark module's setup_s (bench/measure.go) for one arm, at
+// seed 1.
+func setupMs(b *testing.B, cfg Config) float64 {
+	b.Helper()
+	cfg.Duration, cfg.Warmup, cfg.Seed = time.Millisecond, 500*time.Microsecond, 1
+	samples := make([]float64, 5)
+	for i := range samples {
+		start := time.Now()
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+		samples[i] = time.Since(start).Seconds() * 1000
+	}
+	slices.Sort(samples)
+	return samples[len(samples)/2]
+}
+
 // BenchmarkCityEndToEnd builds and simulates the 10,000-node city — the
 // scale target of the spatial-grid work — in one piece: grid-backed
-// topology construction, sparse clique enumeration, lazy routing, and a
-// short 802.11 session. Completing at all is the acceptance criterion;
-// frames/s tracks the kernel's share of the run.
+// topology construction, lazy routing, the cliques around the flows'
+// paths, and a short 802.11 session. Completing at all is the acceptance
+// criterion; frames/s tracks the kernel's share of the run and setupms
+// the set-up's (setupMs).
 func BenchmarkCityEndToEnd(b *testing.B) {
 	sc, err := CityScenario(10000, 16, 40, 220, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := Config{
+		Scenario: sc,
+		Protocol: Protocol80211,
+		Duration: 20 * time.Second,
+		Warmup:   10 * time.Second,
+	}
 	var frames int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			Scenario: sc,
-			Protocol: Protocol80211,
-			Duration: 20 * time.Second,
-			Warmup:   10 * time.Second,
-			Seed:     int64(i + 1),
-		})
+		cfg.Seed = int64(i + 1)
+		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -713,6 +730,7 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(frames)/s, "frames/s")
 	}
+	b.ReportMetric(setupMs(b, cfg), "setupms")
 }
 
 // BenchmarkMobilityEpoch times the repairs RunContext makes to the

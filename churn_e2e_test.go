@@ -3,8 +3,15 @@ package gmp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"gmp/internal/baseline"
+	"gmp/internal/clique"
+	"gmp/internal/maxminref"
+	"gmp/internal/packet"
+	"gmp/internal/routing"
 )
 
 // meshOverload returns the mesh-ISP overload workload behind the
@@ -280,5 +287,83 @@ func TestChurnConfigOverridesScenario(t *testing.T) {
 	}
 	if res.Churn == nil || res.Churn.Arrivals == 0 {
 		t.Errorf("scenario churn block did not apply: %+v", res.Churn)
+	}
+}
+
+// TestChurnPathLocalReference pins the path-local clique set. Under
+// 802.11 and 2PP nothing but the reference and 2PP's target reads
+// cliques, so a session enumerates only the cliques around its flows'
+// t=0 paths, churn flows' included. On the 500-node city with Poisson
+// churn, Result.Reference and TwoPPTarget must equal what the whole
+// decomposition gives, with the reference's flows chosen here from the
+// admission decisions: the static flows and the admitted churn flows
+// that outlive the run.
+func TestChurnPathLocalReference(t *testing.T) {
+	sc, err := CityScenario(500, 4, 10, 220, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := sc.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := routing.BuildLazy(topo)
+	full := clique.Build(topo)
+	for _, proto := range []Protocol{Protocol80211, Protocol2PP} {
+		cfg := Config{
+			Scenario: sc,
+			Protocol: proto,
+			Duration: 20 * time.Second,
+			Warmup:   10 * time.Second,
+			Seed:     3,
+			Churn:    &ChurnConfig{Process: ChurnPoisson, Rate: 0.5, Matrix: ChurnGateway, MinSizePkts: 4000, MaxSizePkts: 40000},
+		}
+		s, err := newSession(cfg.WithDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, whole := len(s.cliques.All()), len(full.All()); got >= whole || s.liveCliques != nil {
+			t.Fatalf("%v: session holds %d of the %d cliques (live set %v), want the path-local subset only", proto, got, whole, s.liveCliques != nil)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted := make(map[packet.FlowID]bool)
+		for _, d := range res.Churn.Decisions {
+			admitted[d.Flow] = d.Admitted
+		}
+		var refFlows []maxminref.FlowSpec
+		var refIdx []int
+		for i, f := range res.Flows {
+			if i < len(sc.Flows) || admitted[f.Spec.ID] && f.Spec.Stop > cfg.Duration {
+				refFlows = append(refFlows, refSpec(f.Spec))
+				refIdx = append(refIdx, i)
+			}
+		}
+		t.Logf("%v: %d of %d flows in the reference, %d of %d cliques", proto, len(refIdx), len(res.Flows), len(s.cliques.All()), len(full.All()))
+		if len(refIdx) == len(sc.Flows) {
+			t.Fatalf("%v: no churn flow outlives the run; the reference covers static flows only", proto)
+		}
+		ref, err := referenceAllocation(refFlows, routes, full, s.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(res.Flows))
+		for j, v := range ref {
+			want[refIdx[j]] = v
+		}
+		if !slices.Equal(res.Reference, want) {
+			t.Errorf("%v: Reference = %v, want %v from the whole decomposition", proto, res.Reference, want)
+		}
+		if proto == Protocol2PP {
+			target, err := baseline.TwoPPAllocation(refFlows[:len(sc.Flows)], routes, full, baseline.UniformCliqueCapacity(s.capacity))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.TwoPPTarget, target) {
+				t.Errorf("2PP target = %v, want %v from the whole decomposition", res.TwoPPTarget, target)
+			}
+		}
 	}
 }

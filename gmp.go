@@ -728,7 +728,12 @@ type session struct {
 	// liveRoutes is the latest repair, which churn admission tests
 	// arrivals against.
 	routes, liveRoutes *routing.Table
-	// cliques is the t=0 decomposition; liveCliques follows mobility.
+	// cliques is the t=0 decomposition that the reference and 2PP's
+	// target read. It is the whole decomposition when a GMP runtime or
+	// churn admission also reads it, and otherwise only the cliques around
+	// the flows' t=0 paths, which hold every clique a path crosses.
+	// liveCliques is the whole decomposition after the latest motion,
+	// which those readers follow, and nil when neither is on.
 	cliques, liveCliques *clique.Set
 	capacity             float64
 
@@ -764,19 +769,22 @@ type session struct {
 // newSession builds the run's network: the topology, the t=0 routes
 // with every flow's row, the churn schedule, the medium, the observers'
 // probe, the stations with their forwarding nodes, the flow sources
-// (static flows start here) and the cliques.
+// (static flows start here) and the cliques. It builds only what the run
+// reads: routing rows for the flows' destinations, each station's backoff
+// source on its first backoff, and the whole clique decomposition only
+// for a reader of all of it.
 func newSession(cfg Config) (*session, error) {
 	topo, err := cfg.Scenario.Topology()
 	if err != nil {
 		return nil, fmt.Errorf("gmp: building topology: %w", err)
 	}
 	// Shortest-path tables materialize per-destination rows lazily: only
-	// the flow destinations actually routed to pay for a BFS, which is
-	// what makes the 10k-node city scenario start in milliseconds. Every
-	// mobility epoch that changes the adjacency installs a fresh table,
-	// and a lazy table refuses to compute a row after such a change.
-	// Geographic tables are always eager: their dead-end detection must
-	// run up front to drive the GPSR-fallback error contract.
+	// the flow destinations actually routed to pay for a BFS, not every
+	// node of the network. Every mobility epoch that changes the
+	// adjacency installs a fresh table, and a lazy table refuses to
+	// compute a row after such a change. Geographic tables are always
+	// eager: their dead-end detection must run up front to drive the
+	// GPSR-fallback error contract.
 	var routes *routing.Table
 	if cfg.GeographicRouting {
 		routes, err = routing.BuildGeographic(topo)
@@ -867,7 +875,7 @@ func newSession(cfg Config) (*session, error) {
 	macCfg := mac2Config(cfg)
 	for _, id := range topo.Nodes() {
 		n := forwarding.NewNode(id, s.sched, s.fwdCfg, routes, s.registry.OnDeliver, s.registry.OnDrop)
-		st := newStation(id, s.sched, s.medium, macCfg, s.master.Int63(), n)
+		st := mac.NewStation(id, s.sched, s.medium, macCfg, s.master.Int63(), n)
 		n.SetMAC(st)
 		n.SetProbe(s.probe)
 		st.SetProbe(s.probe)
@@ -883,9 +891,37 @@ func newSession(cfg Config) (*session, error) {
 			src.Start()
 		}
 	}
-	s.cliques = clique.Build(topo)
-	s.liveCliques = s.cliques
+	s.buildCliques()
 	return s, nil
+}
+
+// buildCliques builds the t=0 cliques. A GMP runtime and churn admission
+// read the whole decomposition and follow it under motion. Without them
+// only the reference and 2PP's target read cliques, and only the cliques
+// of the flows' t=0 path links; Around the paths' nodes holds those,
+// churn flows' included, for a fraction of the whole enumeration.
+func (s *session) buildCliques() {
+	p := s.cfg.Protocol
+	if p == ProtocolGMP || p == ProtocolGMPDistributed || (s.ccfg != nil && s.ccfg.Admission != nil) {
+		s.cliques = clique.Build(s.topo)
+		s.liveCliques = s.cliques
+		return
+	}
+	onPath := make([]bool, s.topo.NumNodes())
+	var nodes []topology.NodeID
+	for _, spec := range s.allFlows {
+		path, err := s.routes.Path(spec.Src, spec.Dst)
+		if err != nil {
+			continue // a churn flow with no t=0 route joins no reference
+		}
+		for _, v := range path {
+			if !onPath[v] {
+				onPath[v] = true
+				nodes = append(nodes, v)
+			}
+		}
+	}
+	s.cliques = clique.Around(s.topo, nodes)
 }
 
 // start wires the run's dynamic parts, in registration order: in-band
@@ -1044,12 +1080,14 @@ func (s *session) onEpoch(moved []topology.NodeID, newPos []geom.Point) {
 	s.medium.EndTopologyChange(diff.OldLinks)
 	if diff.Changed() {
 		s.lastTopoChange = s.sched.Now()
-		s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Touched)
-		if s.rt != nil {
-			s.rt.SetCliques(s.liveCliques)
-		}
-		if s.admCtrl != nil {
-			s.admCtrl.SetCliques(s.liveCliques)
+		if s.liveCliques != nil {
+			s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Touched)
+			if s.rt != nil {
+				s.rt.SetCliques(s.liveCliques)
+			}
+			if s.admCtrl != nil {
+				s.admCtrl.SetCliques(s.liveCliques)
+			}
 		}
 		for _, a := range s.dissAgents {
 			if a != nil {

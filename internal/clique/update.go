@@ -124,6 +124,17 @@ func Update(topo *topology.Topology, old *Set, nodes []topology.NodeID) *Set {
 	return finish(out)
 }
 
+// Around returns the cliques of topo that hold a link with an endpoint in
+// nodes: as link lists, exactly the cliques of Build(topo) with such a
+// link, in the same relative order. It is Update's first route run from
+// an empty decomposition, so only the nodes' neighborhoods are searched.
+// Identifiers rank within the subset, so a clique's ID generally differs
+// from its ID in Build(topo); Of agrees with Build's for every link at a
+// node of nodes.
+func Around(topo *topology.Topology, nodes []topology.NodeID) *Set {
+	return Update(topo, &Set{}, nodes)
+}
+
 // uncoveredPart appends to dst the links of ls with no covered endpoint,
 // in order.
 func uncoveredPart(dst, ls []topology.Link, isCovered func(topology.Link) bool) []topology.Link {

@@ -48,7 +48,7 @@ func newDistStack(t *testing.T, sc scenario.Scenario) *distStack {
 	nodes := make([]*forwarding.Node, topo.NumNodes())
 	for _, id := range topo.Nodes() {
 		n := forwarding.NewNode(id, sched, fcfg, routes, reg.OnDeliver, reg.OnDrop)
-		st := mac.NewStation(id, sched, medium, mac.DefaultConfig(), sim.NewRand(master.Int63()), n)
+		st := mac.NewStation(id, sched, medium, mac.DefaultConfig(), master.Int63(), n)
 		n.SetMAC(st)
 		nodes[id] = n
 	}

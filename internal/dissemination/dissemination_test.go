@@ -35,7 +35,7 @@ func newStack(t *testing.T, pos []geom.Point) *stack {
 	st := &stack{sched: sched, topo: topo, medium: medium}
 	for _, id := range topo.Nodes() {
 		node := forwarding.NewNode(id, sched, forwarding.DefaultConfig(), routes, nil, nil)
-		station := mac.NewStation(id, sched, medium, mac.DefaultConfig(), sim.NewRand(rng.Int63()), node)
+		station := mac.NewStation(id, sched, medium, mac.DefaultConfig(), rng.Int63(), node)
 		node.SetMAC(station)
 		agent := NewAgent(id, topo, station)
 		node.SetBroadcastHandler(agent.OnBroadcast)

@@ -38,7 +38,7 @@ func newTestStack(t *testing.T, sched *sim.Scheduler, topo *topology.Topology, m
 	stations := make([]*mac.Station, topo.NumNodes())
 	for _, id := range topo.Nodes() {
 		n := forwarding.NewNode(id, sched, forwarding.DefaultConfig(), routes, nil, nil)
-		st := mac.NewStation(id, sched, medium, mac.DefaultConfig(), sim.NewRand(rng.Int63()), n)
+		st := mac.NewStation(id, sched, medium, mac.DefaultConfig(), rng.Int63(), n)
 		n.SetMAC(st)
 		nodes[id] = n
 		stations[id] = st

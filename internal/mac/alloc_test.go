@@ -72,7 +72,7 @@ func TestExchangeAllocs(t *testing.T) {
 	for i := range clients {
 		id := topology.NodeID(i)
 		clients[i] = &loopClient{states: []packet.QueueState{{Queue: packet.QueueForDest(1 - id), Free: true}}}
-		stations[i] = NewStation(id, sched, medium, DefaultConfig(), sim.NewRand(int64(i+2)), clients[i])
+		stations[i] = NewStation(id, sched, medium, DefaultConfig(), int64(i+2), clients[i])
 	}
 	tx, rx := clients[0], clients[1]
 	tx.out = Outgoing{

@@ -141,8 +141,13 @@ type Station struct {
 	medium *radio.Medium
 	par    radio.Params
 	cfg    Config
-	rng    *rand.Rand
 	client Client
+
+	// rng draws the backoffs. It is seeded from seed on the first draw:
+	// most stations of a large network never contend, and a math/rand
+	// source is a 4.9 KB table.
+	seed int64
+	rng  *rand.Rand
 
 	cur     *Outgoing
 	ctrl    []*radio.Frame // pending control broadcasts (priority)
@@ -197,15 +202,17 @@ type Station struct {
 
 var _ radio.Station = (*Station)(nil)
 
-// NewStation creates the MAC for node id and registers it with the medium.
-func NewStation(id topology.NodeID, sched *sim.Scheduler, medium *radio.Medium, cfg Config, rng *rand.Rand, client Client) *Station {
+// NewStation creates the MAC for node id and registers it with the
+// medium. seed seeds the station's backoff source, which is built on the
+// first backoff: the draws are those of sim.NewRand(seed) either way.
+func NewStation(id topology.NodeID, sched *sim.Scheduler, medium *radio.Medium, cfg Config, seed int64, client Client) *Station {
 	s := &Station{
 		id:      id,
 		sched:   sched,
 		medium:  medium,
 		par:     medium.Params(),
 		cfg:     cfg,
-		rng:     rng,
+		seed:    seed,
 		client:  client,
 		cw:      medium.Params().CWMin,
 		ctsAir:  medium.Params().Airtime(radio.FrameCTS, 0),
@@ -332,6 +339,9 @@ func (s *Station) pullNext() {
 // startAccess begins a fresh channel-access cycle for s.cur: draw a
 // backoff, then wait for DIFS idle and count it down.
 func (s *Station) startAccess() {
+	if s.rng == nil {
+		s.rng = sim.NewRand(s.seed)
+	}
 	s.backoffSlots = s.rng.Intn(s.cw + 1)
 	s.ph = phaseWaitIdle
 	s.evaluate()

@@ -86,7 +86,7 @@ func newMACHarnessParams(t *testing.T, topo *topology.Topology, cfg Config, par 
 	h := &macHarness{sched: sched, medium: medium}
 	for _, id := range topo.Nodes() {
 		c := newFakeClient()
-		st := NewStation(id, sched, medium, cfg, sim.NewRand(rng.Int63()), c)
+		st := NewStation(id, sched, medium, cfg, rng.Int63(), c)
 		h.stations = append(h.stations, st)
 		h.clients = append(h.clients, c)
 	}
@@ -340,5 +340,56 @@ func TestNAVSuppressesThirdParty(t *testing.T) {
 		// An occasional simultaneous backoff expiry can collide, but NAV
 		// plus carrier sense keeps it rare on this tiny scenario.
 		t.Errorf("too many corrupted deliveries: %+v", h.medium.Stats())
+	}
+}
+
+// TestBackoffSourceSeededOnFirstDraw pins the lazily seeded backoff
+// source on the hidden-terminal chain, whose retries widen the window:
+// the receivers, which never contend, hold no source; a station's first
+// backoff is sim.NewRand(seed)'s first draw; and the run matches, counter
+// for counter and draw for draw, one whose stations were seeded at
+// construction.
+func TestBackoffSourceSeededOnFirstDraw(t *testing.T) {
+	pos := []geom.Point{{X: 0}, {X: 200}, {X: 400}, {X: 600}}
+	run := func(eager bool) *macHarness {
+		h := newMACHarness(t, pos, DefaultConfig())
+		if eager {
+			for _, st := range h.stations {
+				st.rng = sim.NewRand(st.seed)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+			h.clients[2].outgoing = append(h.clients[2].outgoing, &Outgoing{Pkt: pkt(1, 2, 3, int64(i)), NextHop: 3})
+		}
+		for _, id := range []int{0, 2} {
+			st := h.stations[id]
+			st.Kick()
+			if want := sim.NewRand(st.seed).Intn(st.cw + 1); st.backoffSlots != want {
+				t.Fatalf("eager %v: station %d first backoff %d, want %d", eager, id, st.backoffSlots, want)
+			}
+		}
+		h.sched.Run(5 * time.Second)
+		return h
+	}
+	lazy, eager := run(false), run(true)
+	for id, st := range lazy.stations {
+		e := eager.stations[id]
+		if st.Stats() != e.Stats() {
+			t.Errorf("station %d: lazy stats %+v, eager %+v", id, st.Stats(), e.Stats())
+		}
+		if got, want := len(lazy.clients[id].received), len(eager.clients[id].received); got != want {
+			t.Errorf("station %d: lazy received %d, eager %d", id, got, want)
+		}
+		if contends := id == 0 || id == 2; !contends {
+			if st.rng != nil {
+				t.Errorf("station %d never contends but holds a random source", id)
+			}
+		} else if st.rng == nil || st.rng.Int63() != e.rng.Int63() {
+			t.Errorf("station %d drew a different backoff sequence from the eagerly seeded one", id)
+		}
+	}
+	if lazy.stations[0].Stats().Retries == 0 {
+		t.Fatal("no retries: the run never widened a contention window")
 	}
 }

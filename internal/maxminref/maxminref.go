@@ -169,12 +169,18 @@ type FlowSpec struct {
 // of a clique's capacity per link of its path inside the clique (packet
 // transmissions on clique links are serialized, §3.3). capacity gives a
 // clique's effective capacity in packets per second.
+//
+// Only the cliques some path crosses become constraints, in the order of
+// cliques.All(). Each row is filled from the cliques of the flows' path
+// links (Set.Of), so the cost is O(path links × cliques per link +
+// cliques), and cliques need hold only the cliques of those links, such
+// as clique.Around the paths' nodes.
 func BuildProblem(flows []FlowSpec, routes *routing.Table, cliques *clique.Set, capacity func(*clique.Clique) float64) (*Problem, error) {
 	p := &Problem{
 		Weights: make([]float64, len(flows)),
 		Demands: make([]float64, len(flows)),
 	}
-	pathLinks := make([][]topology.Link, len(flows))
+	rows := make(map[*clique.Clique][]float64)
 	for i, f := range flows {
 		p.Weights[i] = f.Weight
 		p.Demands[i] = f.Demand
@@ -182,24 +188,22 @@ func BuildProblem(flows []FlowSpec, routes *routing.Table, cliques *clique.Set, 
 		if err != nil {
 			return nil, fmt.Errorf("maxminref: flow %d: %w", i, err)
 		}
-		pathLinks[i] = links
-	}
-	for _, c := range cliques.All() {
-		row := make([]float64, len(flows))
-		used := false
-		for i, links := range pathLinks {
-			for _, l := range links {
-				if c.Contains(l) {
-					row[i]++
-					used = true
+		for _, l := range links {
+			for _, c := range cliques.Of(l) {
+				row := rows[c]
+				if row == nil {
+					row = make([]float64, len(flows))
+					rows[c] = row
 				}
+				row[i]++
 			}
 		}
-		if !used {
-			continue
+	}
+	for _, c := range cliques.All() {
+		if row := rows[c]; row != nil {
+			p.Usage = append(p.Usage, row)
+			p.Capacities = append(p.Capacities, capacity(c))
 		}
-		p.Usage = append(p.Usage, row)
-		p.Capacities = append(p.Capacities, capacity(c))
 	}
 	return p, nil
 }

@@ -232,7 +232,7 @@ func TestOccupancyFromMedium(t *testing.T) {
 	// Full MAC wiring: every node needs a registered station.
 	var stations []*mac.Station
 	for i, n := range h.nodes {
-		st := mac.NewStation(topology.NodeID(i), h.sched, h.medium, mac.DefaultConfig(), sim.NewRand(int64(i+2)), n)
+		st := mac.NewStation(topology.NodeID(i), h.sched, h.medium, mac.DefaultConfig(), int64(i+2), n)
 		n.SetMAC(st)
 		stations = append(stations, st)
 	}
@@ -291,7 +291,7 @@ func TestOccupancyBoard(t *testing.T) {
 	// station pair.
 	var stations []*mac.Station
 	for i, n := range h.nodes {
-		st := mac.NewStation(topology.NodeID(i), h.sched, h.medium, mac.DefaultConfig(), sim.NewRand(int64(i+7)), n)
+		st := mac.NewStation(topology.NodeID(i), h.sched, h.medium, mac.DefaultConfig(), int64(i+7), n)
 		n.SetMAC(st)
 		stations = append(stations, st)
 	}

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -123,4 +125,80 @@ func TestAirtimeMetersUnderMotion(t *testing.T) {
 	expect("late meter, before any frame", late.Take(), 0)
 	send()
 	expect("late meter", late.Take(), 1)
+}
+
+// TestAirtimeLedgerBounded checks the far-pair pruning against an
+// unbounded model ledger: two meters read on random cadences while two
+// nodes walk in and out of range and frames air on pairs in and out of
+// range. Every Take must equal the model's delta for that meter, no far
+// pair that every meter has read may remain, and a meter remembers only
+// current links and unread far pairs.
+func TestAirtimeLedgerBounded(t *testing.T) {
+	type spot struct{ near, far geom.Point }
+	walkers := map[topology.NodeID]spot{
+		1: {geom.Point{X: 200}, geom.Point{X: 1000}},
+		2: {geom.Point{Y: 200}, geom.Point{Y: 1200}},
+	}
+	pairs := []topology.Link{{From: 0, To: 1}, {From: 1, To: 0}, {From: 0, To: 2}, {From: 2, To: 0}, {From: 1, To: 2}}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHarness(t, []geom.Point{{}, walkers[1].near, walkers[2].near})
+		m := h.medium
+		meters := []*AirtimeMeter{m.NewAirtimeMeter(), m.NewAirtimeMeter()}
+		cadence := []float64{0.5, 0.1}
+		total := make(map[topology.Link]time.Duration) // every frame since the start
+		seen := []map[topology.Link]time.Duration{{}, {}}
+		take := func(i int) {
+			t.Helper()
+			want := make(map[topology.Link]time.Duration)
+			for l, tot := range total {
+				if d := tot - seen[i][l]; d != 0 {
+					want[l] = d
+					seen[i][l] = tot
+				}
+			}
+			if got := meters[i].Take(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: meter %d Take = %v, want %v", seed, i, got, want)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch r := rng.Float64(); {
+			case r < 0.15:
+				n := topology.NodeID(1 + rng.Intn(2))
+				to := walkers[n].near
+				if rng.Intn(2) == 0 {
+					to = walkers[n].far
+				}
+				moveNode(t, h, n, to)
+			default:
+				l := pairs[rng.Intn(len(pairs))]
+				f := dataFrame(l.From, l.To)
+				total[l] += m.Airtime(f)
+				m.Transmit(l.From, f, nil)
+				h.sched.Run(h.sched.Now() + time.Second)
+			}
+			for i := range meters {
+				if rng.Float64() < cadence[i] {
+					take(i)
+				}
+			}
+			for l, tot := range m.airtimeFar {
+				if meters[0].seen[l] == tot && meters[1].seen[l] == tot {
+					t.Fatalf("seed %d step %d: far pair %v kept after every meter read %v", seed, step, l, tot)
+				}
+			}
+			for i, a := range meters {
+				for l := range a.seen {
+					if _, far := m.airtimeFar[l]; !far && m.topo.LinkIndex(l.From, l.To) < 0 {
+						t.Fatalf("seed %d step %d: meter %d remembers %v, neither a link nor an unread far pair", seed, step, i, l)
+					}
+				}
+			}
+		}
+		take(0)
+		take(1)
+		if len(m.airtimeFar) != 0 {
+			t.Fatalf("seed %d: far pairs %v kept after both meters read them", seed, m.airtimeFar)
+		}
+	}
 }

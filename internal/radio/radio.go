@@ -275,9 +275,13 @@ type Medium struct {
 	// on-air time since the run began, by dense link index. airtimeFar
 	// holds the totals of node pairs that are not a link now: links that
 	// vanished in motion, and frames of an exchange whose ends were
-	// already out of range. Readers see the ledger through AirtimeMeters.
+	// already out of range. Readers see the ledger through meters, each
+	// made by NewAirtimeMeter. A far pair is dropped, from the far map
+	// and from every meter, once every meter has taken its total, so the
+	// far map holds only airtime some meter has yet to read.
 	airtime    []time.Duration
 	airtimeFar map[topology.Link]time.Duration
+	meters     []*AirtimeMeter
 
 	// Memoized airtimes: control frames are constants of the Params;
 	// data and broadcast frames are cached per payload size.
@@ -488,6 +492,7 @@ type AirtimeMeter struct {
 // carried since this call.
 func (m *Medium) NewAirtimeMeter() *AirtimeMeter {
 	a := &AirtimeMeter{m: m, seen: make(map[topology.Link]time.Duration)}
+	m.meters = append(m.meters, a)
 	a.Take()
 	return a
 }
@@ -505,6 +510,7 @@ func (a *AirtimeMeter) Take() map[topology.Link]time.Duration {
 	}
 	for l, total := range a.m.airtimeFar {
 		a.take(out, l, total)
+		a.m.dropIfRead(l, total)
 	}
 	return out
 }
@@ -513,6 +519,21 @@ func (a *AirtimeMeter) take(out map[topology.Link]time.Duration, l topology.Link
 	if d := total - a.seen[l]; d != 0 {
 		out[l] = d
 		a.seen[l] = total
+	}
+}
+
+// dropIfRead forgets the far pair l when every meter has taken its
+// total: each would read nothing more from it, and a later frame on the
+// pair starts a new total from zero that every meter reads in full.
+func (m *Medium) dropIfRead(l topology.Link, total time.Duration) {
+	for _, a := range m.meters {
+		if a.seen[l] != total {
+			return
+		}
+	}
+	delete(m.airtimeFar, l)
+	for _, a := range m.meters {
+		delete(a.seen, l)
 	}
 }
 
@@ -563,8 +584,9 @@ func (m *Medium) inFlight() []*transmission {
 // BeginTopologyChange, after the topology was mutated. oldLinks is the
 // pre-move dense link slice (Diff.OldLinks): the airtime ledger, kept
 // under the old indices, is re-keyed through the Link values into the
-// new index space, with vanished links parked in the far map and far
-// pairs that became links again pulled back into the dense slice.
+// new index space, with vanished links parked in the far map, far pairs
+// that became links again pulled back into the dense slice, and far
+// pairs that every meter has read dropped.
 // In-flight transmissions then re-raise carrier sense against the new
 // CS neighbor lists, and any node whose sensed state flipped (it walked
 // into or out of an active transmitter's CS range) gets the
@@ -588,11 +610,15 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 		m.airtimeFar[l] = d
 	}
 	// A pair is never in both places, so no far entry collides with the
-	// dense ones moved above.
+	// dense ones moved above. Every meter may already have read a far
+	// entry, a vanished link's included; and with no meter at all, every
+	// entry goes.
 	for l, d := range m.airtimeFar {
 		if ni := m.topo.LinkIndex(l.From, l.To); ni >= 0 {
 			air[ni] = d
 			delete(m.airtimeFar, l)
+		} else {
+			m.dropIfRead(l, d)
 		}
 	}
 	m.airtime = air

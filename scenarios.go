@@ -4,10 +4,7 @@ import (
 	"io"
 
 	"gmp/internal/mac"
-	"gmp/internal/radio"
 	"gmp/internal/scenario"
-	"gmp/internal/sim"
-	"gmp/internal/topology"
 )
 
 // LoadScenario reads a scenario from its JSON representation (see the
@@ -71,11 +68,6 @@ func CityScenario(n, g, k int, spacingMeters float64, seed int64) (Scenario, err
 // connected) with k random flows.
 func RandomScenario(n, k int, width, height float64, seed int64) (Scenario, error) {
 	return scenario.RandomConnected(n, k, width, height, seed)
-}
-
-// newStation builds and registers the MAC for one node.
-func newStation(id topology.NodeID, sched *sim.Scheduler, medium *radio.Medium, cfg mac.Config, seed int64, client mac.Client) *mac.Station {
-	return mac.NewStation(id, sched, medium, cfg, sim.NewRand(seed), client)
 }
 
 // mac2Config derives the MAC configuration from the run config.
