@@ -20,6 +20,7 @@ package gmp
 // full paper-vs-measured comparison.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -606,7 +607,8 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // frames) rather than quadratically.
 //
 // Three metrics are reported separately so set-up and steady state cannot
-// mask each other: setupms is the arm's set-up cost (setupMs), frames/s
+// mask each other: setupms and setupKB are the arm's set-up cost
+// (setupCost), frames/s
 // reports kernel throughput of the timed simulation runs, and
 // ns/reception divides their wall time by the radio's receptions
 // (Delivered + Corrupted). A frame costs O(degree), so frames/s may fall
@@ -671,39 +673,53 @@ func BenchmarkScaling(b *testing.B) {
 					}
 					// After StopTimer/ResetTimer so the framework does not
 					// discard it (ResetTimer deletes user-reported metrics).
-					b.ReportMetric(setupMs(b, cfg), "setupms")
+					reportSetup(b, cfg)
 				})
 			}
 		})
 	}
 }
 
-// setupMs returns a session's set-up cost in milliseconds: the median
-// wall time of five Runs of cfg cut to 1 ms of simulated time, which
-// build everything a session builds and run a negligible event loop. It
-// is the benchmark module's setup_s (bench/measure.go) for one arm, at
-// seed 1.
-func setupMs(b *testing.B, cfg Config) float64 {
+// setupCost returns a session's set-up cost: the median wall time, in
+// milliseconds, of five Runs of cfg cut to 1 ms of simulated time, which
+// build everything a session builds and run a negligible event loop, and
+// the KiB that median run allocated (the runtime.MemStats.TotalAlloc
+// delta). The time is the benchmark module's setup_s (bench/measure.go)
+// for one arm, at seed 1.
+func setupCost(b *testing.B, cfg Config) (ms, kb float64) {
 	b.Helper()
 	cfg.Duration, cfg.Warmup, cfg.Seed = time.Millisecond, 500*time.Microsecond, 1
-	samples := make([]float64, 5)
+	type sample struct{ ms, kb float64 }
+	samples := make([]sample, 5)
+	var before, after runtime.MemStats
 	for i := range samples {
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		samples[i] = time.Since(start).Seconds() * 1000
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		samples[i] = sample{elapsed.Seconds() * 1000, float64(after.TotalAlloc-before.TotalAlloc) / 1024}
 	}
-	slices.Sort(samples)
-	return samples[len(samples)/2]
+	slices.SortFunc(samples, func(x, y sample) int { return cmp.Compare(x.ms, y.ms) })
+	median := samples[len(samples)/2]
+	return median.ms, median.kb
+}
+
+// reportSetup reports setupCost as the setupms and setupKB metrics.
+func reportSetup(b *testing.B, cfg Config) {
+	ms, kb := setupCost(b, cfg)
+	b.ReportMetric(ms, "setupms")
+	b.ReportMetric(kb, "setupKB")
 }
 
 // BenchmarkCityEndToEnd builds and simulates the 10,000-node city — the
 // scale target of the spatial-grid work — in one piece: grid-backed
 // topology construction, lazy routing, the cliques around the flows'
 // paths, and a short 802.11 session. Completing at all is the acceptance
-// criterion; frames/s tracks the kernel's share of the run and setupms
-// the set-up's (setupMs).
+// criterion; frames/s tracks the kernel's share of the run, and setupms
+// and setupKB the set-up's (setupCost).
 func BenchmarkCityEndToEnd(b *testing.B) {
 	sc, err := CityScenario(10000, 16, 40, 220, 1)
 	if err != nil {
@@ -730,7 +746,7 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(frames)/s, "frames/s")
 	}
-	b.ReportMetric(setupMs(b, cfg), "setupms")
+	reportSetup(b, cfg)
 }
 
 // BenchmarkMobilityEpoch times the repairs RunContext makes to the

@@ -730,8 +730,8 @@ type session struct {
 	routes, liveRoutes *routing.Table
 	// cliques is the t=0 decomposition that the reference and 2PP's
 	// target read. It is the whole decomposition when a GMP runtime or
-	// churn admission also reads it, and otherwise only the cliques around
-	// the flows' t=0 paths, which hold every clique a path crosses.
+	// churn admission also reads it, and otherwise only the cliques that
+	// hold a flow's t=0 path link, which are every clique a path crosses.
 	// liveCliques is the whole decomposition after the latest motion,
 	// which those readers follow, and nil when neither is on.
 	cliques, liveCliques *clique.Set
@@ -770,9 +770,9 @@ type session struct {
 // with every flow's row, the churn schedule, the medium, the observers'
 // probe, the stations with their forwarding nodes, the flow sources
 // (static flows start here) and the cliques. It builds only what the run
-// reads: routing rows for the flows' destinations, each station's backoff
-// source on its first backoff, and the whole clique decomposition only
-// for a reader of all of it.
+// reads: routing rows for the flows' destinations, each station's and
+// node's state on first use, only the cliques of the flows' path links,
+// and the whole clique decomposition only for a reader of all of it.
 func newSession(cfg Config) (*session, error) {
 	topo, err := cfg.Scenario.Topology()
 	if err != nil {
@@ -898,8 +898,8 @@ func newSession(cfg Config) (*session, error) {
 // buildCliques builds the t=0 cliques. A GMP runtime and churn admission
 // read the whole decomposition and follow it under motion. Without them
 // only the reference and 2PP's target read cliques, and only the cliques
-// of the flows' t=0 path links; Around the paths' nodes holds those,
-// churn flows' included, for a fraction of the whole enumeration.
+// of the flows' t=0 path links (churn flows' included); Holding builds
+// just those.
 func (s *session) buildCliques() {
 	p := s.cfg.Protocol
 	if p == ProtocolGMP || p == ProtocolGMPDistributed || (s.ccfg != nil && s.ccfg.Admission != nil) {
@@ -907,21 +907,15 @@ func (s *session) buildCliques() {
 		s.liveCliques = s.cliques
 		return
 	}
-	onPath := make([]bool, s.topo.NumNodes())
-	var nodes []topology.NodeID
+	var links []topology.Link
 	for _, spec := range s.allFlows {
-		path, err := s.routes.Path(spec.Src, spec.Dst)
+		path, err := s.routes.Links(spec.Src, spec.Dst)
 		if err != nil {
 			continue // a churn flow with no t=0 route joins no reference
 		}
-		for _, v := range path {
-			if !onPath[v] {
-				onPath[v] = true
-				nodes = append(nodes, v)
-			}
-		}
+		links = append(links, path...)
 	}
-	s.cliques = clique.Around(s.topo, nodes)
+	s.cliques = clique.Holding(s.topo, links)
 }
 
 // start wires the run's dynamic parts, in registration order: in-band

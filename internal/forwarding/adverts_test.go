@@ -246,6 +246,31 @@ func TestWarmCycleAllocs(t *testing.T) {
 	}
 }
 
+// TestNewNodeAllocs pins a node's set-up at one object: NewNode allocates
+// the Node alone, and a node that recorded nothing hands out no meter
+// map and makes none.
+func TestNewNodeAllocs(t *testing.T) {
+	const n = 64
+	_, sched := starNode(t, DefaultConfig())
+	nodes := make([]*Node, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := range nodes {
+			nodes[i] = NewNode(topology.NodeID(i), sched, DefaultConfig(), nil, nil, nil)
+		}
+	})
+	if allocs != n {
+		t.Errorf("constructing %d nodes allocates %v objects, want %d", n, allocs, n)
+	}
+	idle := nodes[0]
+	var sent, received map[VLinkKey]*VLinkMeter
+	allocs = testing.AllocsPerRun(5, func() {
+		sent, received = idle.TakeMeters(), idle.TakeReceived()
+	})
+	if allocs != 0 || sent != nil || received != nil {
+		t.Errorf("idle node's meters: %v allocs, sent %v, received %v; want 0 allocs and nil maps", allocs, sent, received)
+	}
+}
+
 // BenchmarkOnOverhear times one advert heard by a node that knows eight
 // neighbors, at 1, 8 and 64 advertised queues, and at 4 live queues
 // listed after 64 stale entries that churn left behind.

@@ -115,3 +115,70 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Errorf("clean link retried: %+v", st)
 	}
 }
+
+// TestNewStationAllocs pins a station's set-up at one object: NewStation
+// allocates the Station alone. A station that only overhears then binds
+// no callback and makes no duplicate filter; the receiver of an exchange
+// binds its callbacks for its SIFS responses and makes the filter, and
+// the sender binds its callbacks and seeds its backoff source.
+func TestNewStationAllocs(t *testing.T) {
+	const n, runs = 64, 5
+	pos := make([]geom.Point, n)
+	for i := range pos {
+		pos[i] = geom.Point{X: float64(i) * 150}
+	}
+	topo, err := topology.New(pos, topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	// A medium takes each station once; AllocsPerRun makes one warm-up
+	// call before its runs.
+	media := make([]*radio.Medium, runs+1)
+	for i := range media {
+		media[i] = radio.NewMedium(sched, topo, radio.DefaultParams(), sim.NewRand(1))
+	}
+	stations := make([]*Station, n)
+	client := &loopClient{}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := media[next]
+		next++
+		for i := range stations {
+			stations[i] = NewStation(topology.NodeID(i), sched, m, DefaultConfig(), int64(i), client)
+		}
+	})
+	if allocs != n {
+		t.Errorf("constructing %d stations allocates %v objects, want %d", n, allocs, n)
+	}
+
+	bound := func(s *Station) int {
+		k := 0
+		for _, fn := range []func(){s.onDIFSDoneFn, s.onBackoffDoneFn, s.onExchangeTimeoutFn, s.evaluateFn,
+			s.onRTSAiredFn, s.onDataAiredFn, s.onBroadcastAiredFn, s.onCTSSIFSDoneFn, s.onResponseAiredFn} {
+			if fn != nil {
+				k++
+			}
+		}
+		return k
+	}
+	// Node 2 hears node 1's CTS and ACK, and node 1's advert with them.
+	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 400}}, DefaultConfig())
+	h.clients[1].states = []packet.QueueState{{Queue: packet.QueueForDest(1), Free: true}}
+	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.stations[0].Kick()
+	h.sched.Run(100 * time.Millisecond)
+	if len(h.clients[1].received) != 1 || len(h.clients[2].overheard[1]) == 0 {
+		t.Fatalf("exchange delivered %d packets and node 2 overheard %v, want 1 and node 1's advert", len(h.clients[1].received), h.clients[2].overheard)
+	}
+	for id, want := range []struct {
+		bound          int
+		lastSeq, seeds bool
+	}{{9, false, true}, {9, true, false}, {0, false, false}} {
+		st := h.stations[id]
+		if got := bound(st); got != want.bound || (st.lastSeq != nil) != want.lastSeq || (st.rng != nil) != want.seeds {
+			t.Errorf("station %d: %d bound callbacks, lastSeq made %v, backoff source %v; want %d, %v, %v",
+				id, got, st.lastSeq != nil, st.rng != nil, want.bound, want.lastSeq, want.seeds)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func buildProblemScan(flows []FlowSpec, routes *routing.Table, cliques *clique.S
 // TestBuildProblemMatchesScan checks BuildProblem against the clique scan
 // on random connected topologies with random flows and on the 2000-node
 // city with its own flows. Given Build's cliques, and given only the
-// cliques Around the flows' path nodes (what a session without a GMP
+// cliques Holding the flows' path links (what a session without a GMP
 // runtime or churn admission passes), the Problem must deep-equal the
 // scan over Build's cliques. Each clique's capacity is a function of its
 // links, so a row paired with another clique's capacity shows.
@@ -77,24 +77,18 @@ func TestBuildProblemMatchesScan(t *testing.T) {
 		if len(want.Usage) == 0 {
 			t.Fatalf("%s: no path crosses a clique", name)
 		}
-		onPath := make(map[topology.NodeID]bool)
-		var nodes []topology.NodeID
+		var links []topology.Link
 		for _, f := range flows {
-			path, err := routes.Path(f.Src, f.Dst)
+			path, err := routes.Links(f.Src, f.Dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range path {
-				if !onPath[v] {
-					onPath[v] = true
-					nodes = append(nodes, v)
-				}
-			}
+			links = append(links, path...)
 		}
 		for _, set := range []struct {
 			name    string
 			cliques *clique.Set
-		}{{"Build", full}, {"Around", clique.Around(topo, nodes)}} {
+		}{{"Build", full}, {"Holding", clique.Holding(topo, links)}} {
 			got, err := BuildProblem(flows, routes, set.cliques, capacity)
 			if err != nil {
 				t.Fatalf("%s from %s: %v", name, set.name, err)

@@ -174,7 +174,7 @@ type FlowSpec struct {
 // cliques.All(). Each row is filled from the cliques of the flows' path
 // links (Set.Of), so the cost is O(path links × cliques per link +
 // cliques), and cliques need hold only the cliques of those links, such
-// as clique.Around the paths' nodes.
+// as clique.Holding those links.
 func BuildProblem(flows []FlowSpec, routes *routing.Table, cliques *clique.Set, capacity func(*clique.Clique) float64) (*Problem, error) {
 	p := &Problem{
 		Weights: make([]float64, len(flows)),
