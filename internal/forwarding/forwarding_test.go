@@ -291,52 +291,85 @@ func TestRequeueOnFailurePreservesOrder(t *testing.T) {
 	}
 }
 
+// TestOutgoingCarriesAdmissionTime checks that the record handed to the
+// MAC carries the time this node admitted the packet, in plain and fair
+// mode, for a local and a relayed packet, and that a requeued packet
+// keeps its time.
+func TestOutgoingCarriesAdmissionTime(t *testing.T) {
+	for _, fair := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.RequeueOnFailure = true
+		cfg.FairAggregation = fair
+		n, sched, _ := testNode(t, 1, cfg)
+		local, relayed := pk(0, 1, 4, 0), pk(1, 0, 4, 0)
+		admitted := map[*packet.Packet]time.Duration{local: time.Millisecond, relayed: 3 * time.Millisecond}
+		sched.Run(time.Millisecond)
+		n.Enqueue(local)
+		sched.Run(3 * time.Millisecond)
+		n.OnReceive(relayed, 0)
+		for i, ok := range []bool{false, true, true} {
+			sched.Run(sched.Now() + 5*time.Millisecond)
+			out := n.NextOutgoing()
+			if out == nil {
+				t.Fatalf("fair %v, pull %d: nothing to send", fair, i)
+			}
+			if want := admitted[out.Pkt]; out.Admitted != want {
+				t.Errorf("fair %v, pull %d: %v admitted at %v, want %v", fair, i, out.Pkt, out.Admitted, want)
+			}
+			n.OnSendComplete(out, ok)
+		}
+		if n.TotalQueued() != 0 {
+			t.Errorf("fair %v: %d packets left", fair, n.TotalQueued())
+		}
+	}
+}
+
 // TestPlainFIFOMatchesSlice drives the plain FIFO's head index through
-// pushes (some compacting the consumed prefix), pops, and requeues of a
-// packet popped some steps earlier (into the freed head slot, or in
-// front of index 0), checking length and order against a reference
-// slice after every step. Once warm, a bounded push/pop cycle reuses
-// the backing array and allocates nothing.
+// pushes (some compacting the consumed prefix), pops, and requeues of an
+// entry popped some steps earlier (into the freed head slot, or in front
+// of index 0), checking length and order against a reference slice after
+// every step; a requeued entry keeps its admission time. Once warm, a
+// bounded push/pop cycle reuses the backing array and allocates nothing.
 func TestPlainFIFOMatchesSlice(t *testing.T) {
 	q := &queue{fullSince: -1}
-	var ref []*packet.Packet
-	var held *packet.Packet // popped, awaiting the MAC's verdict
+	var ref []entry
+	var held entry // popped, awaiting the MAC's verdict
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		switch op := rng.Intn(5); {
 		case op < 2 && len(ref) < 12:
-			p := pk(0, 1, 4, int64(i))
-			q.push(p, 1)
-			ref = append(ref, p)
+			e := entry{pk(0, 1, 4, int64(i)), time.Duration(i)}
+			q.push(e, 1)
+			ref = append(ref, e)
 		case op == 2 && len(ref) > 0:
-			p, _ := q.pop()
-			if p != ref[0] {
-				t.Fatalf("step %d: popped seq %d, want %d", i, p.Seq, ref[0].Seq)
+			e, _ := q.pop()
+			if e != ref[0] {
+				t.Fatalf("step %d: popped seq %d admitted %v, want %d admitted %v", i, e.pkt.Seq, e.at, ref[0].pkt.Seq, ref[0].at)
 			}
 			ref = ref[1:]
-			if held == nil {
-				held = p
+			if held.pkt == nil {
+				held = e
 			}
-		case op == 3 && held != nil:
+		case op == 3 && held.pkt != nil:
 			q.pushFront(held, 1)
-			ref = append([]*packet.Packet{held}, ref...)
-			held = nil
+			ref = append([]entry{held}, ref...)
+			held = entry{}
 		}
 		if q.length() != len(ref) {
 			t.Fatalf("step %d: length %d, want %d", i, q.length(), len(ref))
 		}
-		for k, p := range ref {
-			if got := q.pkts[q.head+k]; got != p {
-				t.Fatalf("step %d: position %d holds seq %d, want %d", i, k, got.Seq, p.Seq)
+		for k, e := range ref {
+			if got := q.pkts[q.head+k]; got != e {
+				t.Fatalf("step %d: position %d holds seq %d admitted %v, want %d admitted %v", i, k, got.pkt.Seq, got.at, e.pkt.Seq, e.at)
 			}
 		}
 	}
 
-	p := pk(0, 1, 4, 0)
+	e := entry{pkt: pk(0, 1, 4, 0)}
 	cycle := func() {
 		for k := 0; k < 64; k++ {
-			q.push(p, 1)
-			q.push(p, 1)
+			q.push(e, 1)
+			q.push(e, 1)
 			q.pop()
 			q.pop()
 		}
@@ -346,9 +379,9 @@ func TestPlainFIFOMatchesSlice(t *testing.T) {
 	}
 	// A queue that never drains reclaims its consumed prefix instead of
 	// growing the array.
-	q.push(p, 1)
+	q.push(e, 1)
 	for k := 0; k < 10000; k++ {
-		q.push(p, 1)
+		q.push(e, 1)
 		q.pop()
 	}
 	if c := cap(q.pkts); c > 64 {

@@ -35,10 +35,6 @@ type Packet struct {
 	Stamped  bool
 	// Created is the virtual time the source generated the packet.
 	Created time.Duration
-	// ArrivedAt is the virtual time the packet was admitted into the
-	// current hop's queues (telemetry only: no protocol logic reads it,
-	// so stamping it cannot change simulation behavior).
-	ArrivedAt time.Duration
 }
 
 // String renders a compact identity for tracing.

@@ -1,7 +1,11 @@
 package gmp
 
 import (
+	"bufio"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -189,6 +193,64 @@ func TestTelemetryDistributed(t *testing.T) {
 		if res1.Telemetry.Conditions[i] != res2.Telemetry.Conditions[i] {
 			t.Fatalf("condition %d differs: %+v vs %+v",
 				i, res1.Telemetry.Conditions[i], res2.Telemetry.Conditions[i])
+		}
+	}
+}
+
+// TestSojournCoversMACService checks every committed telemetry golden:
+// the gate cases' and the gmpsim CLI's (which the telemetry gates
+// reproduce from the code). A hop's sojourn runs from the packet's
+// admission at the node to its acknowledgement, and its MAC service from
+// the MAC's pull of that packet to the same acknowledgement, so each
+// node must record both for the same packets, and the sojourns' sum and
+// minimum must be at least the MAC services'.
+func TestSojournCoversMACService(t *testing.T) {
+	var paths []string
+	for _, tc := range gateCases(t) {
+		paths = append(paths, filepath.Join("testdata", "determinism", tc.name+".telemetry.golden"))
+	}
+	paths = append(paths,
+		filepath.Join("cmd", "gmpsim", "testdata", "fig2_gmp_telemetry.golden"),
+		filepath.Join("cmd", "gmpsim", "testdata", "fig4_gmpdist_telemetry.golden"))
+	type hist struct {
+		Count int64 `json:"count"`
+		Sum   int64 `json:"sum_ns"`
+		Min   int64 `json:"min_ns"`
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := 0
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			var rec struct {
+				Type       string `json:"type"`
+				Node       int    `json:"node"`
+				Sojourn    hist   `json:"sojourn"`
+				MACService hist   `json:"mac_service"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if rec.Type != "node" {
+				continue
+			}
+			nodes++
+			s, m := rec.Sojourn, rec.MACService
+			if s.Count != m.Count || s.Sum < m.Sum || s.Min < m.Min {
+				t.Errorf("%s: node %d sojourn {count %d, sum %d ns, min %d ns} does not cover its MAC service {count %d, sum %d ns, min %d ns}",
+					path, rec.Node, s.Count, s.Sum, s.Min, m.Count, m.Sum, m.Min)
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if nodes == 0 {
+			t.Errorf("%s: no node records", path)
 		}
 	}
 }
