@@ -206,18 +206,17 @@ func incidentLists(numNodes int, links []topology.Link) [][]int32 {
 }
 
 // contentionNeighbors appends to out the sorted indices of every link
-// contending with links[i]. Candidates come from the links incident to
-// the endpoints and their carrier-sense neighborhoods: two links contend
-// only when they share a node or have endpoints within CS range, so any
-// contender is incident to a node of that set — no scan of the full
-// link table. mark is an all-false scratch of len(links), restored
-// before returning.
+// contending with links[i]. Two links contend when they share a node or
+// have endpoints within CS range, so the contenders are exactly the links
+// incident to an endpoint of links[i] or to a CS neighbor of one: no scan
+// of the full link table and no pairwise test. mark is an all-false
+// scratch of len(links), restored before returning.
 func contentionNeighbors(out []int32, topo *topology.Topology, links []topology.Link, incident [][]int32, i int, mark []bool) []int32 {
 	l := links[i]
 	mark[i] = true // exclude self
 	consider := func(node topology.NodeID) {
 		for _, j := range incident[node] {
-			if !mark[j] && topo.LinksContend(l, links[j]) {
+			if !mark[j] {
 				mark[j] = true
 				out = append(out, j)
 			}
@@ -583,14 +582,4 @@ func (s *Set) Of(l topology.Link) []*Clique {
 	}
 	lo, hi := s.start[i], s.start[i+1]
 	return s.of[lo:hi:hi]
-}
-
-// ByID looks a clique up by identifier.
-func (s *Set) ByID(id ID) (*Clique, bool) {
-	for _, c := range s.cliques {
-		if c.ID == id {
-			return c, true
-		}
-	}
-	return nil, false
 }

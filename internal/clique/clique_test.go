@@ -93,12 +93,6 @@ func TestCliqueIDsAreUnique(t *testing.T) {
 			t.Fatalf("duplicate clique ID %v", c.ID)
 		}
 		seen[c.ID] = true
-		if got, ok := set.ByID(c.ID); !ok || got != c {
-			t.Fatalf("ByID(%v) failed", c.ID)
-		}
-	}
-	if _, ok := set.ByID(ID{Owner: 99, Seq: 0}); ok {
-		t.Error("ByID found nonexistent clique")
 	}
 }
 

@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -116,13 +118,15 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 }
 
-// TestNewStationAllocs pins a station's set-up at one object: NewStation
-// allocates the Station alone. A station that only overhears then binds
-// no callback and makes no duplicate filter; the receiver of an exchange
-// binds its callbacks for its SIFS responses and makes the filter, and
-// the sender binds its callbacks and seeds its backoff source.
+// TestNewStationAllocs pins a station's set-up at one object of at most
+// 448 bytes: NewStation allocates the Station alone, which points at the
+// medium's PHY constants instead of copying them. A station that only
+// overhears then binds no callback and makes no duplicate filter; the
+// receiver of an exchange binds its callbacks for its SIFS responses and
+// makes the filter, and the sender binds its callbacks and seeds its
+// backoff source.
 func TestNewStationAllocs(t *testing.T) {
-	const n, runs = 64, 5
+	const n, runs, stationBytes = 64, 5, 448
 	pos := make([]geom.Point, n)
 	for i := range pos {
 		pos[i] = geom.Point{X: float64(i) * 150}
@@ -132,24 +136,40 @@ func TestNewStationAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := sim.NewScheduler()
-	// A medium takes each station once; AllocsPerRun makes one warm-up
-	// call before its runs.
-	media := make([]*radio.Medium, runs+1)
+	// A medium takes each station once: AllocsPerRun makes one warm-up
+	// call before its runs, and the byte count takes runs more.
+	media := make([]*radio.Medium, 2*runs+1)
 	for i := range media {
 		media[i] = radio.NewMedium(sched, topo, radio.DefaultParams(), sim.NewRand(1))
 	}
 	stations := make([]*Station, n)
 	client := &loopClient{}
 	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
+	construct := func() {
 		m := media[next]
 		next++
 		for i := range stations {
 			stations[i] = NewStation(topology.NodeID(i), sched, m, DefaultConfig(), int64(i), client)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(runs, construct)
 	if allocs != n {
 		t.Errorf("constructing %d stations allocates %v objects, want %d", n, allocs, n)
+	}
+	// Bytes are the runtime.MemStats.TotalAlloc delta, least of the runs.
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		construct()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > n*stationBytes {
+		t.Errorf("constructing %d stations allocates %d bytes, want at most %d (%d per station)", n, least, n*stationBytes, stationBytes)
+	}
+	if stations[0].par != media[next-1].Params() {
+		t.Error("station holds its own copy of the PHY constants, not the medium's")
 	}
 
 	bound := func(s *Station) int {

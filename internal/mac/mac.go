@@ -143,7 +143,7 @@ type Station struct {
 	id     topology.NodeID
 	sched  *sim.Scheduler
 	medium *radio.Medium
-	par    radio.Params
+	par    *radio.Params // the medium's, shared by every station
 	cfg    Config
 	client Client
 
@@ -762,11 +762,4 @@ func (r *response) send() {
 func (s *Station) onResponseAired() {
 	s.responding = false
 	s.evaluate()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

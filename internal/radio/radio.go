@@ -337,8 +337,9 @@ func (m *Medium) Register(n topology.NodeID, st Station) {
 	m.stations[n] = st
 }
 
-// Params returns the channel constants.
-func (m *Medium) Params() Params { return m.params }
+// Params returns the channel constants. Stations share the medium's
+// copy through the pointer, so callers must treat it as read-only.
+func (m *Medium) Params() *Params { return &m.params }
 
 // SetProbe installs the run's observers (nil disables, the default).
 // They only observe: no observer mutates channel state, so installing

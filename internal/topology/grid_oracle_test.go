@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gmp/internal/geom"
@@ -25,20 +26,11 @@ func assertSameTopology(t *testing.T, got, want *Topology) {
 	if !reflect.DeepEqual(got.csNeighbors, want.csNeighbors) {
 		t.Fatalf("csNeighbors mismatch:\n grid: %v\nbrute: %v", got.csNeighbors, want.csNeighbors)
 	}
-	if !reflect.DeepEqual(got.twoHop, want.twoHop) {
-		t.Fatalf("twoHop mismatch")
-	}
 	if !reflect.DeepEqual(got.links, want.links) {
 		t.Fatalf("links mismatch:\n grid: %v\nbrute: %v", got.links, want.links)
 	}
 	if !reflect.DeepEqual(got.linkBase, want.linkBase) {
 		t.Fatalf("linkBase mismatch")
-	}
-	if !reflect.DeepEqual(got.txAdj, want.txAdj) {
-		t.Fatalf("txAdj mismatch")
-	}
-	if !reflect.DeepEqual(got.csAdj, want.csAdj) {
-		t.Fatalf("csAdj mismatch")
 	}
 }
 
@@ -82,15 +74,10 @@ func TestGridMatchesBruteForce(t *testing.T) {
 					t.Fatal("newBruteForce attached a spatial grid")
 				}
 				assertSameTopology(t, grid, brute)
-				// The CS structures must alias the Tx ones when the
-				// ranges coincide, on both paths.
-				if cfg.CSRange == cfg.TxRange {
-					if reflect.ValueOf(grid.csNeighbors).Pointer() != reflect.ValueOf(grid.neighbors).Pointer() {
-						t.Fatal("grid path: csNeighbors does not alias neighbors at equal ranges")
-					}
-					if &grid.csAdj.words[0] != &grid.txAdj.words[0] {
-						t.Fatal("grid path: csAdj does not alias txAdj at equal ranges")
-					}
+				// The CS lists must alias the Tx ones when the ranges
+				// coincide.
+				if cfg.CSRange == cfg.TxRange && reflect.ValueOf(grid.csNeighbors).Pointer() != reflect.ValueOf(grid.neighbors).Pointer() {
+					t.Fatal("grid path: csNeighbors does not alias neighbors at equal ranges")
 				}
 			})
 		}
@@ -164,6 +151,33 @@ func benchPositions(n int, seed int64) []geom.Point {
 		}
 	}
 	return pts
+}
+
+// TestNewAllocatesLinearly pins New's memory at O(N·density): on the
+// constant-density city layout, the bytes New allocates per node (the
+// runtime.MemStats.TotalAlloc delta, least of three builds) at N=8000
+// are at most 1.25 times those at N=1000. Any N×N adjacency structure
+// grows per node with N and fails it.
+func TestNewAllocatesLinearly(t *testing.T) {
+	perNode := func(n int) float64 {
+		pts := benchPositions(n, 7)
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&before)
+			if _, err := New(pts, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return float64(least) / float64(n)
+	}
+	small, large := perNode(1000), perNode(8000)
+	t.Logf("New allocates %.0f B/node at N=1000, %.0f B/node at N=8000", small, large)
+	if large > 1.25*small {
+		t.Errorf("New allocates %.0f B/node at N=8000 against %.0f at N=1000: more than 1.25x", large, small)
+	}
 }
 
 // BenchmarkTopologyBuild pits the grid construction against the

@@ -8,9 +8,9 @@ import (
 	"gmp/internal/geom"
 )
 
-// Diff records what one MoveNodes call changed. The mobility layer hands
-// it to the radio medium, whose airtime ledger is indexed by dense link
-// number, and to the incremental clique updater.
+// Diff records what one MoveNodes call changed. The session hands
+// OldLinks to the radio medium, whose airtime ledger is indexed by dense
+// link number, and Touched to the incremental clique updater.
 type Diff struct {
 	// Moved lists the nodes whose positions changed, ascending.
 	Moved []NodeID
@@ -23,23 +23,14 @@ type Diff struct {
 	// update. Dense per-link state recorded under the old indices must be
 	// re-keyed through these Link values into the new index space.
 	OldLinks []Link
-	// AddedLinks and RemovedLinks are the directed links that appeared
-	// and vanished. Both directions of an undirected edge are listed.
-	AddedLinks   []Link
-	RemovedLinks []Link
-	// CSChanged reports whether any carrier-sense adjacency changed.
-	// When CSRange equals TxRange it mirrors the link diffs; otherwise
-	// CS edges can change while no transmission link does (and vice
-	// versa), and contention cliques depend on both.
-	CSChanged bool
 }
 
-// Changed reports whether the update altered any adjacency at all. When
-// false, positions moved but every neighbor list, bitset, link index and
-// contention relation is exactly as before.
-func (d *Diff) Changed() bool {
-	return len(d.AddedLinks) > 0 || len(d.RemovedLinks) > 0 || d.CSChanged
-}
+// Changed reports whether the update altered any adjacency at all: a
+// flipped pair always has a mover at one end, whose list then changed,
+// so this is exactly a non-empty Touched. When false, positions moved
+// but every neighbor list, link index and contention relation is exactly
+// as before.
+func (d *Diff) Changed() bool { return len(d.Touched) > 0 }
 
 // Version returns the topology's adjacency version: 0 at New, bumped by
 // every MoveNodes call whose Diff reports Changed. Structures derived
@@ -49,13 +40,11 @@ func (t *Topology) Version() uint64 { return t.version }
 
 // MoveNodes updates the positions of the given nodes in place and
 // incrementally repairs every derived structure — Tx/CS neighbor lists,
-// bitset adjacency, the dense directed-link index, the spatial grid,
-// and the two-hop sets — without the O(N²) scan of a from-scratch
-// rebuild. Each mover's neighborhood is recomputed from the grid's
-// O(density) candidate cells, so cost is
-// O(movers·density + N + L + dirty·deg²) where dirty is the set of
-// nodes within two hops of a changed edge (the N + L term is the dense
-// link index regeneration, skipped when no edge changed).
+// the dense directed-link index and the spatial grid — without the
+// O(N²) scan of a from-scratch rebuild. Each mover's neighborhood is
+// recomputed from the grid's O(density) candidate cells, so cost is
+// O(movers·density + N + L); the N + L term is the dense link index
+// regeneration, skipped when no link appeared or vanished.
 //
 // newPos[i] is the new position of moved[i]. The moved list must name
 // valid nodes with no duplicates. From-scratch construction via New
@@ -63,9 +52,9 @@ func (t *Topology) Version() uint64 { return t.version }
 // MoveNodes calls the mutated topology is deep-equal to New on the final
 // positions (enforced by TestIncrementalMatchesRebuild).
 //
-// Slices handed out before the call (Neighbors, TwoHopNeighbors, Links)
-// are never mutated: every changed list is replaced with a fresh slice,
-// so old snapshots — including Diff.OldLinks — stay valid.
+// Slices handed out before the call (Neighbors, CSNeighbors, Links) are
+// never mutated: every changed list is replaced with a fresh slice, so
+// old snapshots — including Diff.OldLinks — stay valid.
 func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error) {
 	if len(moved) != len(newPos) {
 		return nil, fmt.Errorf("topology: %d moved nodes but %d positions", len(moved), len(newPos))
@@ -90,17 +79,14 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		return diff, nil
 	}
 
-	// Snapshot the movers' old adjacency before touching anything: the
-	// old two-hop sets seed the dirty region, the old neighbor lists
-	// drive the edge diffs.
+	// Snapshot the movers' old neighbor lists before touching anything:
+	// they drive the edge diffs.
 	sameRange := t.cfg.CSRange == t.cfg.TxRange
 	oldTx := make([][]NodeID, len(diff.Moved))
 	oldCS := make([][]NodeID, len(diff.Moved))
-	oldTwo := make([][]NodeID, len(diff.Moved))
 	for i, m := range diff.Moved {
 		oldTx[i] = t.neighbors[m]
 		oldCS[i] = t.csNeighbors[m]
-		oldTwo[i] = t.twoHop[m]
 	}
 	for i, m := range moved {
 		t.pos[m] = newPos[i]
@@ -154,69 +140,21 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		}
 	}
 
-	// Apply the Tx edge diffs: patch bitsets both directions and splice
-	// the non-mover endpoints' sorted lists. Edges between two movers are
-	// processed once (from the lower-ID side); both endpoints' lists are
-	// replaced wholesale below, so only the bitset and the Diff entry are
-	// needed for those. A mover is touched when either of its own lists
-	// changed, which every flipped pair — a mover at one end — reports.
+	// Splice each mover into or out of its non-moving neighbors' sorted
+	// lists; the movers' own lists are replaced wholesale below. A mover
+	// is touched when either of its own lists changed, which every
+	// flipped pair — a mover at one end — reports. With equal ranges the
+	// CS lists alias the Tx ones and are already up to date.
 	touched := make([]bool, len(diff.Moved))
+	linksChanged := false
 	for i, m := range diff.Moved {
-		added, removed := diffSorted(oldTx[i], newTx[i])
-		touched[i] = len(added) > 0 || len(removed) > 0
-		for _, x := range added {
-			if isMover[x] && x < m {
-				continue
-			}
-			t.txAdj.set(int(m), int(x))
-			t.txAdj.set(int(x), int(m))
-			diff.AddedLinks = append(diff.AddedLinks, Link{m, x}, Link{x, m})
-			if !isMover[x] {
-				t.neighbors[x] = insertID(t.neighbors[x], m)
-			}
-		}
-		for _, x := range removed {
-			if isMover[x] && x < m {
-				continue
-			}
-			t.txAdj.clear(int(m), int(x))
-			t.txAdj.clear(int(x), int(m))
-			diff.RemovedLinks = append(diff.RemovedLinks, Link{m, x}, Link{x, m})
-			if !isMover[x] {
-				t.neighbors[x] = removeID(t.neighbors[x], m)
-			}
-		}
+		touched[i] = splice(t.neighbors, m, oldTx[i], newTx[i], isMover)
+		linksChanged = linksChanged || touched[i]
 	}
-	// Same for the CS structures when they are distinct from the Tx ones;
-	// with equal ranges csNeighbors/csAdj alias neighbors/txAdj and are
-	// already up to date.
-	if sameRange {
-		diff.CSChanged = len(diff.AddedLinks) > 0 || len(diff.RemovedLinks) > 0
-	} else {
+	if !sameRange {
 		for i, m := range diff.Moved {
-			added, removed := diffSorted(oldCS[i], newCS[i])
-			touched[i] = touched[i] || len(added) > 0 || len(removed) > 0
-			for _, x := range added {
-				if isMover[x] && x < m {
-					continue
-				}
-				diff.CSChanged = true
-				t.csAdj.set(int(m), int(x))
-				t.csAdj.set(int(x), int(m))
-				if !isMover[x] {
-					t.csNeighbors[x] = insertID(t.csNeighbors[x], m)
-				}
-			}
-			for _, x := range removed {
-				if isMover[x] && x < m {
-					continue
-				}
-				diff.CSChanged = true
-				t.csAdj.clear(int(m), int(x))
-				t.csAdj.clear(int(x), int(m))
-				if !isMover[x] {
-					t.csNeighbors[x] = removeID(t.csNeighbors[x], m)
-				}
+			if splice(t.csNeighbors, m, oldCS[i], newCS[i], isMover) {
+				touched[i] = true
 			}
 		}
 	}
@@ -236,52 +174,28 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		t.version++
 	}
 
-	if len(diff.AddedLinks) > 0 || len(diff.RemovedLinks) > 0 {
-		// Regenerate the dense link index in O(N + L). The old slice is
-		// left intact for Diff.OldLinks holders.
-		total := 0
-		for i := range t.neighbors {
-			t.linkBase[i] = total
-			total += len(t.neighbors[i])
-		}
-		t.linkBase[n] = total
-		t.links = make([]Link, 0, total)
-		for i := range t.neighbors {
-			for _, j := range t.neighbors[i] {
-				t.links = append(t.links, Link{From: NodeID(i), To: j})
-			}
-		}
-
-		// Two-hop sets: a node's set can only change if it lies within
-		// one hop of a changed edge endpoint, i.e. within the union of
-		// every mover's old and new two-hop neighborhoods (plus the
-		// movers themselves).
-		dirty := make([]bool, n)
-		var dirtyList []NodeID
-		mark := func(v NodeID) {
-			if !dirty[v] {
-				dirty[v] = true
-				dirtyList = append(dirtyList, v)
-			}
-		}
-		scratch := make([]uint64, (n+63)/64)
-		for i, m := range diff.Moved {
-			mark(m)
-			for _, v := range oldTwo[i] {
-				mark(v)
-			}
-			t.twoHop[m] = t.computeTwoHop(m, scratch)
-			for _, v := range t.twoHop[m] {
-				mark(v)
-			}
-		}
-		for _, v := range dirtyList {
-			if !isMover[v] {
-				t.twoHop[v] = t.computeTwoHop(v, scratch)
-			}
-		}
+	if linksChanged {
+		t.indexLinks() // a fresh slice: Diff.OldLinks stays intact
 	}
 	return diff, nil
+}
+
+// splice patches the lists of m's non-moving neighbors after m's own list
+// went from old to cur, and reports whether it changed. A mover's list is
+// recomputed whole, so mover–mover pairs need no patch.
+func splice(lists [][]NodeID, m NodeID, old, cur []NodeID, isMover []bool) bool {
+	added, removed := diffSorted(old, cur)
+	for _, x := range added {
+		if !isMover[x] {
+			lists[x] = insertID(lists[x], m)
+		}
+	}
+	for _, x := range removed {
+		if !isMover[x] {
+			lists[x] = removeID(lists[x], m)
+		}
+	}
+	return len(added) > 0 || len(removed) > 0
 }
 
 // diffSorted returns the elements of b not in a (added) and of a not in b

@@ -11,7 +11,7 @@ import (
 
 // randomTopo places n nodes uniformly in a w×w field. With csFactor > 1
 // the carrier-sense range exceeds the transmission range, exercising the
-// separate csAdj matrix and csNeighbors lists.
+// separate csNeighbors lists.
 func randomTopo(rng *rand.Rand, n int, w, txRange, csFactor float64) (*Topology, []geom.Point) {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -21,10 +21,10 @@ func randomTopo(rng *rand.Rand, n int, w, txRange, csFactor float64) (*Topology,
 	return MustNew(pts, cfg), pts
 }
 
-// TestAdjacencyMatchesGeometry checks every precomputed structure — the
-// tx/cs bitsets, the sorted neighbor lists, two-hop sets, and the dense
-// link index — against the geometric predicates they cache, on random
-// topologies with both equal and widened carrier-sense ranges.
+// TestAdjacencyMatchesGeometry checks the sorted neighbor lists, the
+// InTxRange and InCSRange predicates, the two-hop scope and the dense
+// link index against the geometry they derive from, on random topologies
+// with both equal and widened carrier-sense ranges.
 func TestAdjacencyMatchesGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -50,9 +50,6 @@ func TestAdjacencyMatchesGeometry(t *testing.T) {
 				}
 				if got := topo.InCSRange(NodeID(a), NodeID(b)); got != inCS {
 					t.Fatalf("trial %d: InCSRange(%d,%d) = %v, geometry says %v", trial, a, b, got, inCS)
-				}
-				if got := topo.AreNeighbors(NodeID(a), NodeID(b)); got != inTx {
-					t.Fatalf("trial %d: AreNeighbors(%d,%d) = %v, geometry says %v", trial, a, b, got, inTx)
 				}
 				if inTx {
 					wantTx = append(wantTx, NodeID(b))
@@ -99,11 +96,11 @@ func TestAdjacencyMatchesGeometry(t *testing.T) {
 // TestLinkIndexRoundTrip checks that the dense directed-link numbering is
 // a bijection: LinkAt(LinkIndex(l)) == l for every link, indices cover
 // [0, NumLinks) in (From, To)-ascending order, and LinkIndex returns -1
-// exactly for non-links.
+// exactly for node pairs out of transmission range.
 func TestLinkIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		topo, _ := randomTopo(rng, 2+rng.Intn(30), 1000, 250, 1+rng.Float64())
+		topo, pts := randomTopo(rng, 2+rng.Intn(30), 1000, 250, 1+rng.Float64())
 		links := topo.Links()
 		if len(links) != topo.NumLinks() {
 			t.Fatalf("Links() length %d != NumLinks() %d", len(links), topo.NumLinks())
@@ -121,7 +118,7 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 					t.Fatalf("links not sorted (From, To) ascending: %v before %v", p, l)
 				}
 			}
-			base := topo.NodeLinkBase(l.From)
+			base := topo.linkBase[l.From]
 			if i < base {
 				t.Fatalf("link %v at index %d before its node's base %d", l, i, base)
 			}
@@ -130,7 +127,7 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				idx := topo.LinkIndex(NodeID(a), NodeID(b))
-				if topo.AreNeighbors(NodeID(a), NodeID(b)) {
+				if a != b && geom.WithinRange(pts[a], pts[b], topo.Config().TxRange) {
 					if idx < 0 || idx >= len(links) {
 						t.Fatalf("LinkIndex(%d,%d) = %d out of range for a real link", a, b, idx)
 					}

@@ -3,10 +3,11 @@
 // two-hop neighborhoods, and the greedy dominating sets that the GMP
 // dissemination protocol uses to flood link state two hops out.
 //
-// All adjacency is precomputed once at construction time: per-node
-// transmission-range and carrier-sense-range neighbor lists, bitset
-// adjacency matrices for O(1) InTxRange/InCSRange lookups, and a dense
-// integer index over every directed link. The simulator's per-frame hot
+// Adjacency is kept once, as per-node transmission-range and
+// carrier-sense-range neighbor lists sorted by ID, plus a dense integer
+// index over every directed link. Everything else is derived from them
+// on demand: InTxRange and InCSRange binary-search a list, and the
+// two-hop scope is merged from the lists. The simulator's per-frame hot
 // path (internal/radio) iterates neighbor lists instead of scanning all
 // nodes with Euclidean distance recomputation.
 package topology
@@ -14,7 +15,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -66,29 +66,6 @@ func DefaultConfig() Config {
 	return Config{TxRange: 250, CSRange: 250}
 }
 
-// bitset is a fixed-size set of node IDs packed into 64-bit words.
-type bitset struct {
-	words  []uint64
-	stride int // words per row
-}
-
-func newBitset(rows, cols int) bitset {
-	stride := (cols + 63) / 64
-	return bitset{words: make([]uint64, rows*stride), stride: stride}
-}
-
-func (b bitset) set(row, col int) {
-	b.words[row*b.stride+col>>6] |= 1 << (uint(col) & 63)
-}
-
-func (b bitset) clear(row, col int) {
-	b.words[row*b.stride+col>>6] &^= 1 << (uint(col) & 63)
-}
-
-func (b bitset) test(row, col int) bool {
-	return b.words[row*b.stride+col>>6]&(1<<(uint(col)&63)) != 0
-}
-
 // Topology is an immutable placement of nodes plus derived adjacency.
 type Topology struct {
 	pos []geom.Point
@@ -97,10 +74,6 @@ type Topology struct {
 	nodes       []NodeID   // all IDs ascending (shared)
 	neighbors   [][]NodeID // tx-range neighbors, ascending (shared)
 	csNeighbors [][]NodeID // cs-range neighbors, ascending (shared)
-	twoHop      [][]NodeID // one- and two-hop neighbors, ascending (shared)
-
-	txAdj bitset // txAdj[a,b] ⇔ InTxRange(a,b)
-	csAdj bitset // csAdj[a,b] ⇔ InCSRange(a,b)
 
 	// Dense directed-link indexing: links are numbered in (From,
 	// ascending To) order; linkBase[n] is the index of the first link
@@ -164,17 +137,14 @@ func build(positions []geom.Point, cfg Config, useGrid bool) (*Topology, error) 
 		t.nodes[i] = NodeID(i)
 	}
 
-	// Neighbor lists and bitset adjacency from the geometric predicates.
-	// When the ranges coincide the CS structures alias the Tx ones.
+	// Neighbor lists from the geometric predicates. When the ranges
+	// coincide the CS lists alias the Tx ones.
 	sameRange := cfg.CSRange == cfg.TxRange
 	t.neighbors = make([][]NodeID, n)
-	t.txAdj = newBitset(n, n)
 	if sameRange {
 		t.csNeighbors = t.neighbors
-		t.csAdj = t.txAdj
 	} else {
 		t.csNeighbors = make([][]NodeID, n)
-		t.csAdj = newBitset(n, n)
 	}
 	if useGrid {
 		// One grid query per node yields the O(density) candidates
@@ -202,15 +172,9 @@ func build(positions []geom.Point, cfg Config, useGrid bool) (*Topology, error) 
 			}
 			slices.Sort(txScratch)
 			t.neighbors[i] = copyIDs(txScratch)
-			for _, j := range txScratch {
-				t.txAdj.set(i, int(j))
-			}
 			if !sameRange {
 				slices.Sort(csScratch)
 				t.csNeighbors[i] = copyIDs(csScratch)
-				for _, j := range csScratch {
-					t.csAdj.set(i, int(j))
-				}
 			}
 		}
 	} else {
@@ -221,97 +185,34 @@ func build(positions []geom.Point, cfg Config, useGrid bool) (*Topology, error) 
 				}
 				if geom.WithinRange(positions[i], positions[j], cfg.TxRange) {
 					t.neighbors[i] = append(t.neighbors[i], NodeID(j))
-					t.txAdj.set(i, j)
 				}
 				if !sameRange && geom.WithinRange(positions[i], positions[j], cfg.CSRange) {
 					t.csNeighbors[i] = append(t.csNeighbors[i], NodeID(j))
-					t.csAdj.set(i, j)
 				}
 			}
 		}
 	}
 
-	// Dense link index over the tx adjacency.
 	t.linkBase = make([]int, n+1)
-	total := 0
-	for i := range t.neighbors {
-		t.linkBase[i] = total
-		total += len(t.neighbors[i])
-	}
-	t.linkBase[n] = total
-	t.links = make([]Link, 0, total)
-	for i := range t.neighbors {
-		for _, j := range t.neighbors[i] {
-			t.links = append(t.links, Link{From: NodeID(i), To: j})
-		}
-	}
-
-	// Two-hop neighborhoods (the dissemination scope, §6.2 step 2).
-	t.twoHop = make([][]NodeID, n)
-	scratch := make([]uint64, (n+63)/64)
-	for v := range t.twoHop {
-		t.twoHop[v] = t.computeTwoHop(NodeID(v), scratch)
-	}
+	t.indexLinks()
 	return t, nil
 }
 
-// computeTwoHop builds node v's one-and-two-hop neighborhood as the
-// union of the tx-bitset rows of v and v's neighbors (a neighbor's row
-// is exactly its one-hop set), so it must run after the adjacency is
-// fully built. scratch is an all-zero bitmap of at least
-// ceil(NumNodes/64) words; it is restored to all-zero before returning.
-// Work is confined to the word window spanned by the participating
-// neighbor lists — when node IDs correlate with position (gridded city
-// meshes) that window is a handful of words regardless of N — and
-// emitting from the bitmap in word order yields the ascending output
-// the rest of the package relies on, with no sort.
-func (t *Topology) computeTwoHop(v NodeID, scratch []uint64) []NodeID {
-	nv := t.neighbors[v]
-	if len(nv) == 0 {
-		return nil
+// indexLinks numbers the directed links densely from the Tx lists, in
+// O(N + L), into a fresh links slice.
+func (t *Topology) indexLinks() {
+	total := 0
+	for i, nb := range t.neighbors {
+		t.linkBase[i] = total
+		total += len(nb)
 	}
-	// The union's support is bounded by the extrema of the sorted
-	// neighbor lists being OR'd in.
-	lo, hi := int(nv[0]), int(nv[len(nv)-1])
-	for _, m := range nv {
-		if nm := t.neighbors[m]; len(nm) > 0 {
-			if int(nm[0]) < lo {
-				lo = int(nm[0])
-			}
-			if int(nm[len(nm)-1]) > hi {
-				hi = int(nm[len(nm)-1])
-			}
+	t.linkBase[len(t.neighbors)] = total
+	t.links = make([]Link, 0, total)
+	for i, nb := range t.neighbors {
+		for _, j := range nb {
+			t.links = append(t.links, Link{From: NodeID(i), To: j})
 		}
 	}
-	w0, w1 := lo>>6, hi>>6
-	stride := t.txAdj.stride
-	window := scratch[w0 : w1+1]
-	copy(window, t.txAdj.words[int(v)*stride+w0:int(v)*stride+w1+1])
-	for _, m := range nv {
-		row := t.txAdj.words[int(m)*stride+w0 : int(m)*stride+w1+1]
-		for wi, w := range row {
-			window[wi] |= w
-		}
-	}
-	// v itself is a neighbor of each of its neighbors: drop it.
-	scratch[int(v)>>6] &^= 1 << (uint(v) & 63)
-	count := 0
-	for _, w := range window {
-		count += bits.OnesCount64(w)
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, count)
-	for wi := w0; wi <= w1; wi++ {
-		word := scratch[wi]
-		for word != 0 {
-			out = append(out, NodeID(wi<<6+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-		scratch[wi] = 0
-	}
-	return out
 }
 
 // copyIDs returns an exact-size copy of ids, nil when empty (neighbor
@@ -352,16 +253,17 @@ func (t *Topology) Valid(n NodeID) bool {
 	return n >= 0 && int(n) < len(t.pos)
 }
 
-// InTxRange reports whether a transmission from a can be decoded at b.
-// O(1): a precomputed bitset lookup, no distance computation.
+// InTxRange reports whether a transmission from a can be decoded at b,
+// i.e. whether a→b is a link. O(log degree), no distance computation.
 func (t *Topology) InTxRange(a, b NodeID) bool {
-	return t.txAdj.test(int(a), int(b))
+	return t.LinkIndex(a, b) >= 0
 }
 
 // InCSRange reports whether a transmission from a is sensed (or interferes)
-// at b. O(1), like InTxRange.
+// at b. O(log degree): a binary search of CSNeighbors(a).
 func (t *Topology) InCSRange(a, b NodeID) bool {
-	return t.csAdj.test(int(a), int(b))
+	_, ok := slices.BinarySearch(t.csNeighbors[a], b)
+	return ok
 }
 
 // Neighbors returns the nodes within transmission range of n, ascending.
@@ -372,9 +274,6 @@ func (t *Topology) Neighbors(n NodeID) []NodeID { return t.neighbors[n] }
 // ascending. When CSRange equals TxRange this is exactly Neighbors(n).
 // The returned slice is shared; callers must not modify it.
 func (t *Topology) CSNeighbors(n NodeID) []NodeID { return t.csNeighbors[n] }
-
-// AreNeighbors reports whether a and b can exchange frames directly.
-func (t *Topology) AreNeighbors(a, b NodeID) bool { return t.txAdj.test(int(a), int(b)) }
 
 // NumLinks returns the number of directed links.
 func (t *Topology) NumLinks() int { return len(t.links) }
@@ -406,15 +305,23 @@ func (t *Topology) LinkIndex(from, to NodeID) int {
 	return -1
 }
 
-// NodeLinkBase returns the dense index of the first directed link
-// originating at n: link (n, Neighbors(n)[k]) has index NodeLinkBase(n)+k.
-func (t *Topology) NodeLinkBase(n NodeID) int { return t.linkBase[n] }
-
 // TwoHopNeighbors returns all nodes reachable from n in one or two hops,
 // excluding n itself, in ascending order. This is the scope of GMP's link
-// state dissemination (§6.2 step 2). The returned slice is shared;
-// callers must not modify it.
-func (t *Topology) TwoHopNeighbors(n NodeID) []NodeID { return t.twoHop[n] }
+// state dissemination (§6.2 step 2). It is merged from the neighbor lists
+// on each call, into a fresh slice the caller owns.
+func (t *Topology) TwoHopNeighbors(n NodeID) []NodeID {
+	var out []NodeID
+	for _, m := range t.neighbors[n] {
+		out = append(out, m)
+		out = append(out, t.neighbors[m]...)
+	}
+	slices.Sort(out)
+	out = slices.Compact(out)
+	if i, ok := slices.BinarySearch(out, n); ok {
+		out = slices.Delete(out, i, i+1)
+	}
+	return out
+}
 
 // DominatingSet returns a minimal-ish subset of n's one-hop neighbors whose
 // neighborhoods jointly cover every strict two-hop neighbor of n. GMP uses
