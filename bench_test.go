@@ -755,16 +755,18 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 // walk at 1-5 m/s, four 60 s sessions whose trajectories are seeded the
 // way the benchmark's build-stage replay (bench/layers.go) seeds them
 // for workload seed 1. Each iteration replays the panel, and only the
-// repair under test is timed. ns/epoch is its cost per epoch that
-// changed the adjacency; an unchanged epoch repairs nothing.
+// step under test is timed and its allocations counted (the
+// runtime.MemStats deltas). ns/epoch, B/epoch and allocs/epoch are its
+// cost per epoch: every epoch for MoveNodes, and for a repair every
+// epoch that changed the adjacency, as an unchanged one repairs nothing.
 //
-//	go test -run '^$' -bench MobilityEpoch .
+//	go test -run '^$' -bench MobilityEpoch -benchtime 2x .
 //
-// The clique rows compare Update given the full mover list with Update
-// given the touched set RunContext passes, next to the from-scratch
-// Build. The routing rows compare the eager table the benchmark's replay
-// still times with the lazy table RunContext installs, plus the rows of
-// the city's flows.
+// The clique rows compare Update given the full mover list, the touched
+// movers and the cover of the flipped pairs that RunContext passes, next
+// to the from-scratch Build. The routing rows compare the eager table
+// the benchmark's replay still times with the lazy table RunContext
+// installs, plus the rows of the city's flows.
 func BenchmarkMobilityEpoch(b *testing.B) {
 	sc, err := CityScenario(500, 4, 10, 220, 1)
 	if err != nil {
@@ -799,13 +801,17 @@ func BenchmarkMobilityEpoch(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name string
-		fn   repair
+		fn   repair // nil: the row times MoveNodes itself
 	}{
+		{"topology.MoveNodes", nil},
 		{"clique.Update/moved", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
 			return clique.Update(topo, cs, d.Moved)
 		}},
 		{"clique.Update/touched", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
 			return clique.Update(topo, cs, d.Touched)
+		}},
+		{"clique.Update/cover", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
+			return clique.Update(topo, cs, d.Cover)
 		}},
 		{"clique.Build", func(topo *topology.Topology, _ *clique.Set, _ *topology.Diff) *clique.Set {
 			return clique.Build(topo)
@@ -821,28 +827,46 @@ func BenchmarkMobilityEpoch(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var timed time.Duration
-			changing := 0
+			var bytes, allocs uint64
+			measured := 0
+			var before, after runtime.MemStats
+			measure := func(step func()) {
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				step()
+				timed += time.Since(start)
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				allocs += after.Mallocs - before.Mallocs
+				measured++
+			}
 			for i := 0; i < b.N; i++ {
 				for _, eps := range panel {
 					topo := topology.MustNew(sc.Positions, sc.Radio)
 					cs := clique.Build(topo)
 					for _, e := range eps {
-						d, err := topo.MoveNodes(e.moved, e.pos)
+						var d *topology.Diff
+						var err error
+						move := func() { d, err = topo.MoveNodes(e.moved, e.pos) }
+						if tc.fn == nil {
+							measure(move)
+						} else {
+							move()
+						}
 						if err != nil {
 							b.Fatal(err)
 						}
-						if !d.Changed() {
+						if tc.fn == nil || !d.Changed() {
 							continue
 						}
-						start := time.Now()
-						cs = tc.fn(topo, cs, d)
-						timed += time.Since(start)
-						changing++
+						measure(func() { cs = tc.fn(topo, cs, d) })
 					}
 				}
 			}
-			b.ReportMetric(float64(timed.Nanoseconds())/float64(changing), "ns/epoch")
-			b.ReportMetric(float64(changing)/float64(b.N), "epochs/op")
+			b.ReportMetric(float64(timed.Nanoseconds())/float64(measured), "ns/epoch")
+			b.ReportMetric(float64(bytes)/float64(measured), "B/epoch")
+			b.ReportMetric(float64(allocs)/float64(measured), "allocs/epoch")
+			b.ReportMetric(float64(measured)/float64(b.N), "epochs/op")
 		})
 	}
 }

@@ -1075,7 +1075,7 @@ func (s *session) onEpoch(moved []topology.NodeID, newPos []geom.Point) {
 	if diff.Changed() {
 		s.lastTopoChange = s.sched.Now()
 		if s.liveCliques != nil {
-			s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Touched)
+			s.liveCliques = clique.Update(s.topo, s.liveCliques, diff.Cover)
 			if s.rt != nil {
 				s.rt.SetCliques(s.liveCliques)
 			}

@@ -26,8 +26,10 @@
 package admission
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gmp/internal/clique"
@@ -128,6 +130,7 @@ type Controller struct {
 	booked map[clique.ID]float64 // Σ weight·crossings per clique
 	flows  map[packet.FlowID]*entry
 	seq    int
+	order  []*entry // SetCliques' scratch
 }
 
 // NewController builds a controller over the clique decomposition with
@@ -242,15 +245,25 @@ func crossesClique(s *clique.Set, l topology.Link, q clique.ID) bool {
 // exist simply stop consuming budget; the booked paths themselves are
 // not re-routed (the flows' packets follow the repaired routing tables
 // regardless — the booking is an accounting approximation, tightened
-// again as flows depart and arrive).
+// again as flows depart and arrive). Flows are re-booked in admission
+// order, one weight per path link in each of its cliques, so the sums
+// round the same way on every call, whatever the weights.
 func (c *Controller) SetCliques(s *clique.Set) {
 	c.cliques = s
-	c.booked = make(map[clique.ID]float64)
+	clear(c.booked)
+	c.order = c.order[:0]
 	for _, e := range c.flows {
-		for q, w := range c.crossings(e.weight, e.links) {
-			c.booked[q] += w
+		c.order = append(c.order, e)
+	}
+	slices.SortFunc(c.order, func(a, b *entry) int { return cmp.Compare(a.seq, b.seq) })
+	for _, e := range c.order {
+		for _, l := range e.links {
+			for _, q := range s.Of(l) {
+				c.booked[q.ID] += e.weight
+			}
 		}
 	}
+	clear(c.order)
 }
 
 // Watchdog tracks per-clique reduce-condition streaks and fires when a

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"math"
 	"testing"
 
 	"gmp/internal/clique"
@@ -167,6 +168,37 @@ func TestSetCliquesRebooks(t *testing.T) {
 	ctrl.SetCliques(fresh)
 	if after := ctrl.Booked(fresh.All()[0].ID); after != before {
 		t.Fatalf("re-booked %v, want %v", after, before)
+	}
+}
+
+// TestSetCliquesRebooksDeterministically pins the rebooking order: with
+// weights whose sums round (not dyadic, as a user-set churn weight may
+// be), every rebook against the same cliques gives bit-identical
+// bookings, equal to adding each flow's weight once per path link in
+// each of that link's cliques, flows in admission order.
+func TestSetCliquesRebooksDeterministically(t *testing.T) {
+	_, set := chain(t)
+	ctrl := NewController(Params{MinShare: 1}, set, 1000)
+	want := make(map[clique.ID]float64)
+	for i := 0; i < 40; i++ {
+		w := 0.1 + 0.01*float64(i) + 1.0/3
+		links := pathLinks(1 + i%3)
+		ctrl.Book(packet.FlowID(i), w, links)
+		for _, l := range links {
+			for _, q := range set.Of(l) {
+				want[q.ID] += w
+			}
+		}
+	}
+	for call := 0; call < 200; call++ {
+		ctrl.SetCliques(set)
+		for _, q := range set.All() {
+			got := ctrl.Booked(q.ID)
+			if math.Float64bits(got) != math.Float64bits(want[q.ID]) {
+				t.Fatalf("rebook %d: Booked(%v) = %v (%#x), want %v (%#x)",
+					call, q.ID, got, math.Float64bits(got), want[q.ID], math.Float64bits(want[q.ID]))
+			}
+		}
 	}
 }
 

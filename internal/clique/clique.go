@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"gmp/internal/topology"
 )
@@ -52,15 +53,15 @@ func (c *Clique) Contains(l topology.Link) bool {
 func (c *Clique) minNode() topology.NodeID { return c.Links[0].From }
 
 // Set is a clique decomposition of a topology: every proper contention
-// clique (Build, Update), or those holding given links (Holding).
+// clique (Build, Update), or those holding given links (Holding). A set
+// is never written after it is built, so Update shares the cliques and
+// by-link lists that a change left alone with the set it started from.
 type Set struct {
 	cliques []*Clique
 	// The by-link index: links lists each member link once, canonically
-	// sorted, and links[i]'s cliques are of[start[i]:start[i+1]], in
-	// canonical clique order.
+	// sorted, and of[i] holds links[i]'s cliques in canonical order.
 	links []topology.Link
-	start []int32
-	of    []*Clique
+	of    [][]*Clique
 }
 
 // Build enumerates every proper contention clique of the topology's links
@@ -75,15 +76,27 @@ type Set struct {
 // O(L²). The dense-matrix enumerator is retained as the differential
 // oracle (TestSparseMatchesDense).
 func Build(topo *topology.Topology) *Set {
-	g := newLinkGraph(topo)
+	w := new(work).reset(topo)
+	g := &w.linkGraph
+	// The search covers the whole graph: number every link, in canonical
+	// order, and compute every row.
+	for n := range topo.NumNodes() {
+		from := topology.NodeID(n)
+		first := topo.FirstLink(from)
+		for k, x := range topo.Neighbors(from) {
+			if from < x {
+				g.vertex(from, k, first)
+			}
+		}
+	}
 	for i := range g.links {
 		g.row(int32(i))
 	}
 	var out []*Clique
 	for _, r := range maximalCliquesSparse(len(g.links), g.nbr) {
-		out = append(out, cliqueFromIndices32(g.links, r))
+		out = append(out, g.clique(r))
 	}
-	return finish(topo, out)
+	return w.finish(&Set{}, nil, out)
 }
 
 // Holding returns the cliques of topo that hold at least one of links
@@ -94,57 +107,146 @@ func Build(topo *topology.Topology) *Set {
 // the subset, so a clique's ID generally differs from its ID in
 // Build(topo); Of agrees with Build's for every given link.
 func Holding(topo *topology.Topology, links []topology.Link) *Set {
-	g := newLinkGraph(topo)
-	isRoot := make([]bool, len(g.links))
-	var roots []int32
+	w := new(work).reset(topo)
+	g := &w.linkGraph
 	for _, l := range links {
-		if i := findLink(g.links, l.Undirected()); i >= 0 && !isRoot[i] {
-			isRoot[i] = true
-			roots = append(roots, int32(i))
-		}
+		g.vertexOf(l)
 	}
 	var out []*Clique
-	g.rooted(roots, isRoot, func(c *Clique) { out = append(out, c) })
-	return finish(topo, out)
+	g.rooted(int32(len(g.links)), func(r []int32) { out = append(out, g.clique(r)) })
+	return w.finish(&Set{}, nil, out)
 }
 
-// linkGraph is a topology's link-contention graph, built on demand: the
-// undirected links in canonical ascending (From, To) order, the links at
-// each node, and each link's contention row, computed on first use.
-type linkGraph struct {
-	topo     *topology.Topology
-	links    []topology.Link
-	incident [][]int32
-	nbr      [][]int32 // contention rows; nil until computed
+// work is the memory a Build, Holding or Update call works in: the
+// contention graph and the per-call arrays, none of which the result
+// holds. Update takes one from workPool and returns it, so the epochs of
+// a mobility session reuse one instead of allocating their own. Build
+// and Holding run once per topology, on a work of their own sized to it:
+// pooled, it would only keep their memory alive.
+type work struct {
+	linkGraph
 
-	// Scratch for contentionNeighbors, and the unused tail of the chunk
-	// that the rows are copied into.
+	// finish: per dense link index, the added cliques by link, and the
+	// by-link index being built.
+	count      []int32
+	redo       []bool
+	byLink     []*Clique
+	indexLinks []topology.Link
+	indexOf    [][]*Clique
+	// Update: per node, and per clique of the old set.
+	covered, dirty []bool
+	first          []int32 // index of each owner's first old clique
+	state          []uint8
+	links, rest    []topology.Link
+	// Update's route-3 candidates so far: candidate i is
+	// cands[candEnd[i-1]:candEnd[i]].
+	cands   []topology.Link
+	candEnd []int
+}
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
+// getWork returns a pooled work, reset for topo.
+func getWork(topo *topology.Topology) *work {
+	return workPool.Get().(*work).reset(topo)
+}
+
+// reset readies w for a call on topo, with an empty graph, and returns
+// it.
+func (w *work) reset(topo *topology.Topology) *work {
+	g := &w.linkGraph
+	g.topo = topo
+	g.id = zeroed(g.id, topo.NumLinks())
+	// Each undirected link is at most one vertex.
+	n := topo.NumLinks() / 2
+	g.links = slices.Grow(g.links[:0], n)
+	g.nbr = slices.Grow(g.nbr[:0], n)
+	g.mark = slices.Grow(g.mark[:0], n)
+	g.arena, g.chunk = nil, 0
+	return w
+}
+
+// release returns w to the pool, holding nothing of the call's; w must
+// not be used after.
+func (w *work) release() {
+	w.topo, w.e.local, w.e.emit = nil, nil, nil
+	workPool.Put(w)
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// linkGraph is a topology's link-contention graph, built on demand: each
+// undirected link becomes a vertex when first seen, and each vertex's
+// contention row is computed on first use, so a search near a few links
+// touches only their neighborhoods.
+type linkGraph struct {
+	topo  *topology.Topology
+	links []topology.Link // vertex -> undirected link, canonical
+	id    []int32         // dense directed link index -> vertex+1, or 0
+	nbr   [][]int32       // contention rows; nil until computed
+
+	// Per-vertex marks for contenders (all false between calls) and its
+	// scratch. Rows are copied into the unused tail, arena, of chunks;
+	// chunks[chunk:] are free.
 	mark    []bool
 	scratch []int32
 	arena   []int32
+	chunks  [][]int32
+	chunk   int
+	e       enumerator
 }
 
-// rowChunk is the length of each chunk of the rows' arena.
-const rowChunk = 1024
+// arenaChunk is the length of each chunk of the arena that contention
+// rows are carved from.
+const arenaChunk = 1024
 
-func newLinkGraph(topo *topology.Topology) *linkGraph {
-	links := undirectedLinks(topo)
-	return &linkGraph{
-		topo:     topo,
-		links:    links,
-		incident: incidentLists(topo.NumNodes(), links),
-		mark:     make([]bool, len(links)),
-		nbr:      make([][]int32, len(links)),
+// vertex returns the vertex of the link between n and its k-th neighbor,
+// numbering it when first seen; first is topo.FirstLink(n).
+func (g *linkGraph) vertex(n topology.NodeID, k, first int) int32 {
+	if v := g.id[first+k]; v > 0 {
+		return v - 1
 	}
+	x := g.topo.Neighbors(n)[k]
+	v := int32(len(g.links))
+	g.links = append(g.links, topology.Link{From: n, To: x}.Undirected())
+	g.nbr = append(g.nbr, nil)
+	g.mark = append(g.mark, false)
+	g.id[first+k] = v + 1
+	g.id[g.topo.LinkIndex(x, n)] = v + 1
+	return v
 }
 
-// row returns link i's contention row, computing it on first use. Rows
+// vertexOf returns the vertex of link l (either direction), numbering it
+// when first seen, or -1 when l is not a link of the topology.
+func (g *linkGraph) vertexOf(l topology.Link) int32 {
+	d := g.topo.LinkIndex(l.From, l.To)
+	if d < 0 {
+		return -1
+	}
+	first := g.topo.FirstLink(l.From)
+	return g.vertex(l.From, d-first, first)
+}
+
+// row returns vertex i's contention row, computing it on first use. Rows
 // are capped windows of arena chunks, and an empty row is non-nil.
 func (g *linkGraph) row(i int32) []int32 {
 	if g.nbr[i] == nil {
-		g.scratch = contentionNeighbors(g.scratch[:0], g.topo, g.links, g.incident, int(i), g.mark)
-		if g.arena == nil || len(g.arena) < len(g.scratch) {
-			g.arena = make([]int32, max(len(g.scratch), rowChunk))
+		g.scratch = g.contenders(g.scratch[:0], i)
+		if len(g.arena) < len(g.scratch) {
+			if g.chunk == len(g.chunks) || len(g.chunks[g.chunk]) < len(g.scratch) {
+				g.chunks = slices.Insert(g.chunks, g.chunk, make([]int32, max(len(g.scratch), arenaChunk)))
+			}
+			g.arena = g.chunks[g.chunk]
+			g.chunk++
 		}
 		k := copy(g.arena, g.scratch)
 		g.nbr[i], g.arena = g.arena[:k:k], g.arena[k:]
@@ -152,90 +254,67 @@ func (g *linkGraph) row(i int32) []int32 {
 	return g.nbr[i]
 }
 
-// rooted calls emit with every clique that holds a link of roots (link
-// indices, each once; isRoot marks them), once each, from its smallest
-// root link: Bron–Kerbosch is rooted at each root link a, over a's
-// contention neighborhood N(a) with the smaller root links in X.
-// Maximality inside {a} ∪ N(a) is maximality in the graph, since any
-// extender contends with a. The order of roots only orders the output.
-func (g *linkGraph) rooted(roots []int32, isRoot []bool, emit func(*Clique)) {
-	var e enumerator
-	report := func(r []int32) { emit(cliqueFromIndices32(g.links, r)) }
-	for _, a := range roots {
-		for _, w := range g.row(a) {
-			g.row(w) // the search reads every neighbor's row
-		}
-		e.root(g.nbr, a, func(w int32) bool { return isRoot[w] && w < a }, report)
-	}
-}
-
-// undirectedLinks returns each undirected link once, in canonical
-// ascending (From, To) order. Radio ranges are symmetric, so every
-// undirected edge appears in topo.Links() in both directions and the
-// (From < To) filter keeps exactly one.
-func undirectedLinks(topo *topology.Topology) []topology.Link {
-	links := make([]topology.Link, 0, topo.NumLinks()/2)
-	for _, l := range topo.Links() {
-		if l.From < l.To {
-			links = append(links, l)
-		}
-	}
-	return links
-}
-
-// incidentLists maps each node to the ascending indices (into links) of
-// the undirected links touching it. The lists are windows of one array.
-func incidentLists(numNodes int, links []topology.Link) [][]int32 {
-	deg := make([]int32, numNodes)
-	for _, l := range links {
-		deg[l.From]++
-		deg[l.To]++
-	}
-	flat := make([]int32, 2*len(links))
-	incident := make([][]int32, numNodes)
-	at := 0
-	for v, d := range deg {
-		incident[v] = flat[at : at : at+int(d)]
-		at += int(d)
-	}
-	for i, l := range links {
-		incident[l.From] = append(incident[l.From], int32(i))
-		incident[l.To] = append(incident[l.To], int32(i))
-	}
-	return incident
-}
-
-// contentionNeighbors appends to out the sorted indices of every link
-// contending with links[i]. Two links contend when they share a node or
-// have endpoints within CS range, so the contenders are exactly the links
-// incident to an endpoint of links[i] or to a CS neighbor of one: no scan
-// of the full link table and no pairwise test. mark is an all-false
-// scratch of len(links), restored before returning.
-func contentionNeighbors(out []int32, topo *topology.Topology, links []topology.Link, incident [][]int32, i int, mark []bool) []int32 {
-	l := links[i]
-	mark[i] = true // exclude self
-	consider := func(node topology.NodeID) {
-		for _, j := range incident[node] {
-			if !mark[j] {
-				mark[j] = true
-				out = append(out, j)
+// contenders appends to out the vertices of every link contending with
+// vertex i's, each once, in no particular order. Two links contend when
+// they share a node or have endpoints within CS range, so the contenders
+// are exactly the links at an endpoint of i's link or at a CS neighbor of
+// one: no scan of the full link table and no pairwise test.
+func (g *linkGraph) contenders(out []int32, i int32) []int32 {
+	l := g.links[i]
+	g.mark[i] = true // exclude self
+	consider := func(n topology.NodeID) {
+		first := g.topo.FirstLink(n)
+		for k := range g.topo.Neighbors(n) {
+			if v := g.vertex(n, k, first); !g.mark[v] {
+				g.mark[v] = true
+				out = append(out, v)
 			}
 		}
 	}
 	consider(l.From)
 	consider(l.To)
-	for _, v := range topo.CSNeighbors(l.From) {
+	for _, v := range g.topo.CSNeighbors(l.From) {
 		consider(v)
 	}
-	for _, v := range topo.CSNeighbors(l.To) {
+	for _, v := range g.topo.CSNeighbors(l.To) {
 		consider(v)
 	}
-	slices.Sort(out)
-	mark[i] = false
+	g.mark[i] = false
 	for _, j := range out {
-		mark[j] = false
+		g.mark[j] = false
 	}
 	return out
+}
+
+// rooted calls emit with every clique that holds a link of the vertices
+// below roots, once each, from its smallest such vertex: Bron–Kerbosch
+// is rooted at each root a, over a's contention neighborhood N(a) with
+// the smaller roots in X. Maximality inside {a} ∪ N(a) is maximality in
+// the graph, since any extender contends with a. emit receives the
+// clique's vertices and must not modify or retain them.
+func (g *linkGraph) rooted(roots int32, emit func([]int32)) {
+	for a := int32(0); a < roots; a++ {
+		for _, w := range g.row(a) {
+			g.row(w) // the search reads every neighbor's row
+		}
+		g.e.root(g.nbr, a, func(w int32) bool { return w < a }, emit)
+	}
+}
+
+// clique materializes a clique from its vertices, with the canonical
+// sorted link order.
+func (g *linkGraph) clique(r []int32) *Clique {
+	return &Clique{Links: g.sortedLinks(make([]topology.Link, 0, len(r)), r)}
+}
+
+// sortedLinks appends the links of vertices r to dst and sorts them
+// canonically.
+func (g *linkGraph) sortedLinks(dst []topology.Link, r []int32) []topology.Link {
+	for _, v := range r {
+		dst = append(dst, g.links[v])
+	}
+	slices.SortFunc(dst, compareLinks)
+	return dst
 }
 
 // maximalCliques enumerates every maximal clique of the graph given by
@@ -304,7 +383,7 @@ func maximalCliques(n int, adj [][]bool) [][]int {
 
 // maximalCliquesSparse enumerates the same maximal cliques as
 // maximalCliques (the dense differential oracle, TestSparseMatchesDense)
-// from sorted adjacency lists instead of a matrix. The outer loop visits
+// from adjacency lists instead of a matrix. The outer loop visits
 // vertices in degeneracy order and roots the search at each in turn: a
 // vertex's subproblem is confined to its neighborhood, with its earlier
 // neighbors excluded, so the cost tracks the graph's degeneracy (bounded
@@ -326,7 +405,8 @@ func maximalCliquesSparse(n int, nbr [][]int32) [][]int32 {
 // bitsets over that neighborhood: set intersections and the pivot's
 // neighbor counts are word operations. Buffers are reused across roots.
 type enumerator struct {
-	local []int32  // the root's neighbors, sorted: local index -> vertex
+	local []int32  // the root's neighbors: local index -> vertex
+	at    []int32  // per vertex: local index+1 while rooted, else 0
 	words int      // words per local bitset
 	adj   []uint64 // local adjacency, words per row
 	stack []uint64 // per depth: P, X and the candidates being expanded
@@ -335,11 +415,11 @@ type enumerator struct {
 	emit  func([]int32)
 }
 
-// root calls emit with every maximal clique of the graph nbr (sorted
-// adjacency rows) that contains v and no neighbor w of v with excluded(w)
-// — the cliques a search rooted at each excluded neighbor reports. The
-// rows of v and of each of its neighbors are read. emit must not modify
-// or retain its argument.
+// root calls emit with every maximal clique of the graph nbr (adjacency
+// rows, in any order) that contains v and no neighbor w of v with
+// excluded(w) — the cliques a search rooted at each excluded neighbor
+// reports. The rows of v and of each of its neighbors are read. emit must
+// not modify or retain its argument.
 func (e *enumerator) root(nbr [][]int32, v int32, excluded func(int32) bool, emit func([]int32)) {
 	local := nbr[v]
 	k := len(local)
@@ -347,20 +427,22 @@ func (e *enumerator) root(nbr [][]int32, v int32, excluded func(int32) bool, emi
 	e.local, e.words, e.emit = local, w, emit
 	e.adj = slices.Grow(e.adj[:0], k*w)[:k*w]
 	clear(e.adj)
+	if len(e.at) < len(nbr) {
+		e.at = append(e.at, make([]int32, len(nbr)-len(e.at))...)
+	}
 	for i, u := range local {
-		row, other := e.adj[i*w:(i+1)*w], nbr[u]
-		for a, b := 0, 0; a < len(other) && b < k; {
-			switch {
-			case other[a] == local[b]:
+		e.at[u] = int32(i) + 1
+	}
+	for i, u := range local {
+		row := e.adj[i*w : (i+1)*w]
+		for _, x := range nbr[u] {
+			if b := e.at[x] - 1; b >= 0 {
 				row[b>>6] |= 1 << (b & 63)
-				a++
-				b++
-			case other[a] < local[b]:
-				a++
-			default:
-				b++
 			}
 		}
+	}
+	for _, u := range local {
+		e.at[u] = 0
 	}
 	// A clique grows by at most one vertex per level, so k+1 levels of
 	// three sets suffice.
@@ -488,17 +570,6 @@ func degeneracyOrder(n int, nbr [][]int32) (order []int32, pos []int32) {
 	return order, pos
 }
 
-// cliqueFromIndices32 materializes a clique from vertex indices into the
-// link table, with the canonical sorted link order.
-func cliqueFromIndices32(links []topology.Link, r []int32) *Clique {
-	ls := make([]topology.Link, len(r))
-	for i, idx := range r {
-		ls[i] = links[idx]
-	}
-	slices.SortFunc(ls, compareLinks)
-	return &Clique{Links: ls}
-}
-
 // compareLinks orders links by (From, To), the canonical link order.
 func compareLinks(a, b topology.Link) int {
 	if c := cmp.Compare(a.From, b.From); c != 0 {
@@ -507,60 +578,201 @@ func compareLinks(a, b topology.Link) int {
 	return cmp.Compare(a.To, b.To)
 }
 
-// finish sorts the cliques into canonical order, assigns the §6.3
-// owner.seq identifiers, and indexes them by member link. Build, Update
-// and Holding all funnel through it, so identifier assignment is
-// identical for identical clique sets. An owner's cliques are adjacent in
-// canonical order (the owner is the first link's From), so a clique's
-// sequence number follows from its predecessor's. Every member link of a
-// clique of topo has a dense number, its directed link index; the index
-// counts each link's cliques, then lays every link's list out as one
-// window of a single array.
-func finish(topo *topology.Topology, out []*Clique) *Set {
-	slices.SortFunc(out, compareCliques)
-	count := make([]int32, topo.NumLinks())
-	pairs := 0
-	for i, c := range out {
+// compareIDs orders identifiers by owner, then sequence number: within
+// one set, the canonical clique order.
+func compareIDs(a, b ID) int {
+	if c := cmp.Compare(a.Owner, b.Owner); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// finish assembles a decomposition of topo from old's cliques, less those
+// of the dirty owners (dirty[owner]), and added: fresh cliques that make
+// up the dirty owners' complete new clique lists. Build and Holding pass
+// an empty old, every clique as added and a nil dirty. Every clique of
+// old that is not a clique of the result must have a dirty owner.
+//
+// Cliques are kept in canonical order and named by §6.3's owner.seq. An
+// owner's cliques are adjacent in canonical order (the owner is the first
+// link's From), so a clique's sequence number follows from its
+// predecessor's, and only added cliques need identifiers: a clean
+// owner's list, identifiers included, is old's. So added is sorted and
+// merged into old's clean cliques, whose values are shared. The by-link
+// index likewise shares old's list for every link that no dirty clique,
+// old or added, holds, and builds the rest from the link's added cliques
+// and its old list's clean ones.
+func (w *work) finish(old *Set, dirty []bool, added []*Clique) *Set {
+	topo := w.topo
+	slices.SortFunc(added, compareCliques)
+	for i, c := range added {
 		c.ID = ID{Owner: c.minNode()}
-		if i > 0 && out[i-1].ID.Owner == c.ID.Owner {
-			c.ID.Seq = out[i-1].ID.Seq + 1
+		if i > 0 && added[i-1].ID.Owner == c.ID.Owner {
+			c.ID.Seq = added[i-1].ID.Seq + 1
 		}
+	}
+	size := len(added)
+	for _, c := range old.cliques {
+		if !dirty[c.ID.Owner] {
+			size++
+		}
+	}
+	s := &Set{cliques: make([]*Clique, 0, size)}
+	i := 0
+	for _, c := range old.cliques {
+		if dirty[c.ID.Owner] {
+			continue
+		}
+		for ; i < len(added) && added[i].ID.Owner < c.ID.Owner; i++ {
+			s.cliques = append(s.cliques, added[i])
+		}
+		s.cliques = append(s.cliques, c)
+	}
+	s.cliques = append(s.cliques, added[i:]...)
+
+	// Every link that a dirty clique holds is redone, keyed by its dense
+	// directed index; count tallies its added cliques. A link of a
+	// dropped clique that topo no longer has needs no list.
+	w.count = zeroed(w.count, topo.NumLinks())
+	w.redo = zeroed(w.redo, topo.NumLinks())
+	count, redo := w.count, w.redo
+	pairs := 0
+	for _, c := range added {
 		for _, l := range c.Links {
-			count[topo.LinkIndex(l.From, l.To)]++
+			idx := topo.LinkIndex(l.From, l.To)
+			count[idx]++
+			redo[idx] = true
 		}
 		pairs += len(c.Links)
 	}
-	distinct := 0
-	for _, k := range count {
-		if k > 0 {
-			distinct++
+	for _, c := range old.cliques {
+		if dirty[c.ID.Owner] {
+			for _, l := range c.Links {
+				if idx := topo.LinkIndex(l.From, l.To); idx >= 0 {
+					redo[idx] = true
+				}
+			}
 		}
 	}
-	s := &Set{
-		cliques: out,
-		links:   make([]topology.Link, 0, distinct),
-		start:   make([]int32, 0, distinct+1),
-		of:      make([]*Clique, pairs),
+	redone := 0
+	for _, r := range redo {
+		if r {
+			redone++
+		}
 	}
-	// count becomes each link's fill position.
+	// Each link's added cliques, in canonical order, form one window of
+	// byLink: count becomes the window's start, and after the fill its
+	// end. A set built from nothing (Build, Holding) takes the windows as
+	// its lists and keeps the index as gathered. Update, which carries
+	// old over, gathers both in w's buffers and copies each rebuilt list
+	// and the index out at their sizes: its lists outlive many epochs,
+	// and a list kept from a shared array would keep the whole array
+	// alive, epoch after epoch.
+	carry := len(old.cliques) > 0
+	var byLink []*Clique
+	var links []topology.Link
+	var of [][]*Clique
+	if carry {
+		byLink = slices.Grow(w.byLink[:0], pairs)[:pairs]
+		links = slices.Grow(w.indexLinks[:0], len(old.links)+redone)
+		of = slices.Grow(w.indexOf[:0], len(old.links)+redone)
+	} else {
+		byLink = make([]*Clique, pairs)
+		links = make([]topology.Link, 0, redone)
+		of = make([][]*Clique, 0, redone)
+	}
 	at := int32(0)
 	for idx, k := range count {
 		if k > 0 {
-			s.links = append(s.links, topo.LinkAt(idx))
-			s.start = append(s.start, at)
 			count[idx] = at
 			at += k
 		}
 	}
-	s.start = append(s.start, at)
-	for _, c := range out {
+	for _, c := range added {
 		for _, l := range c.Links {
 			idx := topo.LinkIndex(l.From, l.To)
-			s.of[count[idx]] = c
+			byLink[count[idx]] = c
 			count[idx]++
 		}
 	}
+
+	// Walk old's links and the redone ones in canonical order. An old
+	// link that is not redone keeps its list; a redone one gets its old
+	// list's clean cliques merged with its added ones.
+	// keep carries over old's link j, whose list no dirty clique is on.
+	// If topo no longer has the link, every clique on it was dropped and
+	// its first clique's owner is dirty.
+	keep := func(j int) {
+		if !dirty[old.of[j][0].ID.Owner] {
+			links = append(links, old.links[j])
+			of = append(of, old.of[j])
+		}
+	}
+	j, lo := 0, int32(0)
+	for idx, r := range redo {
+		if !r {
+			continue
+		}
+		l := topo.LinkAt(idx)
+		for ; j < len(old.links) && compareLinks(old.links[j], l) < 0; j++ {
+			keep(j)
+		}
+		var prev []*Clique
+		if j < len(old.links) && old.links[j] == l {
+			prev = old.of[j]
+			j++
+		}
+		var fresh []*Clique
+		if hi := count[idx]; hi > 0 {
+			fresh, lo = byLink[lo:hi:hi], hi
+		}
+		list := fresh
+		if carry {
+			list = merge(prev, fresh, dirty)
+		}
+		if len(list) > 0 {
+			links = append(links, l)
+			of = append(of, list)
+		}
+	}
+	for ; j < len(old.links); j++ {
+		keep(j)
+	}
+	if !carry {
+		s.links, s.of = links, of
+		return s
+	}
+	s.links, s.of = slices.Clone(links), slices.Clone(of)
+	// w must not keep the cliques alive.
+	clear(of)
+	clear(byLink)
+	w.byLink, w.indexLinks, w.indexOf = byLink, links, of
 	return s
+}
+
+// merge returns a new list of the cliques of prev with clean owners and
+// of fresh, each in canonical order, merged; nil when there are none.
+func merge(prev, fresh []*Clique, dirty []bool) []*Clique {
+	n := len(fresh)
+	for _, c := range prev {
+		if !dirty[c.ID.Owner] {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	list := make([]*Clique, 0, n)
+	for _, c := range prev {
+		if dirty[c.ID.Owner] {
+			continue
+		}
+		for ; len(fresh) > 0 && compareIDs(fresh[0].ID, c.ID) < 0; fresh = fresh[1:] {
+			list = append(list, fresh[0])
+		}
+		list = append(list, c)
+	}
+	return append(list, fresh...)
 }
 
 // compareCliques orders cliques canonically: by their sorted link lists,
@@ -572,14 +784,14 @@ func compareCliques(a, b *Clique) int {
 // All returns every proper contention clique.
 func (s *Set) All() []*Clique { return s.cliques }
 
-// Of returns the cliques that contain the (undirected) link l. A
-// bandwidth-saturated link always belongs to at least one of these (§3.3).
-// O(log links).
+// Of returns the cliques that contain the (undirected) link l, in
+// canonical order. A bandwidth-saturated link always belongs to at least
+// one of these (§3.3). O(log links). The slice is shared; callers must
+// not modify it.
 func (s *Set) Of(l topology.Link) []*Clique {
 	i, ok := slices.BinarySearchFunc(s.links, l.Undirected(), compareLinks)
 	if !ok {
 		return nil
 	}
-	lo, hi := s.start[i], s.start[i+1]
-	return s.of[lo:hi:hi]
+	return s.of[i]
 }

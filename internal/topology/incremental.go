@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -10,15 +11,23 @@ import (
 
 // Diff records what one MoveNodes call changed. The session hands
 // OldLinks to the radio medium, whose airtime ledger is indexed by dense
-// link number, and Touched to the incremental clique updater.
+// link number, and Cover to the incremental clique updater.
 type Diff struct {
 	// Moved lists the nodes whose positions changed, ascending.
 	Moved []NodeID
 	// Touched lists the movers whose Tx or carrier-sense neighbor list
 	// changed, ascending; Touched ⊆ Moved. Every node pair whose Tx or
-	// CS adjacency flipped has an endpoint in Touched, so it covers the
-	// change for clique.Update.
+	// CS adjacency flipped has both endpoints' lists changed, so each
+	// mover on a flipped pair is touched.
 	Touched []NodeID
+	// Cover is a vertex cover of the flipped pairs, ascending: every
+	// node pair whose Tx or CS adjacency flipped has an endpoint in
+	// Cover, and Cover ⊆ Touched. It is built greedily from the movers,
+	// taking the one on the most uncovered flipped pairs, ties to the
+	// lower ID, so equal moves give equal covers. When every node moves,
+	// each flipped pair has both ends in Touched and Cover holds about
+	// half as many nodes; clique.Update costs what its node set covers.
+	Cover []NodeID
 	// OldLinks is the dense directed-link slice as it was before the
 	// update. Dense per-link state recorded under the old indices must be
 	// re-keyed through these Link values into the new index space.
@@ -38,6 +47,24 @@ func (d *Diff) Changed() bool { return len(d.Touched) > 0 }
 // went stale.
 func (t *Topology) Version() uint64 { return t.version }
 
+// moveScratch is MoveNodes' working memory, allocated by the first call
+// and reused by every later one.
+type moveScratch struct {
+	isMover []bool
+	near    []int32  // grid candidates
+	tx, cs  []NodeID // a mover's recomputed lists
+	added   []NodeID
+	removed []NodeID
+	flipped []nodePair
+	onPairs []int32 // per node: uncovered flipped pairs, while covering
+	// spare is the link slice before the last renumbering, whose
+	// backing array the next renumbering fills.
+	spare []Link
+}
+
+// nodePair is an unordered node pair, stored low ID first.
+type nodePair struct{ a, b NodeID }
+
 // MoveNodes updates the positions of the given nodes in place and
 // incrementally repairs every derived structure — Tx/CS neighbor lists,
 // the dense directed-link index and the spatial grid — without the
@@ -52,15 +79,30 @@ func (t *Topology) Version() uint64 { return t.version }
 // MoveNodes calls the mutated topology is deep-equal to New on the final
 // positions (enforced by TestIncrementalMatchesRebuild).
 //
-// Slices handed out before the call (Neighbors, CSNeighbors, Links) are
-// never mutated: every changed list is replaced with a fresh slice, so
-// old snapshots — including Diff.OldLinks — stay valid.
+// Neighbor lists handed out before the call (Neighbors, CSNeighbors)
+// are never mutated: a changed list is replaced with a fresh slice, and
+// a mover whose lists did not change keeps its slices. The link slice
+// is double-buffered: a slice from Links stays valid through the next
+// MoveNodes call, so a Diff's OldLinks stays valid until the call after,
+// and a later call that renumbers the links may overwrite it. Apart from
+// the returned Diff and the changed lists, a call allocates only when a
+// buffer must grow.
 func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error) {
 	if len(moved) != len(newPos) {
 		return nil, fmt.Errorf("topology: %d moved nodes but %d positions", len(moved), len(newPos))
 	}
-	n := len(t.pos)
-	isMover := make([]bool, n)
+	if t.move == nil {
+		t.move = &moveScratch{isMover: make([]bool, len(t.pos)), onPairs: make([]int32, len(t.pos))}
+	}
+	sc := t.move
+	isMover := sc.isMover
+	defer func() {
+		for _, m := range moved {
+			if t.Valid(m) {
+				isMover[m] = false
+			}
+		}
+	}()
 	for _, m := range moved {
 		if !t.Valid(m) {
 			return nil, fmt.Errorf("topology: moved node %d out of range", m)
@@ -71,22 +113,12 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		isMover[m] = true
 	}
 	diff := &Diff{
-		Moved:    append([]NodeID(nil), moved...),
+		Moved:    slices.Clone(moved),
 		OldLinks: t.links,
 	}
-	sort.Slice(diff.Moved, func(i, j int) bool { return diff.Moved[i] < diff.Moved[j] })
+	slices.Sort(diff.Moved)
 	if len(moved) == 0 {
 		return diff, nil
-	}
-
-	// Snapshot the movers' old neighbor lists before touching anything:
-	// they drive the edge diffs.
-	sameRange := t.cfg.CSRange == t.cfg.TxRange
-	oldTx := make([][]NodeID, len(diff.Moved))
-	oldCS := make([][]NodeID, len(diff.Moved))
-	for i, m := range diff.Moved {
-		oldTx[i] = t.neighbors[m]
-		oldCS[i] = t.csNeighbors[m]
 	}
 	for i, m := range moved {
 		t.pos[m] = newPos[i]
@@ -95,112 +127,174 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		}
 	}
 
-	// Recompute each mover's neighbor lists. With a grid (every topology
-	// built by New) the candidates come from the CSRange-sized cells
-	// around the mover's new position — O(density) per mover; all grid
-	// buckets were brought current above, so mover–mover edges resolve
-	// against new positions on both sides, exactly as the scan does.
-	// Grid-less topologies (the brute-force oracle path) fall back to
-	// one O(N) scan per mover.
-	newTx := make([][]NodeID, len(diff.Moved))
-	newCS := make([][]NodeID, len(diff.Moved))
-	var buf []int32
-	for i, m := range diff.Moved {
-		var tx, cs []NodeID
+	// Recompute each mover's neighbor lists into scratch. With a grid
+	// (every topology built by New) the candidates come from the
+	// CSRange-sized cells around the mover's new position — O(density)
+	// per mover; all grid buckets were brought current above, so
+	// mover–mover edges resolve against new positions on both sides,
+	// exactly as the scan does. Grid-less topologies (the brute-force
+	// oracle path) fall back to one O(N) scan per mover. A list that
+	// changed replaces the mover's and is spliced into its non-moving
+	// neighbors' lists; an unchanged one leaves both alone. With equal
+	// ranges the CS lists alias the Tx ones and follow them.
+	sameRange := t.cfg.CSRange == t.cfg.TxRange
+	linksChanged := false
+	sc.flipped = sc.flipped[:0]
+	for _, m := range diff.Moved {
+		sc.tx, sc.cs = sc.tx[:0], sc.cs[:0]
 		scan := func(j NodeID) {
 			if j == m {
 				return
 			}
 			if geom.WithinRange(t.pos[m], t.pos[j], t.cfg.TxRange) {
-				tx = append(tx, j)
+				sc.tx = append(sc.tx, j)
 			}
 			if !sameRange && geom.WithinRange(t.pos[m], t.pos[j], t.cfg.CSRange) {
-				cs = append(cs, j)
+				sc.cs = append(sc.cs, j)
 			}
 		}
 		if t.grid != nil {
-			buf = t.grid.Near(t.pos[m], t.cfg.CSRange, buf[:0])
-			for _, jj := range buf {
+			sc.near = t.grid.Near(t.pos[m], t.cfg.CSRange, sc.near[:0])
+			for _, jj := range sc.near {
 				scan(NodeID(jj))
 			}
 			// The grid returns candidates in bucket order; sort the
 			// filtered lists into the ascending order the scan yields.
-			slices.Sort(tx)
-			slices.Sort(cs)
+			slices.Sort(sc.tx)
+			slices.Sort(sc.cs)
 		} else {
-			for j := 0; j < n; j++ {
+			for j := range t.pos {
 				scan(NodeID(j))
 			}
 		}
-		newTx[i] = tx
-		if sameRange {
-			newCS[i] = tx
-		} else {
-			newCS[i] = cs
+		touched := t.replaceList(t.neighbors, m, sc.tx)
+		linksChanged = linksChanged || touched
+		if !sameRange && t.replaceList(t.csNeighbors, m, sc.cs) {
+			touched = true
 		}
-	}
-
-	// Splice each mover into or out of its non-moving neighbors' sorted
-	// lists; the movers' own lists are replaced wholesale below. A mover
-	// is touched when either of its own lists changed, which every
-	// flipped pair — a mover at one end — reports. With equal ranges the
-	// CS lists alias the Tx ones and are already up to date.
-	touched := make([]bool, len(diff.Moved))
-	linksChanged := false
-	for i, m := range diff.Moved {
-		touched[i] = splice(t.neighbors, m, oldTx[i], newTx[i], isMover)
-		linksChanged = linksChanged || touched[i]
-	}
-	if !sameRange {
-		for i, m := range diff.Moved {
-			if splice(t.csNeighbors, m, oldCS[i], newCS[i], isMover) {
-				touched[i] = true
-			}
-		}
-	}
-	// Install the movers' fresh lists. With equal ranges the outer
-	// csNeighbors slice is the same object as neighbors, so the element
-	// assignment keeps the alias intact.
-	for i, m := range diff.Moved {
-		t.neighbors[m] = newTx[i]
-		if !sameRange {
-			t.csNeighbors[m] = newCS[i]
-		}
-		if touched[i] {
+		if touched {
 			diff.Touched = append(diff.Touched, m)
 		}
 	}
 	if diff.Changed() {
 		t.version++
+		diff.Cover = sc.cover()
 	}
 
 	if linksChanged {
-		t.indexLinks() // a fresh slice: Diff.OldLinks stays intact
+		// Fill the spare buffer: the links before the last renumbering,
+		// which only the last call's Diff still names.
+		t.links, sc.spare = t.renumberLinks(sc.spare), t.links
 	}
 	return diff, nil
 }
 
-// splice patches the lists of m's non-moving neighbors after m's own list
-// went from old to cur, and reports whether it changed. A mover's list is
-// recomputed whole, so mover–mover pairs need no patch.
-func splice(lists [][]NodeID, m NodeID, old, cur []NodeID, isMover []bool) bool {
-	added, removed := diffSorted(old, cur)
-	for _, x := range added {
-		if !isMover[x] {
+// replaceList installs cur (sorted scratch) as m's list in lists when it
+// differs from the current one, splices m into or out of its non-moving
+// neighbors' lists, records the flipped pairs, and reports whether the
+// list changed. A mover's list is recomputed whole, so mover–mover pairs
+// need no splice.
+func (t *Topology) replaceList(lists [][]NodeID, m NodeID, cur []NodeID) bool {
+	sc := t.move
+	sc.added, sc.removed = diffSorted(sc.added[:0], sc.removed[:0], lists[m], cur)
+	if len(sc.added) == 0 && len(sc.removed) == 0 {
+		return false
+	}
+	for _, x := range sc.added {
+		if !sc.isMover[x] {
 			lists[x] = insertID(lists[x], m)
 		}
+		sc.flipped = append(sc.flipped, orderedPair(m, x))
 	}
-	for _, x := range removed {
-		if !isMover[x] {
+	for _, x := range sc.removed {
+		if !sc.isMover[x] {
 			lists[x] = removeID(lists[x], m)
 		}
+		sc.flipped = append(sc.flipped, orderedPair(m, x))
 	}
-	return len(added) > 0 || len(removed) > 0
+	lists[m] = copyIDs(cur)
+	return true
 }
 
-// diffSorted returns the elements of b not in a (added) and of a not in b
-// (removed). Both inputs are sorted ascending.
-func diffSorted(a, b []NodeID) (added, removed []NodeID) {
+func orderedPair(a, b NodeID) nodePair {
+	if a > b {
+		a, b = b, a
+	}
+	return nodePair{a, b}
+}
+
+// cover returns a vertex cover of the flipped pairs, ascending, drawn
+// from the movers: repeatedly the mover on the most uncovered pairs,
+// ties to the lower ID. Every flipped pair has a mover at one end, so
+// the loop ends with all of them covered.
+func (sc *moveScratch) cover() []NodeID {
+	pairs := sc.flipped
+	// A pair that flipped in both lists, or between two movers, was
+	// recorded more than once.
+	slices.SortFunc(pairs, func(p, q nodePair) int {
+		if c := cmp.Compare(p.a, q.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.b, q.b)
+	})
+	pairs = slices.Compact(pairs)
+	for _, p := range pairs {
+		sc.onPairs[p.a]++
+		sc.onPairs[p.b]++
+	}
+	var out []NodeID
+	for len(pairs) > 0 {
+		best := NodeID(-1)
+		for _, p := range pairs {
+			for _, v := range [2]NodeID{p.a, p.b} {
+				if sc.isMover[v] && (best < 0 || sc.onPairs[v] > sc.onPairs[best] || (sc.onPairs[v] == sc.onPairs[best] && v < best)) {
+					best = v
+				}
+			}
+		}
+		out = append(out, best)
+		// best's pairs are covered: drop them from the counts and from
+		// the uncovered ones.
+		uncovered := pairs[:0]
+		for _, p := range pairs {
+			if p.a == best || p.b == best {
+				sc.onPairs[p.a]--
+				sc.onPairs[p.b]--
+			} else {
+				uncovered = append(uncovered, p)
+			}
+		}
+		pairs = uncovered
+	}
+	slices.Sort(out)
+	return out
+}
+
+// renumberLinks numbers the directed links densely from the Tx lists, in
+// O(N + L), into buf's backing array (a fresh one when buf is short),
+// and rewrites linkBase in place.
+func (t *Topology) renumberLinks(buf []Link) []Link {
+	total := 0
+	for i, nb := range t.neighbors {
+		t.linkBase[i] = total
+		total += len(nb)
+	}
+	t.linkBase[len(t.neighbors)] = total
+	if cap(buf) < total {
+		buf = make([]Link, 0, total)
+	}
+	links := buf[:0]
+	for i, nb := range t.neighbors {
+		for _, j := range nb {
+			links = append(links, Link{From: NodeID(i), To: j})
+		}
+	}
+	return links
+}
+
+// diffSorted appends to added the elements of b not in a and to removed
+// those of a not in b. Both inputs are sorted ascending.
+func diffSorted(added, removed, a, b []NodeID) ([]NodeID, []NodeID) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

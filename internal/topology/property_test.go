@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -233,6 +234,92 @@ func TestDiffTouchedCovers(t *testing.T) {
 			if changed == 0 || changed == 40 {
 				t.Fatalf("csFactor %v trial %d: %d of 40 steps changed adjacency; want a mix", csFactor, trial, changed)
 			}
+		}
+	}
+}
+
+// TestDiffCoverCovers checks Diff.Cover, the node set the session hands
+// clique.Update, over random motion with equal and widened carrier-sense
+// ranges: every node pair whose Tx or CS adjacency flipped has an
+// endpoint in Cover; Cover is ascending and a subset of Touched, empty
+// exactly when nothing changed; and a twin topology given the same moves
+// reports the same Cover. Every other step moves every node, as the
+// random walk does, where each flipped pair has both ends touched and
+// the cover must come out smaller than Touched.
+func TestDiffCoverCovers(t *testing.T) {
+	for _, csFactor := range []float64{1, 1.7} {
+		rng := rand.New(rand.NewSource(12))
+		coverAll, touchedAll := 0, 0
+		for trial := 0; trial < 10; trial++ {
+			n := 10 + rng.Intn(30)
+			topo, pts := randomTopo(rng, n, 1000, 250, csFactor)
+			twin := MustNew(pts, topo.Config())
+			for step := 0; step < 40; step++ {
+				before := make([][2]bool, n*n)
+				for a := 0; a < n; a++ {
+					for b := 0; b < n; b++ {
+						before[a*n+b] = [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
+					}
+				}
+				var moved []NodeID
+				var np []geom.Point
+				everyone := step%2 == 1
+				if everyone {
+					for v := range pts {
+						pts[v] = geom.Point{
+							X: clampF(pts[v].X+(rng.Float64()-0.5)*80, 0, 1000),
+							Y: clampF(pts[v].Y+(rng.Float64()-0.5)*80, 0, 1000),
+						}
+						moved = append(moved, NodeID(v))
+						np = append(np, pts[v])
+					}
+				} else {
+					moved, np = mutate(rng, pts, 1000, 1000)
+				}
+				diff, err := topo.MoveNodes(moved, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rerun, err := twin.MoveNodes(moved, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := func() string {
+					return fmt.Sprintf("csFactor %v trial %d step %d", csFactor, trial, step)
+				}
+				if !slices.Equal(diff.Cover, rerun.Cover) {
+					t.Fatalf("%s: Cover %v, twin's %v", where(), diff.Cover, rerun.Cover)
+				}
+				if !slices.IsSorted(diff.Cover) || len(slices.Compact(slices.Clone(diff.Cover))) != len(diff.Cover) {
+					t.Fatalf("%s: Cover %v not strictly ascending", where(), diff.Cover)
+				}
+				inCover := make([]bool, n)
+				for _, v := range diff.Cover {
+					if _, ok := slices.BinarySearch(diff.Touched, v); !ok {
+						t.Fatalf("%s: cover node %d not touched (%v)", where(), v, diff.Touched)
+					}
+					inCover[v] = true
+				}
+				if diff.Changed() != (len(diff.Cover) > 0) {
+					t.Fatalf("%s: Changed() = %v with Cover %v", where(), diff.Changed(), diff.Cover)
+				}
+				for a := 0; a < n; a++ {
+					for b := a + 1; b < n; b++ {
+						now := [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
+						if now != before[a*n+b] && !inCover[a] && !inCover[b] {
+							t.Fatalf("%s: pair (%d,%d) flipped with neither endpoint in Cover %v", where(), a, b, diff.Cover)
+						}
+					}
+				}
+				if everyone {
+					coverAll += len(diff.Cover)
+					touchedAll += len(diff.Touched)
+				}
+			}
+		}
+		t.Logf("csFactor %v: all-mover steps covered by %d nodes against %d touched", csFactor, coverAll, touchedAll)
+		if coverAll >= touchedAll {
+			t.Errorf("csFactor %v: all-mover covers hold %d nodes, not fewer than the %d touched", csFactor, coverAll, touchedAll)
 		}
 	}
 }

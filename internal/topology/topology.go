@@ -91,6 +91,9 @@ type Topology struct {
 
 	// version counts the MoveNodes calls that changed adjacency.
 	version uint64
+
+	// move is MoveNodes' scratch; nil until the first call.
+	move *moveScratch
 }
 
 // ErrNoNodes is returned when constructing a topology with no nodes.
@@ -194,25 +197,8 @@ func build(positions []geom.Point, cfg Config, useGrid bool) (*Topology, error) 
 	}
 
 	t.linkBase = make([]int, n+1)
-	t.indexLinks()
+	t.links = t.renumberLinks(nil)
 	return t, nil
-}
-
-// indexLinks numbers the directed links densely from the Tx lists, in
-// O(N + L), into a fresh links slice.
-func (t *Topology) indexLinks() {
-	total := 0
-	for i, nb := range t.neighbors {
-		t.linkBase[i] = total
-		total += len(nb)
-	}
-	t.linkBase[len(t.neighbors)] = total
-	t.links = make([]Link, 0, total)
-	for i, nb := range t.neighbors {
-		for _, j := range nb {
-			t.links = append(t.links, Link{From: NodeID(i), To: j})
-		}
-	}
 }
 
 // copyIDs returns an exact-size copy of ids, nil when empty (neighbor
@@ -280,11 +266,16 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 
 // Links returns every directed link in the network, in dense-index
 // order: ascending From, then ascending To. The returned slice is
-// shared; callers must not modify it.
+// shared; callers must not modify it, and it stays valid through the
+// next MoveNodes call only (MoveNodes documents the double buffer).
 func (t *Topology) Links() []Link { return t.links }
 
 // LinkAt returns the directed link with dense index idx.
 func (t *Topology) LinkAt(idx int) Link { return t.links[idx] }
+
+// FirstLink returns the dense index of n's first outgoing link: the link
+// from n to Neighbors(n)[k] has index FirstLink(n)+k.
+func (t *Topology) FirstLink(n NodeID) int { return t.linkBase[n] }
 
 // LinkIndex returns the dense index of the directed link from→to, or -1
 // when the nodes are not within transmission range. O(log degree).
