@@ -38,7 +38,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite determinism-gate g
 // a random-walk grid with a node crash, three churn runs (GMP with
 // admission, a diurnal mesh, 2PP's per-flow queues without admission),
 // and the §6 per-node runtime (gmp-dist) on the out-of-band bus, with
-// in-band broadcasts, and under churn without admission. Durations are
+// in-band broadcasts, under churn without admission, and on a
+// random-walk grid, where every changing epoch hands the agents a new
+// decomposition. Durations are
 // shorter than the paper sessions so the gate stays fast; determinism
 // does not depend on session length.
 func gateCases(t *testing.T) []struct {
@@ -190,6 +192,17 @@ func gateCases(t *testing.T) []struct {
 				Process: ChurnPoisson,
 				Rate:    0.2,
 				Matrix:  ChurnRandom,
+			},
+		})},
+		{"mob_walk_grid_gmpdist", short(Config{
+			Scenario: mobGrid,
+			Protocol: ProtocolGMPDistributed,
+			// mob_churn_grid_gmp's random walk, on the out-of-band bus.
+			Mobility: &MobilityConfig{
+				Model:    MobilityRandomWalk,
+				Epoch:    time.Second,
+				MinSpeed: 1, MaxSpeed: 5,
+				MinX: 0, MaxX: 400, MinY: 0, MaxY: 400,
 			},
 		})},
 	}
