@@ -762,9 +762,9 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 //
 //	go test -run '^$' -bench MobilityEpoch -benchtime 2x .
 //
-// The clique rows compare Update given the full mover list, the touched
-// movers and the cover of the flipped pairs that RunContext passes, next
-// to the from-scratch Build. The routing rows compare the eager table
+// The clique rows compare Update given the full mover list and the
+// cover of the flipped pairs that RunContext passes, next to the
+// from-scratch Build. The routing rows compare the eager table
 // the benchmark's replay still times with the lazy table RunContext
 // installs, plus the rows of the city's flows.
 func BenchmarkMobilityEpoch(b *testing.B) {
@@ -806,9 +806,6 @@ func BenchmarkMobilityEpoch(b *testing.B) {
 		{"topology.MoveNodes", nil},
 		{"clique.Update/moved", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
 			return clique.Update(topo, cs, d.Moved)
-		}},
-		{"clique.Update/touched", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
-			return clique.Update(topo, cs, d.Touched)
 		}},
 		{"clique.Update/cover", func(topo *topology.Topology, cs *clique.Set, d *topology.Diff) *clique.Set {
 			return clique.Update(topo, cs, d.Cover)

@@ -381,6 +381,33 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit checks the request-size bound: a body one byte
+// over maxBodyBytes gets 413 with a message, while one of exactly
+// maxBodyBytes is read whole and judged on its content (an unknown
+// protocol, 400).
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	body := func(size int) string {
+		head, tail := `{"scenario_name":"fig3","protocol":"`, `"}`
+		return head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+	}
+	for size, want := range map[int]int{
+		maxBodyBytes:     http.StatusBadRequest,
+		maxBodyBytes + 1: http.StatusRequestEntityTooLarge,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body(size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != want || err != nil || msg.Error == "" {
+			t.Errorf("%d-byte body: status %d, error %.80q (%v), want %d with a message", size, resp.StatusCode, msg.Error, err, want)
+		}
+	}
+}
+
 // TestScenarioLabel checks that a job is named as it was submitted: by
 // its registry name, which for fig2-weighted differs from the name of
 // the scenario it builds, or by an inline scenario's own name.

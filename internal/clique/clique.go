@@ -64,48 +64,23 @@ type Set struct {
 	of    [][]*Clique
 }
 
-// Build enumerates every proper contention clique of the topology's links
-// using Bron–Kerbosch (degeneracy-ordered, with pivoting) on the
-// link-contention graph. Only links actually usable for routing (between
-// neighbors) participate. Each undirected link appears once.
-//
-// The contention graph is assembled sparsely: a link's possible
-// contenders are exactly the links incident to its endpoints' carrier-
-// sense neighborhoods (which the topology derives from its spatial
-// grid), so construction costs O(L·density²) rather than the all-pairs
-// O(L²). The dense-matrix enumerator is retained as the differential
-// oracle (TestSparseMatchesDense).
-func Build(topo *topology.Topology) *Set {
-	w := new(work).reset(topo)
-	g := &w.linkGraph
-	// The search covers the whole graph: number every link, in canonical
-	// order, and compute every row.
-	for n := range topo.NumNodes() {
-		from := topology.NodeID(n)
-		first := topo.FirstLink(from)
-		for k, x := range topo.Neighbors(from) {
-			if from < x {
-				g.vertex(from, k, first)
-			}
-		}
-	}
-	for i := range g.links {
-		g.row(int32(i))
-	}
-	var out []*Clique
-	for _, r := range maximalCliquesSparse(len(g.links), g.nbr) {
-		out = append(out, g.clique(r))
-	}
-	return w.finish(&Set{}, nil, out)
-}
+// Build enumerates every proper contention clique of the topology's
+// links: Holding over every link. Only links actually usable for routing
+// (between neighbors) participate, and each undirected link appears once.
+// TestBuildMatchesDense checks it against a dense Bron–Kerbosch over the
+// all-pairs contention matrix.
+func Build(topo *topology.Topology) *Set { return Holding(topo, topo.Links()) }
 
-// Holding returns the cliques of topo that hold at least one of links
-// (either direction; repeats and links outside topo are allowed): as link
-// lists, exactly the cliques of Build(topo) with such a link, in the same
-// relative order. Bron–Kerbosch is rooted only at those links, so only
-// their contention neighborhoods are searched. Identifiers rank within
-// the subset, so a clique's ID generally differs from its ID in
-// Build(topo); Of agrees with Build's for every given link.
+// Holding returns the proper contention cliques of topo that hold at
+// least one of links (either direction; repeats and links outside topo
+// are allowed), in canonical order. Bron–Kerbosch with pivoting is rooted
+// at each given link in turn, with the smaller ones excluded, over the
+// link-contention graph built on demand around them, so only their
+// contention neighborhoods are searched: a link's contenders are the
+// links at its endpoints and their carrier-sense neighbors, with no scan
+// of the link table. Identifiers rank within the subset, so a clique's ID
+// generally differs from its ID in Build(topo); Of agrees with Build's
+// for every given link.
 func Holding(topo *topology.Topology, links []topology.Link) *Set {
 	w := new(work).reset(topo)
 	g := &w.linkGraph
@@ -117,12 +92,12 @@ func Holding(topo *topology.Topology, links []topology.Link) *Set {
 	return w.finish(&Set{}, nil, out)
 }
 
-// work is the memory a Build, Holding or Update call works in: the
-// contention graph and the per-call arrays, none of which the result
-// holds. Update takes one from workPool and returns it, so the epochs of
-// a mobility session reuse one instead of allocating their own. Build
-// and Holding run once per topology, on a work of their own sized to it:
-// pooled, it would only keep their memory alive.
+// work is the memory a Holding or Update call works in: the contention
+// graph and the per-call arrays, none of which the result holds. Update
+// takes one from workPool and returns it, so the epochs of a mobility
+// session reuse one instead of allocating their own. Holding (and so
+// Build) runs once per topology, on a work of its own sized to it:
+// pooled, it would only keep its memory alive.
 type work struct {
 	linkGraph
 
@@ -317,89 +292,6 @@ func (g *linkGraph) sortedLinks(dst []topology.Link, r []int32) []topology.Link 
 	return dst
 }
 
-// maximalCliques enumerates every maximal clique of the graph given by
-// its adjacency matrix, using Bron–Kerbosch with pivoting.
-func maximalCliques(n int, adj [][]bool) [][]int {
-	var out [][]int
-	var bronKerbosch func(r, p, x []int)
-	bronKerbosch = func(r, p, x []int) {
-		if len(p) == 0 && len(x) == 0 {
-			if len(r) == 0 {
-				return // edge-free graph: nothing to emit
-			}
-			out = append(out, append([]int(nil), r...))
-			return
-		}
-		// Pivot: vertex of p ∪ x with most neighbors in p.
-		pivot, best := -1, -1
-		for _, v := range append(append([]int(nil), p...), x...) {
-			cnt := 0
-			for _, w := range p {
-				if adj[v][w] {
-					cnt++
-				}
-			}
-			if cnt > best {
-				best = cnt
-				pivot = v
-			}
-		}
-		var candidates []int
-		for _, v := range p {
-			if pivot == -1 || !adj[pivot][v] {
-				candidates = append(candidates, v)
-			}
-		}
-		for _, v := range candidates {
-			var np, nx []int
-			for _, w := range p {
-				if adj[v][w] {
-					np = append(np, w)
-				}
-			}
-			for _, w := range x {
-				if adj[v][w] {
-					nx = append(nx, w)
-				}
-			}
-			bronKerbosch(append(r, v), np, nx)
-			// Move v from p to x.
-			for i, w := range p {
-				if w == v {
-					p = append(p[:i], p[i+1:]...)
-					break
-				}
-			}
-			x = append(x, v)
-		}
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	bronKerbosch(nil, all, nil)
-	return out
-}
-
-// maximalCliquesSparse enumerates the same maximal cliques as
-// maximalCliques (the dense differential oracle, TestSparseMatchesDense)
-// from adjacency lists instead of a matrix. The outer loop visits
-// vertices in degeneracy order and roots the search at each in turn: a
-// vertex's subproblem is confined to its neighborhood, with its earlier
-// neighbors excluded, so the cost tracks the graph's degeneracy (bounded
-// by local density in geometric contention graphs) rather than its size.
-// Output order is unspecified; callers canonicalize via finish.
-func maximalCliquesSparse(n int, nbr [][]int32) [][]int32 {
-	var out [][]int32
-	emit := func(r []int32) { out = append(out, append([]int32(nil), r...)) }
-	order, pos := degeneracyOrder(n, nbr)
-	var e enumerator
-	for _, v := range order {
-		e.root(nbr, v, func(w int32) bool { return pos[w] < pos[v] }, emit)
-	}
-	return out
-}
-
 // enumerator runs Bron–Kerbosch with pivoting rooted at one vertex at a
 // time. The search never leaves the root's neighborhood, so it works on
 // bitsets over that neighborhood: set intersections and the pivot's
@@ -523,53 +415,6 @@ func isEmpty(s []uint64) bool {
 	return true
 }
 
-// degeneracyOrder returns a vertex order built by repeatedly removing a
-// minimum-residual-degree vertex (ties toward lower index), plus each
-// vertex's position in that order.
-func degeneracyOrder(n int, nbr [][]int32) (order []int32, pos []int32) {
-	deg := make([]int32, n)
-	maxDeg := 0
-	for v := range nbr {
-		deg[v] = int32(len(nbr[v]))
-		if len(nbr[v]) > maxDeg {
-			maxDeg = len(nbr[v])
-		}
-	}
-	// Bucket queue over residual degrees.
-	buckets := make([][]int32, maxDeg+1)
-	for v := n - 1; v >= 0; v-- {
-		buckets[deg[v]] = append(buckets[deg[v]], int32(v))
-	}
-	removed := make([]bool, n)
-	order = make([]int32, 0, n)
-	pos = make([]int32, n)
-	cur := 0
-	for len(order) < n {
-		if cur > 0 && len(buckets[cur-1]) > 0 {
-			cur-- // a neighbor removal may have exposed a lower bucket
-		}
-		for cur <= maxDeg && len(buckets[cur]) == 0 {
-			cur++
-		}
-		b := buckets[cur]
-		v := b[len(b)-1]
-		buckets[cur] = b[:len(b)-1]
-		if removed[v] || deg[v] != int32(cur) {
-			continue // stale bucket entry; v lives in a lower bucket now
-		}
-		removed[v] = true
-		pos[v] = int32(len(order))
-		order = append(order, v)
-		for _, w := range nbr[v] {
-			if !removed[w] {
-				deg[w]--
-				buckets[deg[w]] = append(buckets[deg[w]], w)
-			}
-		}
-	}
-	return order, pos
-}
-
 // compareLinks orders links by (From, To), the canonical link order.
 func compareLinks(a, b topology.Link) int {
 	if c := cmp.Compare(a.From, b.From); c != 0 {
@@ -589,8 +434,8 @@ func compareIDs(a, b ID) int {
 
 // finish assembles a decomposition of topo from old's cliques, less those
 // of the dirty owners (dirty[owner]), and added: fresh cliques that make
-// up the dirty owners' complete new clique lists. Build and Holding pass
-// an empty old, every clique as added and a nil dirty. Every clique of
+// up the dirty owners' complete new clique lists. Holding passes an
+// empty old, every clique as added and a nil dirty. Every clique of
 // old that is not a clique of the result must have a dirty owner.
 //
 // Cliques are kept in canonical order and named by §6.3's owner.seq. An
@@ -662,7 +507,7 @@ func (w *work) finish(old *Set, dirty []bool, added []*Clique) *Set {
 	}
 	// Each link's added cliques, in canonical order, form one window of
 	// byLink: count becomes the window's start, and after the fill its
-	// end. A set built from nothing (Build, Holding) takes the windows as
+	// end. A set built from nothing (Holding) takes the windows as
 	// its lists and keeps the index as gathered. Update, which carries
 	// old over, gathers both in w's buffers and copies each rebuilt list
 	// and the index out at their sizes: its lists outlive many epochs,

@@ -87,12 +87,10 @@ type Agent struct {
 	diss  *dissemination.Agent
 	board *measure.OccupancyBoard
 
-	// myCliques holds, per adjacent outgoing link, the cliques that
-	// contain it (precomputed from two-hop topology, §6.3).
-	myCliques map[topology.Link][]*clique.Clique
-	// cliqueByID resolves clique identifiers from violation messages;
-	// only cliques touching this node's two-hop neighborhood resolve.
-	cliqueByID map[clique.ID]*clique.Clique
+	// cliques is the decomposition the agent reads in place: the
+	// cliques of each adjacent link (§6.3), which are also the cliques a
+	// violation message's identifiers resolve to.
+	cliques *clique.Set
 
 	localFlows   []flow.Spec
 	localSources []*flow.Source
@@ -133,40 +131,22 @@ func NewAgent(id topology.NodeID, sched *sim.Scheduler, topo *topology.Topology,
 		return nil, fmt.Errorf("core: agent %d needs a request delivery path", id)
 	}
 	a := &Agent{
-		rules:      newRules(params),
-		id:         id,
-		sched:      sched,
-		topo:       topo,
-		node:       node,
-		diss:       diss,
-		board:      board,
-		myCliques:  make(map[topology.Link][]*clique.Clique),
-		cliqueByID: make(map[clique.ID]*clique.Clique),
-		deliver:    deliver,
-		lsdb:       make(map[topology.Link]linkStateRecord),
-		satdb:      make(map[measure.VNodeID]bool),
-		pending:    make(reqSet),
-		rates:      make(map[packet.FlowID]float64),
+		rules:   newRules(params),
+		id:      id,
+		sched:   sched,
+		topo:    topo,
+		node:    node,
+		diss:    diss,
+		board:   board,
+		cliques: cliques,
+		deliver: deliver,
+		lsdb:    make(map[topology.Link]linkStateRecord),
+		satdb:   make(map[measure.VNodeID]bool),
+		pending: make(reqSet),
+		rates:   make(map[packet.FlowID]float64),
 	}
-	a.RefreshCliques(cliques)
 	diss.SetUpdateHandler(a.onDissemination)
 	return a, nil
-}
-
-// RefreshCliques rebuilds the agent's local clique views — the cliques
-// owning each adjacent outgoing link and the identifier resolution map —
-// from a new decomposition after node motion changed the topology.
-func (a *Agent) RefreshCliques(cliques *clique.Set) {
-	a.myCliques = make(map[topology.Link][]*clique.Clique)
-	a.cliqueByID = make(map[clique.ID]*clique.Clique)
-	for _, nb := range a.topo.Neighbors(a.id) {
-		l := topology.Link{From: a.id, To: nb}
-		owners := cliques.Of(l)
-		a.myCliques[l] = owners
-		for _, c := range owners {
-			a.cliqueByID[c.ID] = c
-		}
-	}
 }
 
 // AttachLocalFlow registers a flow originating at this node.
@@ -375,7 +355,7 @@ func (a *Agent) testBandwidth() {
 		if !found {
 			continue
 		}
-		saturated, _, _ := a.saturatedCliques(a.myCliques[wl], func(l topology.Link) float64 {
+		saturated, _, _ := a.saturatedCliques(a.cliques.Of(wl), func(l topology.Link) float64 {
 			return a.occupancyOf(l) + a.occupancyOf(l.Reverse())
 		})
 		// Toppedness is judged with a doubled tolerance: the remote
@@ -451,8 +431,8 @@ func (a *Agent) onViolation(v violationMsg) {
 		a.diss.Broadcast(reflood, 2+len(v.Cliques))
 	}
 	for _, id := range v.Cliques {
-		c, ok := a.cliqueByID[id]
-		if !ok {
+		c := a.adjacentClique(id)
+		if c == nil {
 			continue // clique outside this node's two-hop knowledge
 		}
 		// The originator's L2 is a dissemination round stale, so exact
@@ -494,6 +474,19 @@ func (a *Agent) onViolation(v violationMsg) {
 	}
 }
 
+// adjacentClique resolves a clique identifier among the cliques of this
+// node's outgoing links, or returns nil.
+func (a *Agent) adjacentClique(id clique.ID) *clique.Clique {
+	for _, nb := range a.topo.Neighbors(a.id) {
+		for _, c := range a.cliques.Of(topology.Link{From: a.id, To: nb}) {
+			if c.ID == id {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
 // Distributed is the handle returned by StartDistributed.
 type Distributed struct {
 	Agents   []*Agent
@@ -532,11 +525,11 @@ func (d *Distributed) OnFlowDeparted(f packet.FlowID) {
 	delete(a.pending, f)
 }
 
-// SetCliques pushes a new clique decomposition to every agent after a
+// SetCliques hands every agent a new clique decomposition after a
 // topology change under mobility.
 func (d *Distributed) SetCliques(cliques *clique.Set) {
 	for _, a := range d.Agents {
-		a.RefreshCliques(cliques)
+		a.cliques = cliques
 	}
 }
 

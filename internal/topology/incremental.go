@@ -15,18 +15,15 @@ import (
 type Diff struct {
 	// Moved lists the nodes whose positions changed, ascending.
 	Moved []NodeID
-	// Touched lists the movers whose Tx or carrier-sense neighbor list
-	// changed, ascending; Touched ⊆ Moved. Every node pair whose Tx or
-	// CS adjacency flipped has both endpoints' lists changed, so each
-	// mover on a flipped pair is touched.
-	Touched []NodeID
 	// Cover is a vertex cover of the flipped pairs, ascending: every
 	// node pair whose Tx or CS adjacency flipped has an endpoint in
-	// Cover, and Cover ⊆ Touched. It is built greedily from the movers,
-	// taking the one on the most uncovered flipped pairs, ties to the
-	// lower ID, so equal moves give equal covers. When every node moves,
-	// each flipped pair has both ends in Touched and Cover holds about
-	// half as many nodes; clique.Update costs what its node set covers.
+	// Cover, and each node of Cover is a mover whose Tx or CS neighbor
+	// list changed. It is built greedily from the movers, taking the one
+	// on the most uncovered flipped pairs, ties to the lower ID, so equal
+	// moves give equal covers. When every node moves, each flipped pair
+	// has two movers at its ends, and Cover holds about half of the
+	// movers whose lists changed; clique.Update costs what its node set
+	// covers.
 	Cover []NodeID
 	// OldLinks is the dense directed-link slice as it was before the
 	// update. Dense per-link state recorded under the old indices must be
@@ -35,11 +32,10 @@ type Diff struct {
 }
 
 // Changed reports whether the update altered any adjacency at all: a
-// flipped pair always has a mover at one end, whose list then changed,
-// so this is exactly a non-empty Touched. When false, positions moved
-// but every neighbor list, link index and contention relation is exactly
-// as before.
-func (d *Diff) Changed() bool { return len(d.Touched) > 0 }
+// neighbor list changes iff a pair flips, iff the cover is non-empty.
+// When false, positions moved but every neighbor list, link index and
+// contention relation is exactly as before.
+func (d *Diff) Changed() bool { return len(d.Cover) > 0 }
 
 // Version returns the topology's adjacency version: 0 at New, bumped by
 // every MoveNodes call whose Diff reports Changed. Structures derived
@@ -167,16 +163,14 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 				scan(NodeID(j))
 			}
 		}
-		touched := t.replaceList(t.neighbors, m, sc.tx)
-		linksChanged = linksChanged || touched
-		if !sameRange && t.replaceList(t.csNeighbors, m, sc.cs) {
-			touched = true
+		if t.replaceList(t.neighbors, m, sc.tx) {
+			linksChanged = true
 		}
-		if touched {
-			diff.Touched = append(diff.Touched, m)
+		if !sameRange {
+			t.replaceList(t.csNeighbors, m, sc.cs)
 		}
 	}
-	if diff.Changed() {
+	if len(sc.flipped) > 0 {
 		t.version++
 		diff.Cover = sc.cover()
 	}

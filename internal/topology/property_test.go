@@ -152,25 +152,26 @@ func equalIDs(a, b []NodeID) bool {
 	return true
 }
 
-// TestDiffTouchedCovers checks the cover contract clique.Update relies
-// on, over random motion with equal and widened carrier-sense ranges:
-// every node pair whose Tx or CS adjacency flipped has an endpoint in
-// Diff.Touched; Touched is exactly the movers whose Tx or CS neighbor
-// list changed, ascending, so Touched ⊆ Moved; and the adjacency
-// version bumps iff Diff.Changed.
-func TestDiffTouchedCovers(t *testing.T) {
+// TestDiffCoverCovers checks Diff.Cover, the node set the session hands
+// clique.Update, and Diff.Changed, over random motion with equal and
+// widened carrier-sense ranges: every node pair whose Tx or CS adjacency
+// flipped has an endpoint in Cover; Cover is strictly ascending and
+// holds only movers whose Tx or CS neighbor list changed; Changed
+// reports exactly whether some pair flipped, and the adjacency version
+// bumps by one iff it does, over a mix of changed and unchanged steps;
+// and a twin topology given the same moves reports the same
+// Cover. Every other step moves every node, as the random walk does,
+// where each flipped pair has two changed movers at its ends and the
+// cover must come out smaller than the changed movers.
+func TestDiffCoverCovers(t *testing.T) {
 	for _, csFactor := range []float64{1, 1.7} {
-		rng := rand.New(rand.NewSource(11))
+		rng := rand.New(rand.NewSource(12))
+		coverAll, changedAll, changedSteps := 0, 0, 0
 		for trial := 0; trial < 10; trial++ {
 			n := 10 + rng.Intn(30)
 			topo, pts := randomTopo(rng, n, 1000, 250, csFactor)
-			changed := 0
+			twin := MustNew(pts, topo.Config())
 			for step := 0; step < 40; step++ {
-				var oldTx, oldCS [][]NodeID
-				for v := 0; v < n; v++ {
-					oldTx = append(oldTx, topo.Neighbors(NodeID(v)))
-					oldCS = append(oldCS, topo.CSNeighbors(NodeID(v)))
-				}
 				adjacency := func(a, b int) [2]bool {
 					return [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
 				}
@@ -180,87 +181,13 @@ func TestDiffTouchedCovers(t *testing.T) {
 						before[a*n+b] = adjacency(a, b)
 					}
 				}
+				var oldTx, oldCS [][]NodeID
+				for v := 0; v < n; v++ {
+					oldTx = append(oldTx, topo.Neighbors(NodeID(v)))
+					oldCS = append(oldCS, topo.CSNeighbors(NodeID(v)))
+				}
 				version := topo.Version()
 
-				moved, np := mutate(rng, pts, 1000, 1000)
-				diff, err := topo.MoveNodes(moved, np)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sort.SliceIsSorted(diff.Touched, func(i, j int) bool { return diff.Touched[i] < diff.Touched[j] }) {
-					t.Fatalf("csFactor %v trial %d step %d: Touched %v not ascending", csFactor, trial, step, diff.Touched)
-				}
-				touched := make([]bool, n)
-				for _, v := range diff.Touched {
-					touched[v] = true
-				}
-				isMover := make([]bool, n)
-				for _, m := range diff.Moved {
-					isMover[m] = true
-				}
-				for v := 0; v < n; v++ {
-					listChanged := !slices.Equal(oldTx[v], topo.Neighbors(NodeID(v))) ||
-						!slices.Equal(oldCS[v], topo.CSNeighbors(NodeID(v)))
-					if touched[v] && !isMover[v] {
-						t.Fatalf("csFactor %v trial %d step %d: touched node %d did not move", csFactor, trial, step, v)
-					}
-					if isMover[v] && touched[v] != listChanged {
-						t.Fatalf("csFactor %v trial %d step %d: mover %d touched=%v, neighbor lists changed=%v", csFactor, trial, step, v, touched[v], listChanged)
-					}
-				}
-				flipped := false
-				for a := 0; a < n; a++ {
-					for b := a + 1; b < n; b++ {
-						if before[a*n+b] == adjacency(a, b) {
-							continue
-						}
-						flipped = true
-						if !touched[a] && !touched[b] {
-							t.Fatalf("csFactor %v trial %d step %d: pair (%d,%d) flipped with neither endpoint touched (%v)", csFactor, trial, step, a, b, diff.Touched)
-						}
-					}
-				}
-				if diff.Changed() != flipped {
-					t.Fatalf("csFactor %v trial %d step %d: Changed() = %v, adjacency flipped = %v", csFactor, trial, step, diff.Changed(), flipped)
-				}
-				bumped := topo.Version() != version
-				if bumped != diff.Changed() || (bumped && topo.Version() != version+1) {
-					t.Fatalf("csFactor %v trial %d step %d: version %d -> %d with Changed() = %v", csFactor, trial, step, version, topo.Version(), diff.Changed())
-				}
-				if diff.Changed() {
-					changed++
-				}
-			}
-			if changed == 0 || changed == 40 {
-				t.Fatalf("csFactor %v trial %d: %d of 40 steps changed adjacency; want a mix", csFactor, trial, changed)
-			}
-		}
-	}
-}
-
-// TestDiffCoverCovers checks Diff.Cover, the node set the session hands
-// clique.Update, over random motion with equal and widened carrier-sense
-// ranges: every node pair whose Tx or CS adjacency flipped has an
-// endpoint in Cover; Cover is ascending and a subset of Touched, empty
-// exactly when nothing changed; and a twin topology given the same moves
-// reports the same Cover. Every other step moves every node, as the
-// random walk does, where each flipped pair has both ends touched and
-// the cover must come out smaller than Touched.
-func TestDiffCoverCovers(t *testing.T) {
-	for _, csFactor := range []float64{1, 1.7} {
-		rng := rand.New(rand.NewSource(12))
-		coverAll, touchedAll := 0, 0
-		for trial := 0; trial < 10; trial++ {
-			n := 10 + rng.Intn(30)
-			topo, pts := randomTopo(rng, n, 1000, 250, csFactor)
-			twin := MustNew(pts, topo.Config())
-			for step := 0; step < 40; step++ {
-				before := make([][2]bool, n*n)
-				for a := 0; a < n; a++ {
-					for b := 0; b < n; b++ {
-						before[a*n+b] = [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
-					}
-				}
 				var moved []NodeID
 				var np []geom.Point
 				everyone := step%2 == 1
@@ -293,33 +220,56 @@ func TestDiffCoverCovers(t *testing.T) {
 				if !slices.IsSorted(diff.Cover) || len(slices.Compact(slices.Clone(diff.Cover))) != len(diff.Cover) {
 					t.Fatalf("%s: Cover %v not strictly ascending", where(), diff.Cover)
 				}
+				// The movers whose Tx or CS neighbor list changed.
+				changed := make([]bool, n)
+				changedMovers := 0
+				for _, m := range diff.Moved {
+					if !slices.Equal(oldTx[m], topo.Neighbors(m)) || !slices.Equal(oldCS[m], topo.CSNeighbors(m)) {
+						changed[m] = true
+						changedMovers++
+					}
+				}
 				inCover := make([]bool, n)
 				for _, v := range diff.Cover {
-					if _, ok := slices.BinarySearch(diff.Touched, v); !ok {
-						t.Fatalf("%s: cover node %d not touched (%v)", where(), v, diff.Touched)
+					if !changed[v] {
+						t.Fatalf("%s: cover node %d is no mover whose lists changed", where(), v)
 					}
 					inCover[v] = true
 				}
-				if diff.Changed() != (len(diff.Cover) > 0) {
-					t.Fatalf("%s: Changed() = %v with Cover %v", where(), diff.Changed(), diff.Cover)
-				}
+				flipped := false
 				for a := 0; a < n; a++ {
 					for b := a + 1; b < n; b++ {
-						now := [2]bool{topo.InTxRange(NodeID(a), NodeID(b)), topo.InCSRange(NodeID(a), NodeID(b))}
-						if now != before[a*n+b] && !inCover[a] && !inCover[b] {
+						if adjacency(a, b) == before[a*n+b] {
+							continue
+						}
+						flipped = true
+						if !inCover[a] && !inCover[b] {
 							t.Fatalf("%s: pair (%d,%d) flipped with neither endpoint in Cover %v", where(), a, b, diff.Cover)
 						}
 					}
 				}
+				if diff.Changed() != flipped {
+					t.Fatalf("%s: Changed() = %v, adjacency flipped = %v", where(), diff.Changed(), flipped)
+				}
+				bumped := topo.Version() != version
+				if bumped != diff.Changed() || (bumped && topo.Version() != version+1) {
+					t.Fatalf("%s: version %d -> %d with Changed() = %v", where(), version, topo.Version(), diff.Changed())
+				}
+				if diff.Changed() {
+					changedSteps++
+				}
 				if everyone {
 					coverAll += len(diff.Cover)
-					touchedAll += len(diff.Touched)
+					changedAll += changedMovers
 				}
 			}
 		}
-		t.Logf("csFactor %v: all-mover steps covered by %d nodes against %d touched", csFactor, coverAll, touchedAll)
-		if coverAll >= touchedAll {
-			t.Errorf("csFactor %v: all-mover covers hold %d nodes, not fewer than the %d touched", csFactor, coverAll, touchedAll)
+		if changedSteps == 0 || changedSteps == 10*40 {
+			t.Fatalf("csFactor %v: %d of %d steps changed adjacency; want a mix", csFactor, changedSteps, 10*40)
+		}
+		t.Logf("csFactor %v: %d of %d steps changed; all-mover steps covered by %d nodes against %d changed movers", csFactor, changedSteps, 10*40, coverAll, changedAll)
+		if coverAll >= changedAll {
+			t.Errorf("csFactor %v: all-mover covers hold %d nodes, not fewer than the %d changed movers", csFactor, coverAll, changedAll)
 		}
 	}
 }
