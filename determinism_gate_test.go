@@ -40,7 +40,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite determinism-gate g
 // and the §6 per-node runtime (gmp-dist) on the out-of-band bus, with
 // in-band broadcasts, under churn without admission, and on a
 // random-walk grid, where every changing epoch hands the agents a new
-// decomposition. Durations are
+// decomposition, and GMP with fair aggregation on the gateway mesh,
+// with a crash at a relay whose queue holds two origins. Durations are
 // shorter than the paper sessions so the gate stays fast; determinism
 // does not depend on session length.
 func gateCases(t *testing.T) []struct {
@@ -203,6 +204,17 @@ func gateCases(t *testing.T) []struct {
 				Epoch:    time.Second,
 				MinSpeed: 1, MaxSpeed: 5,
 				MinX: 0, MaxX: 400, MinY: 0, MaxY: 400,
+			},
+		})},
+		{"fair_mesh_gmp", short(Config{
+			Scenario:        mesh,
+			Protocol:        ProtocolGMP,
+			FairAggregation: true,
+			// Node 3 relays flow 0 and sources flow 2, so the crash
+			// purges a queue that holds two origins.
+			Faults: []FaultEvent{
+				{At: 30 * time.Second, Kind: FaultNodeDown, Node: 3},
+				{At: 40 * time.Second, Kind: FaultNodeUp, Node: 3},
 			},
 		})},
 	}
