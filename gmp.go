@@ -306,9 +306,6 @@ type Config struct {
 	// SharedQueueSlots is the shared FIFO capacity for plain 802.11
 	// (default 300, the paper's node buffer).
 	SharedQueueSlots int
-	// StaleAfter bounds trust in an unrefreshed "buffer full"
-	// advertisement (default 50 ms).
-	StaleAfter time.Duration
 
 	// FairAggregation serves shared queues round-robin by packet origin
 	// (local source vs each upstream neighbor) instead of FIFO — an
@@ -460,9 +457,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SharedQueueSlots == 0 {
 		c.SharedQueueSlots = 300
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 50 * time.Millisecond
 	}
 	return c
 }
@@ -938,7 +932,7 @@ func (s *session) start() error {
 			Stations: s.stations,
 			Nodes:    s.nodes,
 			Sources:  s.registry.Sources(),
-			Rebuild:  s.rebuildRoutes,
+			Reroute:  s.reroute,
 		})
 		if err != nil {
 			return fmt.Errorf("gmp: fault schedule: %w", err)
@@ -1039,11 +1033,13 @@ func (s *session) startProtocol() error {
 	return nil
 }
 
-// rebuildRoutes repairs the routing tables against the live topology,
-// excluding crashed nodes, and makes the result the live table. Faults
-// and motion share it, so a motion epoch keeps excluding the nodes a
-// fault already crashed.
-func (s *session) rebuildRoutes(down []bool) *routing.Table {
+// reroute repairs the routes against the live topology, excluding
+// crashed nodes, makes the result the live table and installs it on
+// every node, flushing each node's cached neighbor buffer states (stale
+// "full" bits from before the change would suppress transmissions on
+// the repaired routes). Faults and motion share it, so a motion epoch
+// keeps excluding the nodes a fault already crashed.
+func (s *session) reroute(down []bool) {
 	var t *routing.Table
 	if s.cfg.GeographicRouting {
 		if gt, err := routing.BuildGeographicExcluding(s.topo, down); err == nil {
@@ -1057,7 +1053,10 @@ func (s *session) rebuildRoutes(down []bool) *routing.Table {
 		t = routing.BuildLazyExcluding(s.topo, down)
 	}
 	s.liveRoutes = t
-	return t
+	for _, n := range s.nodes {
+		n.ResetNeighborState()
+		n.SetRoutes(t)
+	}
 }
 
 // onEpoch applies one mobility epoch: it moves the nodes, repairs the
@@ -1096,11 +1095,7 @@ func (s *session) onEpoch(moved []topology.NodeID, newPos []geom.Point) {
 		if s.fengine != nil {
 			down = s.fengine.DownSet()
 		}
-		table := s.rebuildRoutes(down)
-		for _, n := range s.nodes {
-			n.ResetNeighborState()
-			n.SetRoutes(table)
-		}
+		s.reroute(down)
 	}
 }
 
@@ -1342,31 +1337,19 @@ func refSpec(spec flow.Spec) maxminref.FlowSpec {
 // checked the protocol and its queue capacity.
 func forwardingConfig(cfg Config) forwarding.Config {
 	switch cfg.Protocol {
-	case Protocol2PP:
-		fc := baseline.TwoPPForwarding(cfg.QueueSlots)
-		fc.StaleAfter = cfg.StaleAfter
-		fc.RequeueOnFailure = true
-		return fc
 	case Protocol80211:
 		return baseline.Plain80211Forwarding(cfg.SharedQueueSlots)
-	case ProtocolBackpressureShared:
-		return forwarding.Config{
-			Mode:                forwarding.Shared,
-			QueueSlots:          cfg.QueueSlots,
-			CongestionAvoidance: true,
-			StaleAfter:          cfg.StaleAfter,
-			RequeueOnFailure:    true,
-		}
-	default: // GMP, gmp-dist and backpressure: per-destination queues
-		return forwarding.Config{
-			Mode:                forwarding.PerDestination,
-			QueueSlots:          cfg.QueueSlots,
-			CongestionAvoidance: true,
-			StaleAfter:          cfg.StaleAfter,
-			RequeueOnFailure:    true,
-			FairAggregation:     cfg.FairAggregation,
-		}
+	case Protocol2PP:
+		return baseline.TwoPPForwarding(cfg.QueueSlots)
 	}
+	fc := forwarding.DefaultConfig()
+	fc.QueueSlots = cfg.QueueSlots
+	if cfg.Protocol == ProtocolBackpressureShared {
+		fc.Mode = forwarding.Shared
+	} else { // GMP, gmp-dist and backpressure: per-destination queues
+		fc.FairAggregation = cfg.FairAggregation
+	}
+	return fc
 }
 
 func referenceAllocation(flows []maxminref.FlowSpec, routes *routing.Table, cliques *clique.Set, capacity float64) ([]float64, error) {

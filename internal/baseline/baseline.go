@@ -25,27 +25,20 @@ import (
 )
 
 // Plain80211Forwarding returns the forwarding configuration of the plain
-// 802.11 baseline: one shared FIFO holding queueSlots packets, tail
-// overwrite on overflow, no congestion-avoidance backpressure.
+// 802.11 baseline: one shared FIFO holding queueSlots packets and no
+// congestion avoidance, so an arrival at a full queue overwrites the
+// tail and a packet past the retry limit is dropped.
 func Plain80211Forwarding(queueSlots int) forwarding.Config {
-	return forwarding.Config{
-		Mode:                forwarding.Shared,
-		QueueSlots:          queueSlots,
-		CongestionAvoidance: false,
-		OverwriteTail:       true,
-	}
+	return forwarding.Config{Mode: forwarding.Shared, QueueSlots: queueSlots}
 }
 
 // TwoPPForwarding returns the forwarding configuration of 2PP: one queue
 // per flow holding queueSlots packets (10 in §7.2), with backpressure so
 // the precomputed allocation is not eroded by drops.
 func TwoPPForwarding(queueSlots int) forwarding.Config {
-	return forwarding.Config{
-		Mode:                forwarding.PerFlow,
-		QueueSlots:          queueSlots,
-		CongestionAvoidance: true,
-		StaleAfter:          forwarding.DefaultConfig().StaleAfter,
-	}
+	fc := forwarding.DefaultConfig()
+	fc.Mode, fc.QueueSlots = forwarding.PerFlow, queueSlots
+	return fc
 }
 
 // TwoPPAllocation computes 2PP's per-flow rates in two phases.

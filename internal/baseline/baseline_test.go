@@ -27,7 +27,7 @@ func chainTopo(t *testing.T, n int) (*routing.Table, *clique.Set) {
 
 func TestPlain80211ForwardingConfig(t *testing.T) {
 	cfg := Plain80211Forwarding(300)
-	if cfg.Mode != forwarding.Shared || !cfg.OverwriteTail || cfg.CongestionAvoidance {
+	if cfg.Mode != forwarding.Shared || cfg.CongestionAvoidance {
 		t.Errorf("unexpected config %+v", cfg)
 	}
 	if cfg.QueueSlots != 300 {
@@ -37,7 +37,7 @@ func TestPlain80211ForwardingConfig(t *testing.T) {
 
 func TestTwoPPForwardingConfig(t *testing.T) {
 	cfg := TwoPPForwarding(10)
-	if cfg.Mode != forwarding.PerFlow || !cfg.CongestionAvoidance || cfg.OverwriteTail {
+	if cfg.Mode != forwarding.PerFlow || !cfg.CongestionAvoidance {
 		t.Errorf("unexpected config %+v", cfg)
 	}
 	if cfg.StaleAfter <= 0 {

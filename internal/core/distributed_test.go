@@ -40,11 +40,7 @@ func newDistStack(t *testing.T, sc scenario.Scenario) *distStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := forwarding.Config{
-		Mode: forwarding.PerDestination, QueueSlots: 10,
-		CongestionAvoidance: true, StaleAfter: 50 * time.Millisecond,
-		RequeueOnFailure: true,
-	}
+	fcfg := forwarding.DefaultConfig()
 	nodes := make([]*forwarding.Node, topo.NumNodes())
 	for _, id := range topo.Nodes() {
 		n := forwarding.NewNode(id, sched, fcfg, routes, reg.OnDeliver, reg.OnDrop)

@@ -14,10 +14,9 @@
 //     directed link or at one receiver, generalizing the radio's global
 //     LossProb.
 //   - Route repair: every churn event is a topology-change epoch — the
-//     engine recomputes static routes excluding the current down set
-//     (greedy geographic first where configured, shortest-path
-//     fallback) and installs the new table on every node, so flows
-//     reroute mid-run.
+//     engine hands the current down set to the Reroute hook, which
+//     routes around it and installs the new table on every node, so
+//     flows reroute mid-run.
 //
 // The engine draws no randomness of its own: a given schedule applied
 // to a given seed yields a byte-identical run. Schedules are plain
@@ -33,7 +32,6 @@ import (
 	"gmp/internal/forwarding"
 	"gmp/internal/mac"
 	"gmp/internal/radio"
-	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/topology"
 )
@@ -193,15 +191,15 @@ func sortedByTime(events []Event) []Event {
 
 // Hooks are the engine's handles into the simulation layers it
 // perturbs. All slices are indexed by node ID except Sources (one per
-// flow, in flow-ID order). Rebuild recomputes the routing table for the
-// given down set; the engine installs its result on every node after
+// flow, in flow-ID order). Reroute repairs the routes around the given
+// down set and installs them on every node; the engine calls it after
 // each churn event.
 type Hooks struct {
 	Medium   *radio.Medium
 	Stations []*mac.Station
 	Nodes    []*forwarding.Node
 	Sources  []*flow.Source
-	Rebuild  func(down []bool) *routing.Table
+	Reroute  func(down []bool)
 }
 
 // Engine applies a fault schedule to a running simulation. Create it
@@ -324,17 +322,10 @@ func (e *Engine) revive(n topology.NodeID) {
 	e.epoch()
 }
 
-// epoch is the topology-change notification: recompute routes for the
-// current down set, install them everywhere, and flush every node's
-// cached neighbor buffer states (stale "full" bits from before the
-// change would suppress transmissions on the repaired routes).
+// epoch is the topology-change notification: reroute around the
+// current down set.
 func (e *Engine) epoch() {
-	if e.hooks.Rebuild == nil {
-		return
-	}
-	table := e.hooks.Rebuild(e.down)
-	for _, node := range e.hooks.Nodes {
-		node.ResetNeighborState()
-		node.SetRoutes(table)
+	if e.hooks.Reroute != nil {
+		e.hooks.Reroute(e.down)
 	}
 }

@@ -147,8 +147,9 @@ func TestEngineAppliesScheduleInOrder(t *testing.T) {
 
 // TestEngineChurnTracksDownSetAndRebuilds crashes and revives nodes
 // via a full stack (medium, MAC, forwarding) and checks the down set,
-// the medium gating, and that every churn event triggers a rebuild
-// with the correct down set.
+// the medium gating, and that every churn event reroutes with the
+// correct down set. The hook installs the table itself, as the session
+// does.
 func TestEngineChurnTracksDownSetAndRebuilds(t *testing.T) {
 	topo := newTestTopo(t)
 	sched := sim.NewScheduler()
@@ -156,9 +157,13 @@ func TestEngineChurnTracksDownSetAndRebuilds(t *testing.T) {
 	stations, nodes := newTestStack(t, sched, topo, medium)
 
 	var rebuilds [][]bool
-	rebuild := func(down []bool) *routing.Table {
+	reroute := func(down []bool) {
 		rebuilds = append(rebuilds, append([]bool(nil), down...))
-		return routing.BuildExcluding(topo, down)
+		table := routing.BuildExcluding(topo, down)
+		for _, n := range nodes {
+			n.ResetNeighborState()
+			n.SetRoutes(table)
+		}
 	}
 	events := []Event{
 		{At: 1 * time.Second, Kind: NodeDown, Node: 1},
@@ -166,7 +171,7 @@ func TestEngineChurnTracksDownSetAndRebuilds(t *testing.T) {
 		{At: 3 * time.Second, Kind: NodeUp, Node: 1},
 	}
 	eng, err := Start(sched, topo.NumNodes(), events, Hooks{
-		Medium: medium, Stations: stations, Nodes: nodes, Rebuild: rebuild,
+		Medium: medium, Stations: stations, Nodes: nodes, Reroute: reroute,
 	})
 	if err != nil {
 		t.Fatal(err)

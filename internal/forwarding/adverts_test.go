@@ -212,37 +212,56 @@ func TestAdvertOracle(t *testing.T) {
 }
 
 // TestWarmCycleAllocs pins the per-frame forwarding work at zero
-// allocations once warm: adverts overheard from known neighbors and,
-// after a reset, from neighbors heard anew, the node's own advert, a
-// dequeue and its acknowledgement.
+// allocations once warm: a local and a relayed packet admitted to one
+// queue, adverts overheard from known neighbors and, after a reset,
+// from neighbors heard anew, the node's own advert, and each packet's
+// dequeue and acknowledgement. The second input runs fair aggregation,
+// so the queue holds two origins, and fails each packet's first send,
+// so every packet is also requeued and dequeued again.
 func TestWarmCycleAllocs(t *testing.T) {
-	n, _ := starNode(t, DefaultConfig())
-	p := pk(0, 0, 5, 0)
-	states := []packet.QueueState{
-		{Queue: packet.QueueForDest(5), Free: true},
-		{Queue: packet.QueueForDest(6), Free: false},
-		{Queue: packet.QueueForDest(7), Free: true},
-	}
-	buf := make([]packet.QueueState, 0, 4)
-	i := 0
-	cycle := func() {
-		if i++; i%8 == 0 {
-			n.ResetNeighborState()
-		}
-		n.Enqueue(p)
-		for _, from := range []topology.NodeID{3, 1, 2} {
-			states[1].Free = i%2 == 0
-			n.OnOverhear(from, states)
-		}
-		buf = n.AppendPiggyback(buf[:0])
-		out := n.NextOutgoing()
-		if out == nil {
-			t.Fatal("warm node sent nothing")
-		}
-		n.OnSendComplete(out, true)
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("warm overhear/advertise/send cycle: %v allocs, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		fair  bool
+		fails int
+	}{
+		{"plain", false, 0},
+		{"fair-requeue", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.FairAggregation = tc.fair
+			n, _ := starNode(t, cfg)
+			local, relayed := pk(0, 0, 5, 0), pk(1, 7, 5, 0)
+			states := []packet.QueueState{
+				{Queue: packet.QueueForDest(5), Free: true},
+				{Queue: packet.QueueForDest(6), Free: false},
+				{Queue: packet.QueueForDest(7), Free: true},
+			}
+			buf := make([]packet.QueueState, 0, 4)
+			i := 0
+			cycle := func() {
+				if i++; i%8 == 0 {
+					n.ResetNeighborState()
+				}
+				n.Enqueue(local)
+				n.OnReceive(relayed, 3)
+				for _, from := range []topology.NodeID{3, 1, 2} {
+					states[1].Free = i%2 == 0
+					n.OnOverhear(from, states)
+				}
+				buf = n.AppendPiggyback(buf[:0])
+				for k := 0; k < 2*(tc.fails+1); k++ {
+					out := n.NextOutgoing()
+					if out == nil {
+						t.Fatal("warm node sent nothing")
+					}
+					n.OnSendComplete(out, k >= 2*tc.fails)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("warm overhear/advertise/send cycle: %v allocs, want 0", allocs)
+			}
+		})
 	}
 }
 

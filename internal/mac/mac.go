@@ -29,9 +29,10 @@ type Outgoing struct {
 	// Queue is the queue the packet joins at the next hop (advertised in
 	// the RTS so the receiver can run its admission check).
 	Queue packet.QueueID
-	// Origin is the node the packet was received from (or this node for
-	// local traffic); the forwarding layer uses it to requeue a failed
-	// packet into the right fair-aggregation sub-queue.
+	// Origin keys the FIFO the forwarding layer took the packet from, so
+	// a failed packet is requeued into it: under fair aggregation, the
+	// node the packet was received from (or this node for local
+	// traffic); otherwise the queue's only FIFO.
 	Origin topology.NodeID
 	// Admitted is the virtual time the client admitted the packet into
 	// its queue, from which the hop's sojourn is measured. The MAC does
