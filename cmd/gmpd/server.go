@@ -27,7 +27,9 @@
 // A request is checked by gmp.Config.Validate, the check gmp.Run makes,
 // so a job that is accepted fails only where the built topology refuses
 // it. Status, result and telemetry meta name the scenario as submitted:
-// the registry name, or an inline scenario's own name.
+// the registry name, or an inline scenario's own name. The server
+// remembers every queued and running job and the newest 128 finished
+// ones; an older job's ID answers 404.
 package main
 
 import (
@@ -39,9 +41,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"gmp"
 	"gmp/internal/jobs"
@@ -61,6 +65,19 @@ const maxSeeds = 4096
 // maxBodyBytes bounds a POST /v1/jobs body; a larger one gets 413. An
 // inline 10,000-node city scenario is 0.63 MB as Scenario.Save writes it.
 const maxBodyBytes = 8 << 20
+
+// maxErrorBytes bounds an error body's message. A request field echoed
+// into it (an 8 MiB protocol name, say) is cut, so a rejected request
+// never costs a response as large as itself.
+const maxErrorBytes = 512
+
+// maxFinishedJobs bounds the finished jobs (done, failed or cancelled)
+// the server remembers, each with its telemetry log and, for a spans
+// job, the first seed's span log (560 KB for a 60 s fig3 run). Each
+// submission forgets the oldest finished jobs beyond it; a forgotten ID
+// answers 404 like an unknown one. Queued and running jobs are never
+// forgotten.
+const maxFinishedJobs = 128
 
 // jobRequest is the POST /v1/jobs body. Exactly one of ScenarioName
 // (registry lookup) and Scenario (inline scenario JSON, the gmpsim file
@@ -281,6 +298,7 @@ type server struct {
 
 	mu     sync.Mutex
 	states map[string]*jobState
+	order  []*jobState // states in submission order
 }
 
 // newServer builds a gmpd server: a worker pool of the given size and
@@ -329,9 +347,17 @@ func (s *server) handler(enablePprof bool) http.Handler {
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if len(msg) > maxErrorBytes {
+		cut := maxErrorBytes
+		for cut > 0 && !utf8.RuneStart(msg[cut]) {
+			cut--
+		}
+		msg = msg[:cut] + "…"
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 // buildJob validates a request into a ready-to-run jobState (without an
@@ -482,11 +508,30 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.states[st.id] = st
+	s.order = append(s.order, st)
+	s.forgetFinishedLocked()
 	s.mu.Unlock()
 	if st.spans != nil {
 		s.spanJobs.Add(1)
 	}
 	writeStatus(w, http.StatusAccepted, st)
+}
+
+// forgetFinishedLocked drops the oldest finished jobs beyond
+// maxFinishedJobs. The caller holds s.mu.
+func (s *server) forgetFinishedLocked() {
+	finished := 0
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if st := s.order[i]; st.job.Status().Terminal() {
+			if finished++; finished > maxFinishedJobs {
+				delete(s.states, st.id)
+				s.order[i] = nil
+			}
+		}
+	}
+	if finished > maxFinishedJobs {
+		s.order = slices.DeleteFunc(s.order, func(st *jobState) bool { return st == nil })
+	}
 }
 
 // runJob executes one sweep: satisfy what it can from the cache,

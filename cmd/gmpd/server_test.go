@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"gmp/internal/obs"
 	"gmp/internal/span"
@@ -399,11 +400,69 @@ func TestSubmitBodyLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var msg struct{ Error string }
-		err = json.NewDecoder(resp.Body).Decode(&msg)
+		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		var msg struct{ Error string }
+		if err == nil {
+			err = json.Unmarshal(raw, &msg)
+		}
 		if resp.StatusCode != want || err != nil || msg.Error == "" {
 			t.Errorf("%d-byte body: status %d, error %.80q (%v), want %d with a message", size, resp.StatusCode, msg.Error, err, want)
+		}
+		// The 400 names the protocol, which here is 8 MB long.
+		if len(raw) >= 1<<10 {
+			t.Errorf("%d-byte body: %d-byte response, want under 1 KiB", size, len(raw))
+		}
+	}
+}
+
+// TestErrorBodyCut checks that a long error message is cut on a rune
+// boundary, marked with an ellipsis, and stays valid UTF-8.
+func TestErrorBodyCut(t *testing.T) {
+	long := "x" + strings.Repeat("é", maxErrorBytes) // é is two bytes
+	rec := httptest.NewRecorder()
+	httpError(rec, http.StatusBadRequest, "bad: %s", long)
+	var msg struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &msg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(msg.Error); n > maxErrorBytes+len("…") || !utf8.ValidString(msg.Error) ||
+		!strings.HasPrefix(msg.Error, "bad: xé") || !strings.HasSuffix(msg.Error, "é…") {
+		t.Errorf("cut message of %d bytes: %.40q…%q", n, msg.Error, msg.Error[max(0, n-8):])
+	}
+	rec = httptest.NewRecorder()
+	httpError(rec, http.StatusNotFound, "unknown job %q", "job-1")
+	if got := rec.Body.String(); got != `{"error":"unknown job \"job-1\""}`+"\n" {
+		t.Errorf("short message changed: %s", got)
+	}
+}
+
+// TestFinishedJobsForgotten submits maxFinishedJobs+2 short fig3 jobs
+// one at a time, each after the previous one finished, so all but the
+// first are cache hits. The first is then forgotten and answers 404;
+// the second and the last are still remembered.
+func TestFinishedJobsForgotten(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	const body = `{"scenario_name":"fig3","duration_s":2,"warmup_s":1}`
+	var ids []string
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		st := waitTerminal(t, ts, submit(t, ts, body).ID)
+		if st.Status != "done" || (i > 0 && (st.SimsExecuted != 0 || st.CacheHits != 1)) {
+			t.Fatalf("job %d: %+v, want done (from the cache after the first)", i, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, c := range []struct {
+		id   string
+		want int
+	}{{ids[0], http.StatusNotFound}, {ids[1], http.StatusOK}, {ids[len(ids)-1], http.StatusOK}} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("GET %s: %d, want %d", c.id, resp.StatusCode, c.want)
 		}
 	}
 }

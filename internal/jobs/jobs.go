@@ -40,6 +40,9 @@ const (
 	Cancelled
 )
 
+// Terminal reports whether s is Done, Failed or Cancelled.
+func (s Status) Terminal() bool { return s >= Done }
+
 // String names the status as in the HTTP API.
 func (s Status) String() string {
 	switch s {
@@ -123,7 +126,7 @@ func (j *Job) Wait(ctx context.Context) (Status, error) {
 // finish moves the job to a terminal state exactly once.
 func (j *Job) finish(s Status, err error, reason CancelReason) {
 	j.mu.Lock()
-	if j.status == Done || j.status == Failed || j.status == Cancelled {
+	if j.status.Terminal() {
 		j.mu.Unlock()
 		return
 	}
