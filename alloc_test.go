@@ -32,3 +32,36 @@ func TestSessionAllocsPerFrame(t *testing.T) {
 		t.Errorf("session allocates %.3f objects per frame, want <= %v", perFrame, maxPerFrame)
 	}
 }
+
+// TestMetersRecordedWhereRead checks which sessions record per-hop
+// meters: under 802.11 nobody reads them and no node fills either map,
+// central GMP's collector reads the send side only, and gmp-dist's
+// agents read both. Each session stops mid-period, between two takes.
+func TestMetersRecordedWhereRead(t *testing.T) {
+	for _, tc := range []struct {
+		proto          Protocol
+		sent, received bool
+	}{
+		{Protocol80211, false, false},
+		{ProtocolGMP, true, false},
+		{ProtocolGMPDistributed, true, true},
+	} {
+		cfg := Config{Scenario: Fig3Scenario(), Protocol: tc.proto, Duration: 10 * time.Second, Seed: 1}.WithDefaults()
+		s, err := newSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.start(); err != nil {
+			t.Fatal(err)
+		}
+		s.sched.Run(cfg.Period + cfg.Period/2)
+		sent, received := 0, 0
+		for _, n := range s.nodes {
+			sent += len(n.TakeMeters())
+			received += len(n.TakeReceived())
+		}
+		if (sent > 0) != tc.sent || (received > 0) != tc.received {
+			t.Errorf("%v: %d send and %d receive meters, want recorded %v and %v", tc.proto, sent, received, tc.sent, tc.received)
+		}
+	}
+}

@@ -765,8 +765,9 @@ func BenchmarkCityEndToEnd(b *testing.B) {
 // The clique rows compare Update given the full mover list and the
 // cover of the flipped pairs that RunContext passes, next to the
 // from-scratch Build. The routing rows compare the eager table
-// the benchmark's replay still times with the lazy table RunContext
-// installs, plus the rows of the city's flows.
+// the benchmark's replay still times with the lazy table, plus the rows
+// of the city's flows, built fresh and, as RunContext builds every
+// repair after a session's first, on the retired table's arrays.
 func BenchmarkMobilityEpoch(b *testing.B) {
 	sc, err := CityScenario(500, 4, 10, 220, 1)
 	if err != nil {
@@ -799,6 +800,10 @@ func BenchmarkMobilityEpoch(b *testing.B) {
 			rt.HopCount(f.Src, f.Dst)
 		}
 	}
+	// The live table of the session replayed now; a session's first
+	// repair builds it fresh.
+	var live *routing.Table
+	var liveTopo *topology.Topology
 	for _, tc := range []struct {
 		name string
 		fn   repair // nil: the row times MoveNodes itself
@@ -819,6 +824,15 @@ func BenchmarkMobilityEpoch(b *testing.B) {
 		}},
 		{"routing.BuildLazyExcluding+rows", func(topo *topology.Topology, cs *clique.Set, _ *topology.Diff) *clique.Set {
 			routeFlows(routing.BuildLazyExcluding(topo, nil))
+			return cs
+		}},
+		{"routing.BuildLazyFrom+rows", func(topo *topology.Topology, cs *clique.Set, _ *topology.Diff) *clique.Set {
+			if liveTopo != topo {
+				live, liveTopo = routing.BuildLazyExcluding(topo, nil), topo
+			} else {
+				live = routing.BuildLazyFrom(live, topo, nil)
+			}
+			routeFlows(live)
 			return cs
 		}},
 	} {

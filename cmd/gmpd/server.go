@@ -803,6 +803,7 @@ func (s *server) metricFamilies() []metricFamily {
 		{"gmpd_cache_disk_hits", "Result-cache hits served from the disk tier.", "counter", cs.DiskHits},
 		{"gmpd_cache_puts", "Result-cache insertions.", "counter", cs.Puts},
 		{"gmpd_cache_evictions", "Result-cache entries evicted by the memory bound.", "counter", cs.Evictions},
+		{"gmpd_cache_corrupt", "Result-cache disk entries that failed their checksum and were removed.", "counter", cs.Corrupt},
 		{"gmpd_cache_entries", "Result-cache entries resident in memory.", "gauge", int64(cs.Entries)},
 		{"gmpd_topology_builds", "Scenario topology builds performed at job admission.", "counter", s.topoBuilds.Load()},
 		{"gmpd_topology_build_ns_total", "Cumulative topology build time in nanoseconds.", "counter", s.topoBuildNS.Load()},

@@ -1049,8 +1049,14 @@ func (s *session) reroute(down []bool) {
 		// fallback to shortest-path repair.
 	}
 	if t == nil {
-		// The down set is copied at build time.
-		t = routing.BuildLazyExcluding(s.topo, down)
+		// The down set is copied at build time. The retired live table
+		// lends its arrays, unless it is the t=0 table, which collect
+		// and churn set-up read to the end, or an eager geographic one.
+		if old := s.liveRoutes; old != s.routes && !s.cfg.GeographicRouting {
+			t = routing.BuildLazyFrom(old, s.topo, down)
+		} else {
+			t = routing.BuildLazyExcluding(s.topo, down)
+		}
 	}
 	s.liveRoutes = t
 	for _, n := range s.nodes {

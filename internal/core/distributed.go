@@ -146,6 +146,8 @@ func NewAgent(id topology.NodeID, sched *sim.Scheduler, topo *topology.Topology,
 		rates:   make(map[packet.FlowID]float64),
 	}
 	diss.SetUpdateHandler(a.onDissemination)
+	// measure reads both ends of every virtual link at the node.
+	node.RecordMeters(true)
 	return a, nil
 }
 

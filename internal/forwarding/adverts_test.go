@@ -56,19 +56,20 @@ func starNode(t testing.TB, cfg Config) (*Node, *sim.Scheduler) {
 
 // TestAdvertOracle replays seeded random sequences of adverts from new
 // and known neighbors (subsets of each neighbor's queues, in its creation
-// order or shuffled), clock steps around StaleAfter, neighbor-state
-// resets and queue releases against advertModel. After every step it
-// checks NextOutgoing's gating (which queue is served, or that none is
-// and when the retry kick fires) and, after an advert, whether it opened
-// room.
+// order or shuffled), each filed under the neighbor's slot, clock steps
+// around StaleAfter, neighbor-state resets and queue releases against
+// advertModel. After every step it checks NextOutgoing's gating (which
+// queue is served, or that none is and when the retry kick fires) and,
+// after an advert, whether it opened room. A last case hands one slot to
+// a second neighbor without a reset.
 func TestAdvertOracle(t *testing.T) {
 	const (
 		flows    = 7
 		universe = 10 // queue IDs the neighbors advertise
 		stale    = 10 * time.Millisecond
 	)
-	// The arm nodes are the next hops; 6 and 9 are heard but are never
-	// a next hop.
+	// The arm nodes are the next hops, at slots 0-3 of node 0's list; 6
+	// and 9 are heard at slots 4 and 5 but are never a next hop.
 	senders := []topology.NodeID{1, 2, 3, 4, 6, 9}
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -141,7 +142,8 @@ func TestAdvertOracle(t *testing.T) {
 				var what string
 				switch r := rng.Intn(20); {
 				case r < 11:
-					from := senders[rng.Intn(len(senders))]
+					slot := rng.Intn(len(senders))
+					from := senders[slot]
 					list := lists[from]
 					if len(list) < 8 && (len(list) == 0 || rng.Intn(3) == 0) {
 						q := packet.QueueID(rng.Intn(universe))
@@ -165,7 +167,7 @@ func TestAdvertOracle(t *testing.T) {
 					}
 					now := sched.Now()
 					want := model.hear(from, states, now)
-					if got := n.cacheAdvert(from, states); got != want {
+					if got := n.cacheAdvert(from, slot, states); got != want {
 						t.Fatalf("step %d: advert %v from %d opened=%v, want %v", step, states, from, got, want)
 					}
 					what = fmt.Sprintf("advert from %d", from)
@@ -209,6 +211,34 @@ func TestAdvertOracle(t *testing.T) {
 			}
 		})
 	}
+	t.Run("slot reclaimed without reset", func(t *testing.T) {
+		n, _ := starNode(t, DefaultConfig())
+		q5, q6 := packet.QueueForDest(5), packet.QueueForDest(6)
+		n.cacheAdvert(1, 0, []packet.QueueState{{Queue: q5, Free: false}})
+		if e, known := n.advert(1, q5); !known || e.free {
+			t.Fatalf("node 1's full queue reads %+v, known %v", e, known)
+		}
+		// Node 2 takes slot 0 as if the adjacency had changed: node 1's
+		// state goes, and node 2 inherits none of it.
+		if !n.cacheAdvert(2, 0, []packet.QueueState{{Queue: q6, Free: true}}) {
+			t.Error("a free queue new to node 2 did not open room")
+		}
+		if _, known := n.advert(1, q5); known {
+			t.Error("node 1's state survived its slot going to node 2")
+		}
+		if _, known := n.advert(2, q5); known {
+			t.Error("node 2 inherited node 1's state")
+		}
+		if e, known := n.advert(2, q6); !known || !e.free {
+			t.Errorf("node 2's free queue reads %+v, known %v", e, known)
+		}
+		// The packet toward node 5 goes out: its next hop is node 1,
+		// whose full advert is gone.
+		n.Enqueue(pk(0, 0, 5, 0))
+		if out := n.NextOutgoing(); out == nil || out.NextHop != 1 {
+			t.Errorf("served %+v, want the packet toward 5 through 1", out)
+		}
+	})
 }
 
 // TestWarmCycleAllocs pins the per-frame forwarding work at zero
@@ -217,20 +247,29 @@ func TestAdvertOracle(t *testing.T) {
 // from neighbors heard anew, the node's own advert, and each packet's
 // dequeue and acknowledgement. The second input runs fair aggregation,
 // so the queue holds two origins, and fails each packet's first send,
-// so every packet is also requeued and dequeued again.
+// so every packet is also requeued and dequeued again. The last two turn
+// on the meters as central GMP's collector (send side) and gmp-dist's
+// agents (both sides) do; a node no reader turned them on for, as under
+// 802.11, 2PP and bp, records into neither map.
 func TestWarmCycleAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		fair  bool
-		fails int
+		name           string
+		fair           bool
+		fails          int
+		sent, received bool // meters turned on
 	}{
-		{"plain", false, 0},
-		{"fair-requeue", true, 1},
+		{"plain", false, 0, false, false},
+		{"fair-requeue", true, 1, false, false},
+		{"send-meters", false, 0, true, false},
+		{"both-meters", false, 0, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.FairAggregation = tc.fair
 			n, _ := starNode(t, cfg)
+			if tc.sent {
+				n.RecordMeters(tc.received)
+			}
 			local, relayed := pk(0, 0, 5, 0), pk(1, 7, 5, 0)
 			states := []packet.QueueState{
 				{Queue: packet.QueueForDest(5), Free: true},
@@ -247,7 +286,7 @@ func TestWarmCycleAllocs(t *testing.T) {
 				n.OnReceive(relayed, 3)
 				for _, from := range []topology.NodeID{3, 1, 2} {
 					states[1].Free = i%2 == 0
-					n.OnOverhear(from, states)
+					n.OnOverhear(from, int(from)-1, states)
 				}
 				buf = n.AppendPiggyback(buf[:0])
 				for k := 0; k < 2*(tc.fails+1); k++ {
@@ -260,6 +299,9 @@ func TestWarmCycleAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 				t.Errorf("warm overhear/advertise/send cycle: %v allocs, want 0", allocs)
+			}
+			if (n.meters != nil) != tc.sent || (n.received != nil) != tc.received {
+				t.Errorf("send meters %v, receive meters %v; want recorded %v, %v", n.meters, n.received, tc.sent, tc.received)
 			}
 		})
 	}
@@ -291,8 +333,8 @@ func TestNewNodeAllocs(t *testing.T) {
 }
 
 // BenchmarkOnOverhear times one advert heard by a node that knows eight
-// neighbors, at 1, 8 and 64 advertised queues, and at 4 live queues
-// listed after 64 stale entries that churn left behind.
+// neighbors, at slots 0-7, at 1, 8 and 64 advertised queues, and at 4
+// live queues listed after 64 stale entries that churn left behind.
 func BenchmarkOnOverhear(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
@@ -311,8 +353,8 @@ func BenchmarkOnOverhear(b *testing.B) {
 				all = append(all, packet.QueueState{Queue: packet.QueueID(q), Free: true})
 			}
 			live = all[bc.stale:]
-			for _, from := range senders {
-				n.OnOverhear(from, all)
+			for slot, from := range senders {
+				n.OnOverhear(from, slot, all)
 			}
 			flip := make([][]packet.QueueState, 2)
 			for k := range flip {
@@ -324,7 +366,8 @@ func BenchmarkOnOverhear(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.OnOverhear(senders[i%len(senders)], flip[i/len(senders)%2])
+				slot := i % len(senders)
+				n.OnOverhear(senders[slot], slot, flip[i/len(senders)%2])
 			}
 		})
 	}

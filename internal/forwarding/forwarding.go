@@ -190,6 +190,18 @@ type nbrAdvert struct {
 	at    time.Duration
 }
 
+// nbrSlot holds the adverts heard from the neighbor at one slot of this
+// node's Tx neighbor list: that neighbor's per-queue states in
+// first-heard order. id is noNeighbor while the slot has heard nothing
+// since the last reset.
+type nbrSlot struct {
+	id  topology.NodeID
+	ads []nbrAdvert
+}
+
+// noNeighbor marks an empty slot.
+const noNeighbor topology.NodeID = -1
+
 // findAdvert returns the index of queue q's entry in ads, or -1. The
 // search starts at from (at most len(ads)) and wraps around once. A
 // neighbor lists its queues in creation order every time, so a search
@@ -370,12 +382,11 @@ type Node struct {
 	order    []*queue // round-robin order (creation order)
 	rrOffset int
 
-	// Neighbor adverts: nbrIDs lists the neighbors heard since the last
-	// ResetNeighborState in ascending order, and nbrAds[i] holds
-	// nbrIDs[i]'s per-queue states in first-heard order. An entry stays
-	// until the reset even after the neighbor stops listing its queue.
-	nbrIDs []topology.NodeID
-	nbrAds [][]nbrAdvert
+	// Neighbor adverts by slot, the sender's position in this node's Tx
+	// neighbor list (see OnOverhear), up to the highest slot heard since
+	// the last ResetNeighborState. An entry stays until the reset even
+	// after the neighbor stops listing its queue.
+	slots []nbrSlot
 
 	kickTimer sim.Timer
 	kickFn    func() // scheduleKick's callback, bound once
@@ -383,8 +394,12 @@ type Node struct {
 	// out is the record NextOutgoing hands the MAC; see mac.Client.
 	out mac.Outgoing
 
-	meters   map[VLinkKey]*VLinkMeter
-	received map[VLinkKey]*VLinkMeter
+	// meters and received are the per-virtual-link send and receive
+	// meters, recorded only once a reader turned them on (RecordMeters).
+	meters        map[VLinkKey]*VLinkMeter
+	received      map[VLinkKey]*VLinkMeter
+	meterSent     bool
+	meterReceived bool
 
 	openWaiters map[packet.QueueID][]func()
 	// waiterFree recycles emptied waiter lists: touchFullState swaps one
@@ -519,21 +534,24 @@ func (n *Node) ReleaseQueueIfIdle(id packet.QueueID) bool {
 // ResetNeighborState forgets all cached neighbor buffer-state
 // advertisements. Used on topology change: stale "full" entries from a
 // node that crashed (or from before a reroute) would otherwise suppress
-// transmissions toward neighbors whose state is simply unknown now.
+// transmissions toward neighbors whose state is simply unknown now. It
+// must also run whenever the adjacency changes, since the slots the
+// adverts are filed under move then; the session's reroute does both.
 func (n *Node) ResetNeighborState() {
-	n.nbrIDs = n.nbrIDs[:0]
-	n.nbrAds = n.nbrAds[:0]
+	n.slots = n.slots[:0]
 }
 
-// advert returns neighbor nb's last advertised state for queue q.
+// advert returns neighbor nb's last advertised state for queue q. It
+// scans the slots: a pull reads it once per queue, far less often than
+// adverts arrive.
 func (n *Node) advert(nb topology.NodeID, q packet.QueueID) (nbrAdvert, bool) {
-	i, ok := slices.BinarySearch(n.nbrIDs, nb)
-	if !ok {
-		return nbrAdvert{}, false
-	}
-	ads := n.nbrAds[i]
-	if k := findAdvert(ads, q, 0); k >= 0 {
-		return ads[k], true
+	for i := range n.slots {
+		if sl := &n.slots[i]; sl.id == nb {
+			if k := findAdvert(sl.ads, q, 0); k >= 0 {
+				return sl.ads[k], true
+			}
+			return nbrAdvert{}, false
+		}
 	}
 	return nbrAdvert{}, false
 }
@@ -779,18 +797,25 @@ func (n *Node) OnSendComplete(o *mac.Outgoing, ok bool) {
 	if n.probe != nil {
 		n.probe.Tel.HopForwarded(n.id, out.Pkt.Flow, n.sched.Now()-out.Admitted)
 	}
-	key := VLinkKey{From: n.id, To: out.NextHop, Queue: n.cfg.Mode.QueueKey(out.Pkt)}
-	m := n.meters[key]
+	if n.meterSent {
+		meter(&n.meters, VLinkKey{From: n.id, To: out.NextHop, Queue: n.cfg.Mode.QueueKey(out.Pkt)}, out.Pkt)
+	}
+}
+
+// meter counts packet p on virtual link key in *meters, making the map
+// and the meter on first use.
+func meter(meters *map[VLinkKey]*VLinkMeter, key VLinkKey, p *packet.Packet) {
+	m := (*meters)[key]
 	if m == nil {
-		if n.meters == nil {
-			n.meters = make(map[VLinkKey]*VLinkMeter)
+		if *meters == nil {
+			*meters = make(map[VLinkKey]*VLinkMeter)
 		}
 		m = &VLinkMeter{}
-		n.meters[key] = m
+		(*meters)[key] = m
 	}
 	m.Sent++
-	if out.Pkt.Stamped {
-		observePrimary(&m.Primary, out.Pkt)
+	if p.Stamped {
+		observePrimary(&m.Primary, p)
 	}
 }
 
@@ -818,18 +843,8 @@ func observePrimary(pi *PrimaryInfo, p *packet.Packet) {
 // the scheme is loss-free by design (ref [3]). Without it the arrival
 // overwrites the tail of its origin's FIFO (plain 802.11, §7.2).
 func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
-	key := VLinkKey{From: from, To: n.id, Queue: n.cfg.Mode.QueueKey(p)}
-	m := n.received[key]
-	if m == nil {
-		if n.received == nil {
-			n.received = make(map[VLinkKey]*VLinkMeter)
-		}
-		m = &VLinkMeter{}
-		n.received[key] = m
-	}
-	m.Sent++
-	if p.Stamped {
-		observePrimary(&m.Primary, p)
+	if n.meterReceived {
+		meter(&n.received, VLinkKey{From: from, To: n.id, Queue: n.cfg.Mode.QueueKey(p)}, p)
 	}
 	if p.Dst == n.id {
 		if n.probe != nil {
@@ -893,31 +908,36 @@ func (n *Node) AppendPiggyback(dst []packet.QueueState) []packet.QueueState {
 }
 
 // OnOverhear implements mac.Client: cache a neighbor's advertised buffer
-// states and wake the MAC if new room opened downstream.
-func (n *Node) OnOverhear(from topology.NodeID, states []packet.QueueState) {
-	if n.cacheAdvert(from, states) && n.mac != nil {
+// states under its slot and wake the MAC if new room opened downstream.
+func (n *Node) OnOverhear(from topology.NodeID, slot int, states []packet.QueueState) {
+	if n.cacheAdvert(from, slot, states) && n.mac != nil {
 		n.mac.Kick()
 	}
 }
 
-// cacheAdvert merges from's advert into the neighbor state, queue by
-// queue, and reports whether it opened room: a free state for a queue
-// that was unknown or last seen full.
-func (n *Node) cacheAdvert(from topology.NodeID, states []packet.QueueState) bool {
+// cacheAdvert merges from's advert into the neighbor state at slot,
+// queue by queue, and reports whether it opened room: a free state for a
+// queue that was unknown or last seen full. Between resets a slot names
+// one neighbor; should another claim it (an adjacency change without a
+// reset), the slot is reset first, so it never mixes two neighbors'
+// states.
+func (n *Node) cacheAdvert(from topology.NodeID, slot int, states []packet.QueueState) bool {
 	if len(states) == 0 {
 		return false
 	}
-	i, heard := slices.BinarySearch(n.nbrIDs, from)
-	if !heard {
-		// Reuse an entry list that a reset left beyond the end.
-		var ads []nbrAdvert
-		if spare := n.nbrAds[len(n.nbrAds):cap(n.nbrAds)]; len(spare) > 0 {
-			ads = spare[0][:0]
+	if slot >= len(n.slots) {
+		// Reuse the entry lists a reset left beyond the end.
+		k := len(n.slots)
+		n.slots = slices.Grow(n.slots, slot+1-k)[:slot+1]
+		for ; k <= slot; k++ {
+			n.slots[k] = nbrSlot{id: noNeighbor, ads: n.slots[k].ads[:0]}
 		}
-		n.nbrIDs = slices.Insert(n.nbrIDs, i, from)
-		n.nbrAds = slices.Insert(n.nbrAds, i, ads)
 	}
-	ads := n.nbrAds[i]
+	sl := &n.slots[slot]
+	if sl.id != from {
+		sl.id, sl.ads = from, sl.ads[:0]
+	}
+	ads := sl.ads
 	now := n.sched.Now()
 	opened := false
 	next := 0
@@ -933,8 +953,17 @@ func (n *Node) cacheAdvert(from topology.NodeID, states []packet.QueueState) boo
 		ads[k].free, ads[k].at = st.Free, now
 		next = k + 1
 	}
-	n.nbrAds[i] = ads
+	sl.ads = ads
 	return opened
+}
+
+// RecordMeters turns on the per-virtual-link meters for the reader that
+// takes them: the send meters (TakeMeters), and the receive meters
+// (TakeReceived) too when received is set. Until a reader turns them on,
+// a hop records nothing; turning them on again only adds.
+func (n *Node) RecordMeters(received bool) {
+	n.meterSent = true
+	n.meterReceived = n.meterReceived || received
 }
 
 // TakeMeters returns the per-virtual-link send meters accumulated since

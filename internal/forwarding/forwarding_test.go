@@ -15,6 +15,9 @@ import (
 
 // testNode builds a forwarding node on a 5-node chain (200 m spacing)
 // with no MAC attached (Kick calls are nil-guarded).
+// testNode builds node id of a five-node chain at 200 m spacing, where a
+// node's neighbors are the ones beside it: a middle node hears its upper
+// neighbor at slot 1.
 func testNode(t *testing.T, id topology.NodeID, cfg Config) (*Node, *sim.Scheduler, *dropLog) {
 	t.Helper()
 	pos := make([]geom.Point, 5)
@@ -173,12 +176,12 @@ func TestCongestionAvoidanceGating(t *testing.T) {
 	n, sched, _ := testNode(t, 1, DefaultConfig())
 	n.Enqueue(pk(0, 1, 4, 0))
 	// Next hop (node 2) advertises a full queue for destination 4.
-	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	n.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	if out := n.NextOutgoing(); out != nil {
 		t.Fatal("blocked packet was offered")
 	}
 	// A fresh free advertisement unblocks.
-	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: true}})
+	n.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: true}})
 	if out := n.NextOutgoing(); out == nil {
 		t.Fatal("packet not offered after queue opened")
 	}
@@ -190,7 +193,7 @@ func TestStaleFullStateOverridden(t *testing.T) {
 	cfg.StaleAfter = 10 * time.Millisecond
 	n, sched, _ := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
-	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	n.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	if n.NextOutgoing() != nil {
 		t.Fatal("fresh full state ignored")
 	}
@@ -207,7 +210,7 @@ func TestGatingIgnoredForFinalHop(t *testing.T) {
 	// gating applies even if some state claims otherwise.
 	n, _, _ := testNode(t, 3, DefaultConfig())
 	n.Enqueue(pk(0, 3, 4, 0))
-	n.OnOverhear(4, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	n.OnOverhear(4, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	if n.NextOutgoing() == nil {
 		t.Fatal("final-hop packet blocked by destination state")
 	}
@@ -491,6 +494,7 @@ func TestRetryDropWithoutCongestionAvoidance(t *testing.T) {
 
 func TestMetersCountAckedPackets(t *testing.T) {
 	n, _, _ := testNode(t, 1, DefaultConfig())
+	n.RecordMeters(false)
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.Enqueue(pk(0, 1, 4, 1))
 	for out := n.NextOutgoing(); out != nil; out = n.NextOutgoing() {
@@ -510,6 +514,7 @@ func TestMetersCountAckedPackets(t *testing.T) {
 
 func TestPrimaryFlowTracking(t *testing.T) {
 	n, _, _ := testNode(t, 1, DefaultConfig())
+	n.RecordMeters(false)
 	stamped := func(flow packet.FlowID, mu float64, seq int64) *packet.Packet {
 		p := pk(flow, 1, 4, seq)
 		p.NormRate = mu
@@ -649,7 +654,7 @@ func TestPiggybackReflectsQueueState(t *testing.T) {
 	if states := plain.AppendPiggyback(nil); len(states) != 0 {
 		t.Errorf("node without congestion avoidance advertised %v", states)
 	}
-	plain.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	plain.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	if plain.NextOutgoing() == nil {
 		t.Error("node without congestion avoidance held a packet back")
 	}
@@ -717,7 +722,7 @@ func TestStaleKickTimerScheduled(t *testing.T) {
 	cfg.StaleAfter = 10 * time.Millisecond
 	n, sched, _ := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
-	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	n.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	if n.NextOutgoing() != nil {
 		t.Fatal("blocked packet offered")
 	}
@@ -878,7 +883,7 @@ func TestResetNeighborState(t *testing.T) {
 	cfg.QueueSlots = 1 // neighbor "full" marks gate sends
 	n, _, _ := testNode(t, 1, cfg)
 	// Mark next hop 2's queue full: packets to dest 4 are withheld.
-	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
+	n.OnOverhear(2, 1, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	n.Enqueue(pk(0, 1, 4, 0))
 	if out := n.NextOutgoing(); out != nil {
 		t.Fatalf("sent %+v into a full downstream queue", out.Pkt)

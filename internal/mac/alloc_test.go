@@ -47,7 +47,7 @@ func (c *loopClient) AppendPiggyback(dst []packet.QueueState) []packet.QueueStat
 	return append(dst, c.states...)
 }
 
-func (c *loopClient) OnOverhear(topology.NodeID, []packet.QueueState) {}
+func (c *loopClient) OnOverhear(topology.NodeID, int, []packet.QueueState) {}
 
 func (c *loopClient) AcceptQueue(packet.QueueID, topology.NodeID) bool { return true }
 

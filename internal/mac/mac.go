@@ -63,9 +63,13 @@ type Client interface {
 	// a recycled frame's empty States so the call allocates nothing.
 	AppendPiggyback(dst []packet.QueueState) []packet.QueueState
 	// OnOverhear processes a buffer-state advertisement overheard from a
-	// neighbor's frame. states belongs to the frame: it must not be kept
-	// after the call returns.
-	OnOverhear(from topology.NodeID, states []packet.QueueState)
+	// neighbor's frame; the MAC calls it only for a frame that carries
+	// one. slot is from's position in this node's Tx neighbor list, as
+	// radio.Station.OnFrame hands it: stable until the adjacency changes,
+	// so the client may file from's state under it, and reset what it
+	// filed whenever the adjacency changes. states belongs to the frame:
+	// it must not be kept after the call returns.
+	OnOverhear(from topology.NodeID, slot int, states []packet.QueueState)
 	// AcceptQueue reports whether queue q can admit one more packet from
 	// the given sender. A receiver withholds CTS when it cannot
 	// (congestion avoidance, ref [3] of the paper).
@@ -583,7 +587,7 @@ func (s *Station) OnBusy() { s.freeze() }
 func (s *Station) OnIdle() { s.evaluate() }
 
 // OnFrame implements radio.Station: frame reception and overhearing.
-func (s *Station) OnFrame(f *radio.Frame, ok bool) {
+func (s *Station) OnFrame(f *radio.Frame, ok bool, slot int) {
 	if s.ph == phaseDown {
 		// Defensive: the medium already suppresses delivery to down nodes.
 		return
@@ -593,7 +597,9 @@ func (s *Station) OnFrame(f *radio.Frame, ok bool) {
 		// is not modeled; see DESIGN.md.)
 		return
 	}
-	s.client.OnOverhear(f.From, f.States)
+	if len(f.States) > 0 {
+		s.client.OnOverhear(f.From, slot, f.States)
+	}
 
 	if f.Kind == radio.FrameBroadcast {
 		if br, ok := s.client.(BroadcastReceiver); ok {

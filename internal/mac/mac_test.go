@@ -18,12 +18,13 @@ type fakeClient struct {
 	results   []bool
 	received  []*packet.Packet
 	overheard map[topology.NodeID][]packet.QueueState
+	slots     map[topology.NodeID]int // each neighbor's last slot
 	accept    func(packet.QueueID, topology.NodeID) bool
 	states    []packet.QueueState
 }
 
 func newFakeClient() *fakeClient {
-	return &fakeClient{overheard: make(map[topology.NodeID][]packet.QueueState)}
+	return &fakeClient{overheard: make(map[topology.NodeID][]packet.QueueState), slots: make(map[topology.NodeID]int)}
 }
 
 func (c *fakeClient) NextOutgoing() *Outgoing {
@@ -48,11 +49,10 @@ func (c *fakeClient) AppendPiggyback(dst []packet.QueueState) []packet.QueueStat
 	return append(dst, c.states...)
 }
 
-func (c *fakeClient) OnOverhear(from topology.NodeID, states []packet.QueueState) {
-	if len(states) > 0 {
-		// states belongs to the frame, which the medium recycles.
-		c.overheard[from] = append([]packet.QueueState(nil), states...)
-	}
+func (c *fakeClient) OnOverhear(from topology.NodeID, slot int, states []packet.QueueState) {
+	// states belongs to the frame, which the medium recycles.
+	c.overheard[from] = append([]packet.QueueState(nil), states...)
+	c.slots[from] = slot
 }
 
 func (c *fakeClient) AcceptQueue(q packet.QueueID, from topology.NodeID) bool {
@@ -247,6 +247,17 @@ func TestPiggybackOverheard(t *testing.T) {
 	got, ok := h.clients[2].overheard[0]
 	if !ok || len(got) != 1 || got[0].Queue != 7 || got[0].Free {
 		t.Errorf("overheard states = %v", got)
+	}
+	// Node 2's neighbors are 0 and 1, in that order.
+	if slot := h.clients[2].slots[0]; slot != 0 {
+		t.Errorf("node 0 heard at slot %d, want 0", slot)
+	}
+	if slot := h.clients[1].slots[0]; slot != 0 {
+		t.Errorf("node 1 heard node 0 at slot %d, want 0", slot)
+	}
+	// Node 1 advertises nothing, so its CTS and ACK reach no client.
+	if got, ok := h.clients[2].overheard[1]; ok {
+		t.Errorf("OnOverhear called for a frame without states: %v", got)
 	}
 }
 

@@ -207,10 +207,15 @@ type Collector struct {
 }
 
 // NewCollector builds a collector over all forwarding nodes and the
-// shared medium. threshold is the Ω saturation threshold (0.25 in §6.2).
+// shared medium, and turns on the nodes' send meters, the side of each
+// virtual link it reads. threshold is the Ω saturation threshold (0.25
+// in §6.2).
 func NewCollector(nodes []*forwarding.Node, medium *radio.Medium, threshold float64) *Collector {
 	if threshold <= 0 || threshold >= 1 {
 		panic(fmt.Sprintf("measure: Ω threshold %v outside (0,1)", threshold))
+	}
+	for _, n := range nodes {
+		n.RecordMeters(false)
 	}
 	return &Collector{nodes: nodes, meter: medium.NewAirtimeMeter(), threshold: threshold}
 }
@@ -253,7 +258,6 @@ func (c *Collector) Collect(period time.Duration) *Snapshot {
 			receiver := VNodeID{Node: key.To, Queue: key.Queue}
 			s.upstream[receiver] = append(s.upstream[receiver], st)
 		}
-		n.TakeReceived() // reset receiver-side counters each period
 	}
 
 	// Wireless link occupancy and normalized rate.

@@ -55,11 +55,12 @@ func (o *allPairsOracle) mark(seq int64, vsrc, source topology.NodeID) {
 }
 
 // oracleTally counts deliveries across all stations of one run.
-type oracleTally struct{ clean, corrupted, mismatches int }
+type oracleTally struct{ clean, corrupted, mismatches, badSlots int }
 
 // oracleStation checks every delivery against the oracle: a reception
 // succeeds exactly when no overlapping carrier reached the receiver and
-// the receiver is not itself on the air.
+// the receiver is not itself on the air. It also checks that the slot
+// names the transmitter in the receiver's neighbor list as it is now.
 type oracleStation struct {
 	t     *testing.T
 	id    topology.NodeID
@@ -69,7 +70,13 @@ type oracleStation struct {
 
 func (s *oracleStation) OnBusy() {}
 func (s *oracleStation) OnIdle() {}
-func (s *oracleStation) OnFrame(f *Frame, ok bool) {
+func (s *oracleStation) OnFrame(f *Frame, ok bool, slot int) {
+	if nbrs := s.o.topo.Neighbors(s.id); slot < 0 || slot >= len(nbrs) || nbrs[slot] != f.From {
+		s.tally.badSlots++
+		if s.tally.badSlots <= 5 {
+			s.t.Errorf("frame %d from %d at node %d: slot %d in neighbor list %v", f.ID, f.From, s.id, slot, nbrs)
+		}
+	}
 	want := !s.o.marked[oracleKey{f.ID, s.id}] && !s.o.m.Transmitting(s.id)
 	if ok != want {
 		s.tally.mismatches++
@@ -88,10 +95,11 @@ func (s *oracleStation) OnFrame(f *Frame, ok bool) {
 // TestInterferenceMatchesAllPairsOracle drives the medium with random
 // overlapping traffic — unicast data and control frames, broadcasts,
 // transmissions starting at the same instant — and checks every
-// delivery's outcome against the all-pairs oracle. The moving variants
-// relocate nodes mid-flight through Begin/EndTopologyChange, where
-// corruption must follow the neighbor lists as they were when each
-// interfering carrier started.
+// delivery's outcome against the all-pairs oracle, and its slot against
+// the receiver's neighbor list. The moving variants relocate nodes
+// mid-flight through Begin/EndTopologyChange, where corruption must
+// follow the neighbor lists as they were when each interfering carrier
+// started, and slots the lists as they are at delivery.
 func TestInterferenceMatchesAllPairsOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -112,10 +112,22 @@ type Station interface {
 	// still delivered (overhearing) so it can set its NAV and read
 	// piggybacked state.
 	//
+	// slot is the transmitter's position in this node's Tx neighbor list
+	// (topology.ReverseSlots): Neighbors(self)[slot] == f.From. It is
+	// stable until the adjacency changes, so a receiver may file
+	// per-neighbor state under it.
+	//
 	// OnFrame must not keep f or f.States after it returns: a frame from
 	// NewFrame is recycled once every receiver has seen it. Copy what
 	// outlives the call; f.Data and f.Control may be kept.
-	OnFrame(f *Frame, ok bool)
+	//
+	// Neither OnFrame nor OnBusy may call Transmit: the medium settles a
+	// frame's receptions in one pass over its receivers and raises carrier
+	// sense in one pass over the sensing nodes, and a transmission started
+	// mid-pass would change what the rest of the pass reads. Transmit
+	// panics when called from inside either. A station transmits from its
+	// own timer events, or from an end-of-air callback.
+	OnFrame(f *Frame, ok bool, slot int)
 }
 
 // Params are the PHY/MAC timing constants.
@@ -239,37 +251,32 @@ type Stats struct {
 // Interference marking. A reception of frame t at receiver n fails when
 // some other carrier reaches n (n lies in its carrier-sense range, or n
 // is its transmitter) at any instant while t is on the air. Such a
-// carrier either was already present when t started — then busy[n] > 0
-// or n is on the air, checked once in Transmit — or started later, and
-// then it stamped lastHit[n] with a sequence number above t's, checked
-// once in finish.
+// carrier either was already present when t started — then n's busy
+// count is positive or n is on the air, checked once in Transmit — or
+// started later, and then it stamped n's lastHit with a sequence number
+// above t's, checked once in finish.
 type Medium struct {
-	sched    *sim.Scheduler
-	topo     *topology.Topology
-	params   Params
-	rng      *rand.Rand
-	stations []Station
+	sched  *sim.Scheduler
+	topo   *topology.Topology
+	params Params
+	rng    *rand.Rand
 
-	// onAir holds each node's in-flight transmission, nil while the node
-	// is silent: a node never has two frames on the air at once.
-	onAir    []*transmission
-	busy     []int // per node: count of foreign carriers sensed
+	// nodes holds each node's channel state in one record, so a
+	// reception reads one cache line.
+	nodes    []nodeState
 	frameSeq int64
-	// lastHit[n] is the sequence number of the latest transmission whose
-	// carrier reached node n. jamMark is finish's scratch: jamMark[n]
-	// equals the finishing transmission's sequence number exactly when
-	// its reception at n is corrupted.
-	lastHit []int64
-	jamMark []int64
+	// inCallback is set while a carrier-sense or delivery loop calls
+	// into the stations; Transmit panics under it.
+	inCallback bool
 
-	// Fault-injection state (see internal/faults). down nodes neither
-	// transmit nor receive; linkLoss/nodeLoss add per-link and
-	// per-receiver loss probabilities on top of the global params.LossProb.
-	// linkLoss is keyed by node pair, so motion never re-keys it, and a
-	// delivery consults it only while some loss is set.
-	down     []bool
+	// Fault-injection state (see internal/faults), beside each node's
+	// down flag and receive loss. linkLoss adds per-link loss
+	// probabilities on top of the global params.LossProb; it is keyed by
+	// node pair, so motion never re-keys it. lossy is set once any loss
+	// is: LossProb > 0, or a link or node loss was ever set. A delivery
+	// consults injected loss only under it.
 	linkLoss map[topology.Link]float64
-	nodeLoss []float64
+	lossy    bool
 
 	// airtime is the per-link airtime ledger: each directed link's total
 	// on-air time since the run began, by dense link index. airtimeFar
@@ -305,6 +312,23 @@ type Medium struct {
 	probe *obs.Probe
 }
 
+// nodeState is one node's channel state.
+type nodeState struct {
+	station Station
+	// onAir is the node's in-flight transmission, nil while it is
+	// silent: a node never has two frames on the air at once.
+	onAir *transmission
+	// lastHit is the sequence number of the latest transmission whose
+	// carrier reached the node. jamMark is finish's scratch: it equals
+	// the finishing transmission's sequence number when that frame is
+	// already known corrupted here.
+	lastHit int64
+	jamMark int64
+	busy    int     // count of foreign carriers sensed
+	loss    float64 // injected receive loss probability
+	down    bool    // crashed: neither transmits nor receives
+}
+
 // NewMedium builds the channel for the given topology. Stations register
 // afterwards with Register, one per node, before any transmission.
 func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng *rand.Rand) *Medium {
@@ -313,13 +337,8 @@ func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng
 		topo:     topo,
 		params:   params,
 		rng:      rng,
-		stations: make([]Station, topo.NumNodes()),
-		onAir:    make([]*transmission, topo.NumNodes()),
-		busy:     make([]int, topo.NumNodes()),
-		lastHit:  make([]int64, topo.NumNodes()),
-		jamMark:  make([]int64, topo.NumNodes()),
-		down:     make([]bool, topo.NumNodes()),
-		nodeLoss: make([]float64, topo.NumNodes()),
+		nodes:    make([]nodeState, topo.NumNodes()),
+		lossy:    params.LossProb > 0,
 		airtime:  make([]time.Duration, topo.NumLinks()),
 		rtsAir:   params.Airtime(FrameRTS, 0),
 		ctsAir:   params.Airtime(FrameCTS, 0),
@@ -331,10 +350,10 @@ func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng
 
 // Register installs the MAC station for node n.
 func (m *Medium) Register(n topology.NodeID, st Station) {
-	if m.stations[n] != nil {
+	if m.nodes[n].station != nil {
 		panic(fmt.Sprintf("radio: station %d registered twice", n))
 	}
-	m.stations[n] = st
+	m.nodes[n].station = st
 }
 
 // Params returns the channel constants. Stations share the medium's
@@ -346,8 +365,9 @@ func (m *Medium) Params() *Params { return &m.params }
 // them cannot change simulation behavior.
 func (m *Medium) SetProbe(p *obs.Probe) { m.probe = p }
 
+// emit records a channel event on the ring; callers check m.probe.
 func (m *Medium) emit(kind trace.Kind, node, peer topology.NodeID, f *Frame) {
-	if m.probe == nil || m.probe.Events == nil {
+	if m.probe.Events == nil {
 		return
 	}
 	detail := f.Kind.String()
@@ -402,10 +422,10 @@ func (m *Medium) memoAirtime(cache map[int]time.Duration, kind FrameKind, bytes 
 
 // BusyAt reports whether node n currently senses a foreign carrier. The
 // node's own transmission does not count.
-func (m *Medium) BusyAt(n topology.NodeID) bool { return m.busy[n] > 0 }
+func (m *Medium) BusyAt(n topology.NodeID) bool { return m.nodes[n].busy > 0 }
 
 // Transmitting reports whether node n is currently on the air.
-func (m *Medium) Transmitting(n topology.NodeID) bool { return m.onAir[n] != nil }
+func (m *Medium) Transmitting(n topology.NodeID) bool { return m.nodes[n].onAir != nil }
 
 // Stats returns a snapshot of the channel counters. Safe to call from
 // any goroutine: the counters are read atomically.
@@ -427,10 +447,10 @@ func (m *Medium) Stats() Stats {
 // are counted in Stats.DownSkipped instead of being delivered. A frame
 // already on the air when its source crashes still completes — the
 // medium models propagation, not the transmitter's state.
-func (m *Medium) SetNodeDown(n topology.NodeID, down bool) { m.down[n] = down }
+func (m *Medium) SetNodeDown(n topology.NodeID, down bool) { m.nodes[n].down = down }
 
 // NodeDown reports whether node n is currently crashed.
-func (m *Medium) NodeDown(n topology.NodeID) bool { return m.down[n] }
+func (m *Medium) NodeDown(n topology.NodeID) bool { return m.nodes[n].down }
 
 // SetLinkLoss sets an extra loss probability p in [0,1) for frames
 // received over the directed link from→to, composing independently
@@ -450,6 +470,7 @@ func (m *Medium) SetLinkLoss(from, to topology.NodeID, p float64) {
 		m.linkLoss = make(map[topology.Link]float64)
 	}
 	m.linkLoss[l] = p
+	m.lossy = true
 }
 
 // SetNodeLoss sets an extra loss probability p in [0,1) applied to
@@ -459,7 +480,8 @@ func (m *Medium) SetNodeLoss(n topology.NodeID, p float64) {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("radio: node loss probability %v outside [0,1)", p))
 	}
-	m.nodeLoss[n] = p
+	m.nodes[n].loss = p
+	m.lossy = m.lossy || p > 0
 }
 
 // lossAt returns the effective injected-loss probability for a frame
@@ -472,7 +494,7 @@ func (m *Medium) lossAt(src, dst topology.NodeID) float64 {
 			p = 1 - (1-p)*(1-lp)
 		}
 	}
-	if np := m.nodeLoss[dst]; np > 0 {
+	if np := m.nodes[dst].loss; np > 0 {
 		p = 1 - (1-p)*(1-np)
 	}
 	return p
@@ -551,20 +573,20 @@ func (m *Medium) dropIfRead(l topology.Link, total time.Duration) {
 // against the new neighbor list.
 func (m *Medium) BeginTopologyChange() {
 	if m.busyBefore == nil {
-		m.busyBefore = make([]bool, len(m.busy))
+		m.busyBefore = make([]bool, len(m.nodes))
 	}
-	for n := range m.busy {
-		m.busyBefore[n] = m.busy[n] > 0
+	for n := range m.nodes {
+		m.busyBefore[n] = m.nodes[n].busy > 0
 	}
 	for _, tx := range m.inFlight() {
 		for _, n := range m.topo.Neighbors(tx.src) {
-			if m.lastHit[n] > tx.since {
+			if m.nodes[n].lastHit > tx.since {
 				tx.jammed = append(tx.jammed, n)
 			}
 		}
 		tx.since = m.frameSeq
 		for _, n := range m.topo.CSNeighbors(tx.src) {
-			m.busy[n]--
+			m.nodes[n].busy--
 		}
 	}
 }
@@ -572,8 +594,8 @@ func (m *Medium) BeginTopologyChange() {
 // inFlight returns the transmissions on the air in start order.
 func (m *Medium) inFlight() []*transmission {
 	var flight []*transmission
-	for _, tx := range m.onAir {
-		if tx != nil {
+	for n := range m.nodes {
+		if tx := m.nodes[n].onAir; tx != nil {
 			flight = append(flight, tx)
 		}
 	}
@@ -626,25 +648,26 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 
 	for _, tx := range m.inFlight() {
 		for _, n := range m.topo.CSNeighbors(tx.src) {
-			m.busy[n]++
-			if m.busy[n] == 1 && m.probe != nil {
+			m.nodes[n].busy++
+			if m.nodes[n].busy == 1 && m.probe != nil {
 				m.probe.Spans.NodeBusy(n, tx.src)
 			}
 		}
 	}
 	if m.probe != nil {
-		for n := range m.busy {
-			if m.busy[n] == 0 {
+		for n := range m.nodes {
+			if m.nodes[n].busy == 0 {
 				m.probe.Spans.NodeIdle(topology.NodeID(n))
 			}
 		}
 	}
-	for n := range m.busy {
-		nowBusy := m.busy[n] > 0
-		if nowBusy == m.busyBefore[n] || m.onAir[n] != nil {
+	for n := range m.nodes {
+		ns := &m.nodes[n]
+		nowBusy := ns.busy > 0
+		if nowBusy == m.busyBefore[n] || ns.onAir != nil {
 			continue
 		}
-		if st := m.stations[n]; st != nil {
+		if st := ns.station; st != nil {
 			if nowBusy {
 				st.OnBusy()
 			} else {
@@ -666,7 +689,8 @@ type transmission struct {
 	// jammed lists receivers at which the frame is known corrupted before
 	// lastHit is consulted: those already under another carrier when it
 	// went on the air, and those a later carrier reached before a
-	// topology change. Its backing array is recycled with the record.
+	// topology change. It is short: most frames start on a quiet channel.
+	// Its backing array is recycled with the record.
 	jammed []topology.NodeID
 	// aired is the transmitter's end-of-air callback, nil for none.
 	aired func()
@@ -727,15 +751,20 @@ func (m *Medium) NewFrame() *Frame {
 // aired, when not nil, runs at the frame's end of air, in the same kernel
 // event as the delivery: after every receiver's OnFrame and every OnIdle
 // the frame causes. By then a frame from NewFrame is back in the pool, so
-// aired must not touch it.
+// aired must not touch it. aired may transmit; OnFrame and OnBusy may not
+// (see Station).
 func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
-	if m.onAir[src] != nil {
+	ns := &m.nodes[src]
+	if m.inCallback {
+		panic(fmt.Sprintf("radio: node %d transmits from inside OnFrame or OnBusy", src))
+	}
+	if ns.onAir != nil {
 		panic(fmt.Sprintf("radio: node %d transmit while already transmitting", src))
 	}
-	if m.stations[src] == nil {
+	if ns.station == nil {
 		panic(fmt.Sprintf("radio: node %d transmits before registering", src))
 	}
-	if m.down[src] {
+	if ns.down {
 		panic(fmt.Sprintf("radio: crashed node %d transmits (MAC not halted?)", src))
 	}
 	m.frameSeq++
@@ -757,55 +786,66 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame, aired func()) {
 		}
 		m.airtimeFar[topology.Link{From: f.LinkFrom, To: f.LinkTo}] += dur
 	}
-	m.emit(trace.KindTransmit, src, f.To, f)
-	if m.probe != nil && f.Kind == FrameData && f.Data != nil {
-		m.probe.Spans.DataAirtime(f.Data, src, f.To, now, now+dur)
+	if m.probe != nil {
+		m.emit(trace.KindTransmit, src, f.To, f)
+		if f.Kind == FrameData && f.Data != nil {
+			m.probe.Spans.DataAirtime(f.Data, src, f.To, now, now+dur)
+		}
 	}
 
 	// A receiver already under another carrier — one it senses, or its
 	// own transmission — cannot decode this frame.
 	for _, n := range m.topo.Neighbors(src) {
-		if m.busy[n] > 0 || m.onAir[n] != nil {
+		if r := &m.nodes[n]; r.busy > 0 || r.onAir != nil {
 			tx.jammed = append(tx.jammed, n)
 		}
 	}
-	m.onAir[src] = tx
+	ns.onAir = tx
 
 	// This carrier in turn corrupts every reception in flight at the
 	// nodes it reaches, src itself included (half duplex): stamp them for
-	// those receptions' finish. The max keeps a later frame's stamp
-	// should a station callback below start one.
-	m.lastHit[src] = seq
+	// those receptions' finish. No OnBusy below can start a frame, so
+	// seq is the highest stamp yet.
+	ns.lastHit = seq
+	m.inCallback = true
 	for _, n := range m.topo.CSNeighbors(src) {
-		m.lastHit[n] = max(m.lastHit[n], seq)
+		r := &m.nodes[n]
+		r.lastHit = seq
 		// Carrier sensing: raise busy at every foreign node within CS range.
-		m.busy[n]++
-		if m.busy[n] == 1 {
+		r.busy++
+		if r.busy == 1 {
 			if m.probe != nil {
 				m.probe.Spans.NodeBusy(n, src)
 			}
-			if m.onAir[n] == nil {
-				m.stations[n].OnBusy()
+			if r.onAir == nil {
+				r.station.OnBusy()
 			}
 		}
 	}
+	m.inCallback = false
 
 	m.sched.At(tx.end, tx.finishFn)
 }
 
+// finish ends tx's flight and delivers it, in three passes: carrier
+// sense drops over the CS list, the short jammed list is marked, and one
+// pass over the Tx list settles and delivers each reception. Settling a
+// reception inside the delivery loop reads state that earlier receivers'
+// callbacks could change only by transmitting, which Transmit refuses.
 func (m *Medium) finish(tx *transmission) {
-	m.onAir[tx.src] = nil
+	m.nodes[tx.src].onAir = nil
 
 	// Lower carrier-sense busy counts first so receivers observe an idle
 	// medium when deciding SIFS responses, but defer OnIdle until after
 	// frame delivery so response scheduling wins over backoff resumption.
 	nowIdle := m.idleScratch[:0]
 	for _, n := range m.topo.CSNeighbors(tx.src) {
-		m.busy[n]--
-		if m.busy[n] < 0 {
+		r := &m.nodes[n]
+		r.busy--
+		if r.busy < 0 {
 			panic("radio: negative busy count")
 		}
-		if m.busy[n] == 0 {
+		if r.busy == 0 {
 			if m.probe != nil {
 				m.probe.Spans.NodeIdle(n)
 			}
@@ -813,52 +853,45 @@ func (m *Medium) finish(tx *transmission) {
 		}
 	}
 
-	// Settle corruption before any station callback can put a new frame
-	// on the air: only carriers that overlapped this frame count.
-	nbrs := m.topo.Neighbors(tx.src)
 	for _, n := range tx.jammed {
-		m.jamMark[n] = tx.seq
-	}
-	for _, n := range nbrs {
-		if m.lastHit[n] > tx.since {
-			m.jamMark[n] = tx.seq
-		}
+		m.nodes[n].jamMark = tx.seq
 	}
 
 	// Deliver to every node in transmission range (receiver + overhearers).
-	// The counts are published once, after the loop.
+	// A reception is clean unless the frame was jammed there, a carrier
+	// that started after it reached the receiver, or the receiver is on
+	// the air itself. The counts are published once, after the loop.
+	nbrs := m.topo.Neighbors(tx.src)
+	slots := m.topo.ReverseSlots(tx.src)
 	var delivered, corrupted, downSkipped, injected int64
-	for _, n := range nbrs {
-		if m.down[n] {
+	m.inCallback = true
+	for k, n := range nbrs {
+		r := &m.nodes[n]
+		if r.down {
 			// Crashed receivers hear nothing at all.
 			downSkipped++
 			continue
 		}
-		ok := m.jamMark[n] != tx.seq
-		if ok && m.onAir[n] != nil {
-			// Receiver is on the air itself at delivery time.
-			ok = false
-		}
+		ok := r.jamMark != tx.seq && r.lastHit <= tx.since && r.onAir == nil
 		// The rng draw stays gated on p > 0 so schedules without loss
 		// faults consume the identical random sequence as before.
-		if p := m.lossAt(tx.src, n); ok && p > 0 && m.rng.Float64() < p {
-			ok = false
-			injected++
+		if ok && m.lossy {
+			if p := m.lossAt(tx.src, n); p > 0 && m.rng.Float64() < p {
+				ok = false
+				injected++
+			}
 		}
 		if ok {
 			delivered++
-			if n == tx.frame.To {
-				m.emit(trace.KindDeliver, n, tx.src, tx.frame)
-			}
 		} else {
 			corrupted++
-			m.emit(trace.KindCorrupt, n, tx.src, tx.frame)
-			if m.probe != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
-				m.probe.Spans.DataCorrupted(tx.frame.Data, tx.src, n)
-			}
 		}
-		m.stations[n].OnFrame(tx.frame, ok)
+		if m.probe != nil {
+			m.observeReception(tx, n, ok)
+		}
+		r.station.OnFrame(tx.frame, ok, int(slots[k]))
 	}
+	m.inCallback = false
 	if delivered > 0 {
 		atomic.AddInt64(&m.stats.Delivered, delivered)
 	}
@@ -873,8 +906,8 @@ func (m *Medium) finish(tx *transmission) {
 	}
 
 	for _, n := range nowIdle {
-		if m.busy[n] == 0 { // may have gone busy again during delivery
-			m.stations[n].OnIdle()
+		if r := &m.nodes[n]; r.busy == 0 { // an earlier OnIdle may have started a carrier
+			r.station.OnIdle()
 		}
 	}
 	m.idleScratch = nowIdle[:0]
@@ -882,5 +915,21 @@ func (m *Medium) finish(tx *transmission) {
 	m.releaseTransmission(tx)
 	if aired != nil {
 		aired()
+	}
+}
+
+// observeReception reports one reception of tx at n to the observers: a
+// clean one at the addressee, and every corrupted one.
+func (m *Medium) observeReception(tx *transmission, n topology.NodeID, ok bool) {
+	f := tx.frame
+	if ok {
+		if n == f.To {
+			m.emit(trace.KindDeliver, n, tx.src, f)
+		}
+		return
+	}
+	m.emit(trace.KindCorrupt, n, tx.src, f)
+	if n == f.To && f.Kind == FrameData && f.Data != nil {
+		m.probe.Spans.DataCorrupted(f.Data, tx.src, n)
 	}
 }

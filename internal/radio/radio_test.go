@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ type recorder struct {
 
 func (r *recorder) OnBusy() { r.busy++; r.busyNow = true }
 func (r *recorder) OnIdle() { r.idle++; r.busyNow = false }
-func (r *recorder) OnFrame(f *Frame, ok bool) {
+func (r *recorder) OnFrame(f *Frame, ok bool, _ int) {
 	r.frames = append(r.frames, f)
 	r.oks = append(r.oks, ok)
 }
@@ -393,5 +394,61 @@ func TestTransmitAiredCallback(t *testing.T) {
 	h.sched.Run(2 * time.Second)
 	if len(h.nodes[1].frames) != 2 {
 		t.Errorf("node 1 got %d frames, want 2", len(h.nodes[1].frames))
+	}
+}
+
+// reentrantStation transmits from inside a medium callback, from OnBusy
+// or from OnFrame, which the medium's single-pass loops forbid.
+type reentrantStation struct {
+	m      *Medium
+	id     topology.NodeID
+	onBusy bool
+}
+
+func (s *reentrantStation) OnBusy() {
+	if s.onBusy {
+		s.m.Transmit(s.id, dataFrame(s.id, 0), nil)
+	}
+}
+func (s *reentrantStation) OnIdle() {}
+func (s *reentrantStation) OnFrame(*Frame, bool, int) {
+	if !s.onBusy {
+		s.m.Transmit(s.id, dataFrame(s.id, 0), nil)
+	}
+}
+
+// TestTransmitFromCallbackPanics pins the medium's precondition for its
+// one-pass delivery: a station that transmits from OnFrame or OnBusy
+// panics, while one that transmits from an end-of-air callback does not.
+func TestTransmitFromCallbackPanics(t *testing.T) {
+	pos := []geom.Point{{X: 0}, {X: 200}}
+	topo, err := topology.New(pos, topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, onBusy := range []bool{false, true} {
+		sched := sim.NewScheduler()
+		m := NewMedium(sched, topo, DefaultParams(), sim.NewRand(1))
+		m.Register(0, &recorder{})
+		m.Register(1, &reentrantStation{m: m, id: 1, onBusy: onBusy})
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "from inside OnFrame or OnBusy") {
+					t.Errorf("onBusy=%v: transmit from a callback recovered %v, want the re-entry panic", onBusy, r)
+				}
+			}()
+			m.Transmit(0, dataFrame(0, 1), nil)
+			sched.Run(time.Second)
+		}()
+	}
+
+	h := newHarness(t, pos)
+	h.medium.Transmit(0, dataFrame(0, 1), func() {
+		h.medium.Transmit(1, dataFrame(1, 0), nil)
+	})
+	h.sched.Run(time.Second)
+	if len(h.nodes[0].frames) != 1 || !h.nodes[0].oks[0] {
+		t.Errorf("node 0 got %d frames from the aired callback's transmission, want 1 clean", len(h.nodes[0].frames))
 	}
 }

@@ -9,12 +9,15 @@
 // The store is a bounded in-memory LRU with an optional write-through
 // on-disk layer. Evicted entries survive on disk (when a directory is
 // configured) and are promoted back into memory on the next Get, so the
-// memory bound caps the working set, not the total corpus. All methods
-// are safe for concurrent use; hit/miss/eviction counters feed the
-// service's /metrics endpoint.
+// memory bound caps the working set, not the total corpus. A disk entry
+// carries the SHA-256 of its blob, and a read verifies it: a file that
+// was truncated, altered or written by a different format reads as a
+// miss and is removed, never served. All methods are safe for concurrent
+// use; hit/miss/eviction counters feed the service's /metrics endpoint.
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -77,6 +80,9 @@ type Stats struct {
 	// evicted entry survives on disk when a directory is configured).
 	Puts      int64
 	Evictions int64
+	// Corrupt counts disk entries that failed their checksum or were too
+	// short to hold one; each was removed and counted as a miss.
+	Corrupt int64
 	// Entries is the current in-memory entry count.
 	Entries int
 }
@@ -94,7 +100,7 @@ type Cache struct {
 	items map[Key]*list.Element
 	dir   string
 
-	hits, misses, diskHits, puts, evictions int64
+	hits, misses, diskHits, puts, evictions, corrupt int64
 }
 
 // New builds a cache holding at most maxEntries blobs in memory
@@ -137,7 +143,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Unlock()
 
 	if dir != "" {
-		if v, err := os.ReadFile(c.path(k)); err == nil {
+		if v, ok := c.readDisk(k); ok {
 			c.mu.Lock()
 			c.hits++
 			c.diskHits++
@@ -152,10 +158,34 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return nil, false
 }
 
+// readDisk returns the blob of k's disk entry when the entry's checksum
+// holds. An entry shorter than a checksum or failing it is removed and
+// counted in Corrupt.
+func (c *Cache) readDisk(k Key) ([]byte, bool) {
+	path := c.path(k)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	if len(b) >= sha256.Size {
+		v := b[sha256.Size:]
+		if sum := sha256.Sum256(v); bytes.Equal(sum[:], b[:sha256.Size]) {
+			return v, true
+		}
+	}
+	// A failed removal leaves the entry to fail again, or to a Put.
+	_ = os.Remove(path)
+	c.mu.Lock()
+	c.corrupt++
+	c.mu.Unlock()
+	return nil, false
+}
+
 // Put stores a copy of v under k, evicting the least recently used
 // in-memory entries beyond the bound. With a disk layer the write is
 // atomic (temp file + rename), so a concurrent reader sees either the
-// old blob or the new one, never a torn file.
+// old blob or the new one, never a torn file. The file holds the blob's
+// SHA-256, then the blob.
 func (c *Cache) Put(k Key, v []byte) error {
 	c.mu.Lock()
 	c.puts++
@@ -174,7 +204,8 @@ func (c *Cache) Put(k Key, v []byte) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if _, err := tmp.Write(v); err != nil {
+	sum := sha256.Sum256(v)
+	if _, err := tmp.Write(append(sum[:], v...)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultcache: writing %s: %w", path, err)
@@ -227,6 +258,7 @@ func (c *Cache) Stats() Stats {
 		DiskHits:  c.diskHits,
 		Puts:      c.puts,
 		Evictions: c.evictions,
+		Corrupt:   c.corrupt,
 		Entries:   c.ll.Len(),
 	}
 }

@@ -3,6 +3,7 @@ package resultcache
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 )
@@ -140,4 +141,63 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDiskIntegrity flips a byte in one disk entry and truncates
+// another. Read through a fresh cache, each is a miss, is removed and is
+// counted corrupt; the intact entry beside them still hits, and a later
+// Put and Get of a damaged key round-trip.
+func TestDiskIntegrity(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped, cut, intact := Sum([]byte("flipped")), Sum([]byte("cut")), Sum([]byte("intact"))
+	for _, k := range []Key{flipped, cut, intact} {
+		if err := c.Put(k, []byte("result of "+k.String()[:8])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := os.ReadFile(c.path(flipped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 1
+	if err := os.WriteFile(c.path(flipped), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(c.path(cut), 5); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := New(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Key{flipped, cut} {
+		if v, ok := fresh.Get(k); ok {
+			t.Errorf("damaged entry %s served %q", k.String()[:8], v)
+		}
+		if _, err := os.Stat(fresh.path(k)); !os.IsNotExist(err) {
+			t.Errorf("damaged entry %s left on disk (stat: %v)", k.String()[:8], err)
+		}
+	}
+	if v, ok := fresh.Get(intact); !ok || string(v) != "result of "+intact.String()[:8] {
+		t.Errorf("intact entry read %q, %v", v, ok)
+	}
+	if st := fresh.Stats(); st.Corrupt != 2 || st.Misses != 2 || st.DiskHits != 1 {
+		t.Errorf("stats = %+v, want 2 corrupt misses and 1 disk hit", st)
+	}
+
+	if err := fresh.Put(flipped, []byte("recomputed")); err != nil {
+		t.Fatal(err)
+	}
+	again, err := New(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := again.Get(flipped); !ok || string(v) != "recomputed" {
+		t.Errorf("re-put entry read %q, %v", v, ok)
+	}
 }

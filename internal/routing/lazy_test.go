@@ -109,3 +109,83 @@ func TestLazyTableAcrossMotion(t *testing.T) {
 	}()
 	lazy.HopCount(0, 1)
 }
+
+// TestBuildLazyFromMatchesFresh drives a chain of repairs through
+// BuildLazyFrom over random motion and crash sequences: after every
+// step the live table, built on its retired predecessor's arrays, reads
+// exactly like a fresh BuildLazyExcluding on the same topology and down
+// set, for every node toward every destination it is asked about; the
+// retired table panics when read; and a t=0 table that no repair takes
+// keeps its rows.
+func TestBuildLazyFromMatchesFresh(t *testing.T) {
+	const n, side = 60, 1400.0
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	topo, err := topology.New(pts, topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := BuildLazy(topo)
+	var t0Rows [][]int
+	for dest := 0; dest < n; dest += 7 {
+		row := make([]int, n)
+		for i := range row {
+			row[i] = t0.HopCount(topology.NodeID(i), topology.NodeID(dest))
+		}
+		t0Rows = append(t0Rows, row)
+	}
+
+	down := make([]bool, n)
+	live := BuildLazyExcluding(topo, down)
+	for step := 0; step < 60; step++ {
+		var moved []topology.NodeID
+		var np []geom.Point
+		for _, v := range rng.Perm(n)[:1+rng.Intn(8)] {
+			p := topo.Position(topology.NodeID(v))
+			moved = append(moved, topology.NodeID(v))
+			np = append(np, geom.Point{X: p.X + rng.Float64()*300 - 150, Y: p.Y + rng.Float64()*300 - 150})
+		}
+		if _, err := topo.MoveNodes(moved, np); err != nil {
+			t.Fatal(err)
+		}
+		if v := rng.Intn(n); rng.Intn(3) == 0 {
+			down[v] = !down[v]
+		}
+		var stepDown []bool
+		if rng.Intn(4) > 0 {
+			stepDown = down
+		}
+		retired := live
+		live = BuildLazyFrom(retired, topo, stepDown)
+		fresh := BuildLazyExcluding(topo, stepDown)
+		for _, dest := range rng.Perm(n)[:10] {
+			for i := 0; i < n; i++ {
+				from, to := topology.NodeID(i), topology.NodeID(dest)
+				gotN, gotOK := live.NextHop(from, to)
+				wantN, wantOK := fresh.NextHop(from, to)
+				if gotN != wantN || gotOK != wantOK || live.HopCount(from, to) != fresh.HopCount(from, to) {
+					t.Fatalf("step %d: %d toward %d: (%d,%v,%d hops), fresh (%d,%v,%d hops)", step, i, dest,
+						gotN, gotOK, live.HopCount(from, to), wantN, wantOK, fresh.HopCount(from, to))
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("step %d: the retired table served a read", step)
+				}
+			}()
+			retired.HopCount(0, 1)
+		}()
+	}
+	for k, dest := 0, 0; dest < n; k, dest = k+1, dest+7 {
+		for i, want := range t0Rows[k] {
+			if got := t0.HopCount(topology.NodeID(i), topology.NodeID(dest)); got != want {
+				t.Fatalf("t=0 table: HopCount(%d,%d) = %d after the repairs, was %d", i, dest, got, want)
+			}
+		}
+	}
+}

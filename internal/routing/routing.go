@@ -16,11 +16,11 @@ const NoRoute topology.NodeID = -1
 // Table holds, for every destination, each node's next hop and distance.
 //
 // Eager tables (Build, BuildExcluding, BuildGeographic*) carry every row
-// up front. Lazy tables (BuildLazy, BuildLazyExcluding) materialize a
-// destination's row on first access, so a simulation that routes to a
-// handful of flow destinations pays one BFS per destination actually
-// used instead of one per node — the difference between O(N·(N+E)) and
-// O(F·(N+E)) at city scale.
+// up front. Lazy tables (BuildLazy, BuildLazyExcluding, BuildLazyFrom)
+// materialize a destination's row on first access, so a simulation that
+// routes to a handful of flow destinations pays one BFS per destination
+// actually used instead of one per node — the difference between
+// O(N·(N+E)) and O(F·(N+E)) at city scale.
 //
 // A lazy table is stamped with the topology's adjacency version
 // (topology.Topology.Version). Once the adjacency changes, the table
@@ -39,6 +39,13 @@ type Table struct {
 	topo    *topology.Topology
 	version uint64
 	down    []bool
+
+	// spareNext and spareDist are rows taken over from a retired table
+	// (BuildLazyFrom), which new rows fill before allocating; queue is
+	// the BFS scratch.
+	spareNext [][]topology.NodeID
+	spareDist [][]int
+	queue     []topology.NodeID
 }
 
 // Build computes minimum-hop routes between all node pairs via one BFS per
@@ -85,6 +92,40 @@ func BuildLazyExcluding(topo *topology.Topology, down []bool) *Table {
 	return t
 }
 
+// BuildLazyFrom is BuildLazyExcluding on the arrays of retired, a lazy
+// table over the same topology that nothing reads again: the new table
+// takes over its row headers, and every row retired built becomes
+// backing for a row the new one builds. It reads exactly like a fresh
+// BuildLazyExcluding, but a repair that replaces one live table with
+// the next allocates no headers and no row it reads again. retired is
+// left empty, and any later read of it panics.
+func BuildLazyFrom(retired *Table, topo *topology.Topology, down []bool) *Table {
+	if retired.topo != topo {
+		panic("routing: BuildLazyFrom given an eager table or one over another topology")
+	}
+	t := &Table{
+		next:      retired.next,
+		dist:      retired.dist,
+		topo:      topo,
+		version:   topo.Version(),
+		spareNext: retired.spareNext,
+		spareDist: retired.spareDist,
+		queue:     retired.queue,
+	}
+	if down != nil {
+		t.down = append(retired.down[:0], down...)
+	}
+	for dest, next := range t.next {
+		if next != nil {
+			t.spareNext = append(t.spareNext, next)
+			t.spareDist = append(t.spareDist, t.dist[dest])
+			t.next[dest], t.dist[dest] = nil, nil
+		}
+	}
+	*retired = Table{}
+	return t
+}
+
 // newTable allocates the row tables with every row unmaterialized.
 func newTable(n int) *Table {
 	return &Table{
@@ -94,12 +135,19 @@ func newTable(n int) *Table {
 }
 
 // buildRow runs the destination-rooted BFS for dest and installs the
-// resulting next-hop and distance rows into t.
+// resulting next-hop and distance rows into t, in a spare row when t
+// holds one.
 func buildRow(topo *topology.Topology, down []bool, dest int, t *Table) {
 	isDown := func(id topology.NodeID) bool { return down != nil && down[id] }
 	n := topo.NumNodes()
-	next := make([]topology.NodeID, n)
-	dist := make([]int, n)
+	var next []topology.NodeID
+	var dist []int
+	if k := len(t.spareNext); k > 0 {
+		next, dist = t.spareNext[k-1], t.spareDist[k-1]
+		t.spareNext, t.spareDist = t.spareNext[:k-1], t.spareDist[:k-1]
+	} else {
+		next, dist = make([]topology.NodeID, n), make([]int, n)
+	}
 	for i := range next {
 		next[i] = NoRoute
 		dist[i] = -1
@@ -110,10 +158,9 @@ func buildRow(topo *topology.Topology, down []bool, dest int, t *Table) {
 	}
 	// BFS outward from the destination.
 	dist[dest] = 0
-	queue := []topology.NodeID{topology.NodeID(dest)}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue := append(t.queue[:0], topology.NodeID(dest))
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, nb := range topo.Neighbors(cur) {
 			if dist[nb] == -1 && !isDown(nb) {
 				dist[nb] = dist[cur] + 1
@@ -121,6 +168,7 @@ func buildRow(topo *topology.Topology, down []bool, dest int, t *Table) {
 			}
 		}
 	}
+	t.queue = queue
 	// Next hop: the lowest-ID neighbor one step closer to dest.
 	for i := 0; i < n; i++ {
 		if i == dest || dist[i] <= 0 {

@@ -32,6 +32,9 @@ func assertSameTopology(t *testing.T, got, want *Topology) {
 	if !reflect.DeepEqual(got.linkBase, want.linkBase) {
 		t.Fatalf("linkBase mismatch")
 	}
+	if !reflect.DeepEqual(got.revSlots, want.revSlots) {
+		t.Fatalf("revSlots mismatch:\n grid: %v\nbrute: %v", got.revSlots, want.revSlots)
+	}
 }
 
 // TestGridMatchesBruteForce is the differential oracle for the spatial

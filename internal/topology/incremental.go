@@ -53,6 +53,7 @@ type moveScratch struct {
 	removed []NodeID
 	flipped []nodePair
 	onPairs []int32 // per node: uncovered flipped pairs, while covering
+	cursor  []int32 // per node: renumberLinks' reverse-slot cursor
 	// spare is the link slice before the last renumbering, whose
 	// backing array the next renumbering fills.
 	spare []Link
@@ -88,7 +89,11 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 		return nil, fmt.Errorf("topology: %d moved nodes but %d positions", len(moved), len(newPos))
 	}
 	if t.move == nil {
-		t.move = &moveScratch{isMover: make([]bool, len(t.pos)), onPairs: make([]int32, len(t.pos))}
+		t.move = &moveScratch{
+			isMover: make([]bool, len(t.pos)),
+			onPairs: make([]int32, len(t.pos)),
+			cursor:  make([]int32, len(t.pos)),
+		}
 	}
 	sc := t.move
 	isMover := sc.isMover
@@ -178,7 +183,7 @@ func (t *Topology) MoveNodes(moved []NodeID, newPos []geom.Point) (*Diff, error)
 	if linksChanged {
 		// Fill the spare buffer: the links before the last renumbering,
 		// which only the last call's Diff still names.
-		t.links, sc.spare = t.renumberLinks(sc.spare), t.links
+		t.links, sc.spare = t.renumberLinks(sc.spare, sc.cursor), t.links
 	}
 	return diff, nil
 }
@@ -266,8 +271,14 @@ func (sc *moveScratch) cover() []NodeID {
 
 // renumberLinks numbers the directed links densely from the Tx lists, in
 // O(N + L), into buf's backing array (a fresh one when buf is short),
-// and rewrites linkBase in place.
-func (t *Topology) renumberLinks(buf []Link) []Link {
+// and rewrites linkBase and the reverse slots in place. cursor is
+// per-node scratch, len NumNodes, left zeroed.
+//
+// The reverse slots need no search: Tx adjacency is symmetric and every
+// list ascends, so as the sources are visited in ascending order, the
+// k-th visit to a target j comes from j's k-th smallest neighbor, and
+// cursor[j] counts the visits.
+func (t *Topology) renumberLinks(buf []Link, cursor []int32) []Link {
 	total := 0
 	for i, nb := range t.neighbors {
 		t.linkBase[i] = total
@@ -277,12 +288,20 @@ func (t *Topology) renumberLinks(buf []Link) []Link {
 	if cap(buf) < total {
 		buf = make([]Link, 0, total)
 	}
+	if cap(t.revSlots) < total {
+		t.revSlots = make([]int32, total)
+	}
+	rev := t.revSlots[:total]
 	links := buf[:0]
 	for i, nb := range t.neighbors {
 		for _, j := range nb {
+			rev[len(links)] = cursor[j]
+			cursor[j]++
 			links = append(links, Link{From: NodeID(i), To: j})
 		}
 	}
+	clear(cursor)
+	t.revSlots = rev
 	return links
 }
 

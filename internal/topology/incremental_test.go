@@ -73,6 +73,9 @@ func assertEqualTopology(t *testing.T, step int, inc, oracle *Topology) {
 	if !reflect.DeepEqual(inc.linkBase, oracle.linkBase) {
 		t.Fatalf("step %d: link bases diverged\n inc: %v\n want %v", step, inc.linkBase, oracle.linkBase)
 	}
+	if !reflect.DeepEqual(inc.revSlots, oracle.revSlots) {
+		t.Fatalf("step %d: reverse slots diverged\n inc: %v\n want %v", step, inc.revSlots, oracle.revSlots)
+	}
 	for idx, l := range inc.links {
 		if got := inc.LinkIndex(l.From, l.To); got != idx {
 			t.Fatalf("step %d: LinkIndex(%v) = %d, want %d", step, l, got, idx)

@@ -140,6 +140,66 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// checkReverseSlots asserts the reverse-slot identity on every link:
+// Neighbors(Neighbors(n)[k])[ReverseSlots(n)[k]] == n.
+func checkReverseSlots(t *testing.T, what string, topo *Topology) {
+	t.Helper()
+	for _, n := range topo.Nodes() {
+		nbrs, slots := topo.Neighbors(n), topo.ReverseSlots(n)
+		if len(slots) != len(nbrs) {
+			t.Fatalf("%s: node %d has %d neighbors but %d reverse slots", what, n, len(nbrs), len(slots))
+		}
+		for k, m := range nbrs {
+			back := topo.Neighbors(m)
+			if s := int(slots[k]); s < 0 || s >= len(back) || back[s] != n {
+				t.Fatalf("%s: node %d's slot at neighbor %d is %d, in the list %v", what, n, m, slots[k], back)
+			}
+		}
+	}
+}
+
+// TestReverseSlots checks the reverse-slot identity on a lattice, the
+// city layout, random placements and the brute-force build, then after
+// every step of a random walk in which every node moves, at equal and at
+// widened carrier-sense ranges.
+func TestReverseSlots(t *testing.T) {
+	var lattice []geom.Point
+	for i := 0; i < 42; i++ {
+		lattice = append(lattice, geom.Point{X: float64(i%7) * 200, Y: float64(i/7) * 200})
+	}
+	checkReverseSlots(t, "lattice", MustNew(lattice, DefaultConfig()))
+	checkReverseSlots(t, "city", MustNew(benchPositions(400, 3), DefaultConfig()))
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 5; trial++ {
+		topo, pts := randomTopo(rng, 20+rng.Intn(60), 1000, 250, 1+rng.Float64())
+		checkReverseSlots(t, fmt.Sprint("random ", trial), topo)
+		brute, err := newBruteForce(pts, topo.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReverseSlots(t, fmt.Sprint("brute force ", trial), brute)
+	}
+	for _, csFactor := range []float64{1, 1.7} {
+		topo, pts := randomTopo(rng, 60, 1200, 250, csFactor)
+		moved := make([]NodeID, len(pts))
+		for v := range moved {
+			moved[v] = NodeID(v)
+		}
+		for step := 0; step < 60; step++ {
+			for v := range pts {
+				pts[v] = geom.Point{
+					X: clampF(pts[v].X+(rng.Float64()-0.5)*80, 0, 1200),
+					Y: clampF(pts[v].Y+(rng.Float64()-0.5)*80, 0, 1200),
+				}
+			}
+			if _, err := topo.MoveNodes(moved, pts); err != nil {
+				t.Fatal(err)
+			}
+			checkReverseSlots(t, fmt.Sprintf("cs=%vtx walk step %d", csFactor, step), topo)
+		}
+	}
+}
+
 func equalIDs(a, b []NodeID) bool {
 	if len(a) != len(b) {
 		return false

@@ -5,7 +5,8 @@
 //
 // Adjacency is kept once, as per-node transmission-range and
 // carrier-sense-range neighbor lists sorted by ID, plus a dense integer
-// index over every directed link. Everything else is derived from them
+// index over every directed link and, per link, the source's position
+// in the target's list. Everything else is derived from them
 // on demand: InTxRange and InCSRange binary-search a list, and the
 // two-hop scope is merged from the lists. The simulator's per-frame hot
 // path (internal/radio) iterates neighbor lists instead of scanning all
@@ -81,6 +82,9 @@ type Topology struct {
 	// linkBase[n]+k.
 	links    []Link // all directed links in index order (shared)
 	linkBase []int
+	// revSlots[linkBase[n]+k] is n's position in the Tx list of
+	// neighbors[n][k]: the slot under which that neighbor files n.
+	revSlots []int32
 
 	// grid buckets node positions by CSRange-sized cells so neighbor
 	// recomputation inspects O(density) candidates instead of all N
@@ -197,7 +201,7 @@ func build(positions []geom.Point, cfg Config, useGrid bool) (*Topology, error) 
 	}
 
 	t.linkBase = make([]int, n+1)
-	t.links = t.renumberLinks(nil)
+	t.links = t.renumberLinks(nil, make([]int32, n))
 	return t, nil
 }
 
@@ -276,6 +280,18 @@ func (t *Topology) LinkAt(idx int) Link { return t.links[idx] }
 // FirstLink returns the dense index of n's first outgoing link: the link
 // from n to Neighbors(n)[k] has index FirstLink(n)+k.
 func (t *Topology) FirstLink(n NodeID) int { return t.linkBase[n] }
+
+// ReverseSlots returns, for each of n's Tx neighbors in Neighbors(n)
+// order, n's position in that neighbor's own list: Neighbors(m)[s] == n
+// for m = Neighbors(n)[k] and s = ReverseSlots(n)[k]. A receiver can
+// therefore address per-neighbor state by the slot the transmitter's
+// list hands it, with no search. Slots are stable until adjacency
+// changes (a MoveNodes call whose Diff reports Changed). The returned
+// slice is shared; callers must not modify it, and a later MoveNodes
+// call may rewrite it in place.
+func (t *Topology) ReverseSlots(n NodeID) []int32 {
+	return t.revSlots[t.linkBase[n]:t.linkBase[n+1]:t.linkBase[n+1]]
+}
 
 // LinkIndex returns the dense index of the directed link from→to, or -1
 // when the nodes are not within transmission range. O(log degree).

@@ -9,8 +9,11 @@ package gmp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"gmp/internal/routing"
 )
 
 // walkOut returns a mobility config in which exactly the given node
@@ -193,5 +196,55 @@ func TestInvalidMobilityConfigRejected(t *testing.T) {
 	cfg.Mobility = &MobilityConfig{Model: MobilityRandomWalk, Epoch: time.Second, MaxSpeed: 5, Pinned: []NodeID{99}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("out-of-range pinned node accepted")
+	}
+}
+
+// TestRerouteKeepsT0Table runs a random walk with a crash and a recovery,
+// where every repair after the first builds the live table on its
+// predecessor's arrays. The t=0 table, which collect reads, must keep
+// every flow's route, and the last live table must read like a fresh one
+// over the final topology and down set.
+func TestRerouteKeepsT0Table(t *testing.T) {
+	sc, err := GridScenario(5, 5, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.WithFlows([][3]int{{0, 24, 1}, {4, 20, 1}, {12, 2, 1}})
+	cfg := Config{
+		Scenario: sc,
+		Protocol: ProtocolGMP,
+		Duration: 60 * time.Second,
+		Seed:     3,
+		Faults: []FaultEvent{
+			{At: 10 * time.Second, Kind: FaultNodeDown, Node: 6},
+			{At: 30 * time.Second, Kind: FaultNodeUp, Node: 6},
+		},
+		Mobility: &MobilityConfig{Model: MobilityRandomWalk, Epoch: time.Second, MinSpeed: 5, MaxSpeed: 20},
+	}.WithDefaults()
+	s, err := newSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := func(tab *routing.Table) []string {
+		var out []string
+		for _, f := range sc.Flows {
+			p, err := tab.Path(f.Src, f.Dst)
+			out = append(out, fmt.Sprint(p, err))
+		}
+		return out
+	}
+	t0 := paths(s.routes)
+	if err := s.start(); err != nil {
+		t.Fatal(err)
+	}
+	s.sched.Run(cfg.Duration)
+	if s.mobEngine.Epochs() == 0 || s.topo.Version() < 2 {
+		t.Fatalf("%d epochs changed the adjacency %d times, want repairs that reuse a table", s.mobEngine.Epochs(), s.topo.Version())
+	}
+	if got := paths(s.routes); !slices.Equal(got, t0) {
+		t.Errorf("t=0 routes changed over the run:\n got %v\nwant %v", got, t0)
+	}
+	if got, want := paths(s.liveRoutes), paths(routing.BuildLazyExcluding(s.topo, s.fengine.DownSet())); !slices.Equal(got, want) {
+		t.Errorf("live routes %v, a fresh table reads %v", got, want)
 	}
 }
